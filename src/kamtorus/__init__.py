@@ -15,20 +15,19 @@ from .diophantine import (FrequencyVector, RationalApprox, ResonanceBound,
 from .errors import KamError
 from .field import (FourierVectorField, add, bracket_bound,
                     bracket_norm_const, constant_field, deserialize,
-                    eval_at, eval_many, lie_bracket, make_field, norm, prune,
-                    scale, serialize, sub, tail_bound, tail_split,
-                    zero_field)
+                    eval_at, eval_many, lie_bracket, lie_derivative,
+                    lie_series, make_field, norm, prune, scale, serialize,
+                    sub, tail_bound, tail_split, zero_field)
 from .averaging import (HomologicalSolution, StepBudget, StepResult,
                         averaging_step, counter_term_step, lie_pullback,
                         omega_average, solve_homological, space_average)
-from .embedding import Layer, NearIdentityEmbedding, flow_points
+from .embedding import Layer, NearIdentityEmbedding, apply_displacement
 from .generate import random_field
 from .ledger import ErrorLedger
 from .oracles import (conjugacy_report, conjugacy_residual,
                       grid_pullback_oracle, ode_flow, orbit_shadowing_check,
                       quadrature_time_average)
 from .scheduler import (KamConstants, RunOptions, RunResult, Schedule,
-                        check_conditions, constants, materialize, run,
-                        select_Q)
+                        check_conditions, constants, run, select_Q)
 
 __version__ = "0.1.0"

@@ -27,12 +27,10 @@ import numpy as np
 from . import field as fld
 from .diophantine import FrequencyVector, RationalApprox, dirichlet_approx
 from .errors import (ContractionError, DomainError, ParameterError,
-                     StepConditionError, StepSizeError)
+                     StepConditionError)
 from .embedding import Layer, NearIdentityEmbedding
 from .field import FourierVectorField
 from .ledger import ErrorLedger
-
-_MAX_SERIES_TERMS = 300
 
 
 @dataclass(frozen=True)
@@ -61,18 +59,6 @@ class StepResult:
     approx: RationalApprox
 
 
-def _rewidth(x: FourierVectorField, width: float) -> FourierVectorField:
-    return FourierVectorField(n=x.n, width_s=width, coeffs=x.coeffs,
-                              k_max=x.k_max)
-
-
-def _resonant(k, q: int, p) -> bool:
-    dot = q * int(k[0])
-    for ki, pi in zip(k[1:], p):
-        dot += int(ki) * int(pi)
-    return dot == 0
-
-
 def _divisor(k, q: int, p) -> int:
     """q * (k . omega) as an exact integer."""
     dot = q * int(k[0])
@@ -85,7 +71,7 @@ def omega_average(P: FourierVectorField,
                   approx: RationalApprox) -> FourierVectorField:
     """Projection onto the modes with k . omega = 0 (exact integer test)."""
     q, p = approx.q, approx.p
-    kept = {k: c for k, c in P.coeffs.items() if _resonant(k, q, p)}
+    kept = {k: c for k, c in P.coeffs.items() if _divisor(k, q, p) == 0}
     k_max = max((max(abs(v) for v in k) for k in kept), default=0)
     return FourierVectorField(n=P.n, width_s=P.width_s, coeffs=kept,
                               k_max=k_max)
@@ -137,41 +123,16 @@ def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
 
     Truncated when the majorized remainder at width s - sigma is below
     tol; the remainder bound is charged to the ledger.  Requires the
-    majorant ratio bracket_norm_const(n)*e*norm(V,s)/sigma < 1.
+    majorant ratio fld.series_ratio(V, s, sigma) < 1.
     """
-    if not 0 < sigma < s:
-        raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
     if s > min(Y.width_s, V.width_s):
         raise ParameterError(
             f"s={s} exceeds the width of the inputs "
             f"({min(Y.width_s, V.width_s)})")
-    n = Y.n
-    v_norm = fld.norm(V, s) if V.coeffs else 0.0
-    rho = fld.bracket_norm_const(n) * math.e * v_norm / sigma
-    if rho >= 1.0:
-        raise StepSizeError(
-            f"Lie series majorant ratio {rho:.3g} >= 1 "
-            f"(norm(V)={v_norm:.3g}, sigma={sigma:.3g}); "
-            "increase Q or decrease the perturbation")
-    acc = Y
-    term = Y
-    w = s - sigma
-    for m in range(1, _MAX_SERIES_TERMS + 1):
-        term = fld.scale(fld.lie_bracket(term, V), 1.0 / m)
-        if not term.coeffs:
-            break
-        acc = fld.add(acc, term)
-        t = fld.norm(term, w)
-        rem = t * rho / (1.0 - rho)
-        if rem <= tol:
-            if ledger is not None:
-                ledger.charge("lie_pullback.remainder", rem)
-            break
-    else:
-        raise StepSizeError(
-            f"Lie series did not reach tol={tol:.3g} within "
-            f"{_MAX_SERIES_TERMS} terms (ratio {rho:.3g})")
-    return _rewidth(acc, w)
+    pulled, _ = fld.lie_series(fld.lie_bracket, V, Y, Y,
+                               fld.zero_field(Y.n, s), s, sigma, tol,
+                               ledger=ledger, tag="lie_pullback")
+    return pulled
 
 
 def step_conditions(consts, Q: float, sigma: float, eps: float) -> tuple:
@@ -258,37 +219,15 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     B = fld.sub(p_omega, P)
 
     floor = prune_rel * eps_ref
-    acc = head
-    bracket_norm = 0.0
-    term_a, term_b = A, B
-    tol_abs = 1e-18 * eps_ref
-    rho = fld.bracket_norm_const(P.n) * math.e * v_norm / sigma \
-        if v_norm else 0.0
-    for m in range(1, _MAX_SERIES_TERMS + 1):
-        term_a = fld.scale(fld.lie_bracket(term_a, V), 1.0 / m)
-        term_b = fld.scale(fld.lie_bracket(term_b, V), 1.0 / m)
-        contrib = fld.add(term_a, fld.scale(term_b, 1.0 / (m + 1)))
-        if not contrib.coeffs and not term_a.coeffs and not term_b.coeffs:
-            break
-        acc = fld.add(acc, contrib)
-        t = fld.norm(contrib, w) if contrib.coeffs else 0.0
-        bracket_norm += t
-        term_a, lost_a = fld.prune(term_a, w, floor)
-        term_b, lost_b = fld.prune(term_b, w, floor)
-        if ledger is not None and (lost_a or lost_b):
-            ledger.charge("averaging_step.series_prune",
-                          2.0 * (lost_a + lost_b))
-        if t <= tol_abs and m >= 2:
-            if ledger is not None and rho < 1:
-                ledger.charge("averaging_step.series_tail",
-                              t * rho / (1.0 - rho))
-            break
-    else:
-        raise StepSizeError(
-            f"averaging series did not settle within {_MAX_SERIES_TERMS} "
-            f"terms (ratio estimate {rho:.3g})")
+    # the series ends once a term's norm is at most 1e-18*eps_ref, so the
+    # tolerance on its remainder bound is that threshold times rho/(1-rho)
+    rho = fld.series_ratio(V, s, sigma)
+    acc, bracket_norm = fld.lie_series(
+        fld.lie_bracket, V, head, A, B, s, sigma,
+        1e-18 * eps_ref * rho / (1.0 - rho), floor=floor, ledger=ledger,
+        tag="averaging_step")
 
-    p_plus, lost = fld.prune(_rewidth(acc, w), w, floor)
+    p_plus, lost = fld.prune(acc, w, floor)
     if ledger is not None and lost:
         ledger.charge("averaging_step.result_prune", lost)
     pp_norm = fld.norm(p_plus, w) if p_plus.coeffs else 0.0

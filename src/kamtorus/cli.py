@@ -2,7 +2,11 @@
 
 Subcommands: approx, psi, constants, step, run, verify, gen.  Human
 summary on stdout, machine-readable JSON/field files on disk.  Exit code
-0 only when every asserted bound in the invoked pipeline passed.
+0 only when every asserted bound in the invoked pipeline passed and, for
+run and verify, the oracles measured a conjugacy residual of at most
+MAX_RESIDUAL and an orbit deviation of at most MAX_ORBIT_DEVIATION; 1
+when an oracle threshold or an approximation bound failed; 2 on any
+error.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +26,13 @@ from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax, resonance_bound)
+from .embedding import apply_displacement
 from .errors import KamError
 from .generate import random_field
+
+# Oracle thresholds of the acceptance gate for run and verify.
+MAX_RESIDUAL = 1e-10
+MAX_ORBIT_DEVIATION = 1e-7
 
 
 def _load_freq(path: str) -> FrequencyVector:
@@ -36,6 +46,17 @@ def _load_field(path: str) -> fld.FourierVectorField:
 def _dump_json(path: Path, obj) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _oracle_verdict(report: dict) -> int:
+    """1 when an oracle measured a value above its threshold, else 0."""
+    failed = [f"{key} = {report[key]:.3g} exceeds {bound:g}"
+              for key, bound in (("sup_residual", MAX_RESIDUAL),
+                                 ("orbit_deviation", MAX_ORBIT_DEVIATION))
+              if report[key] is not None and not report[key] <= bound]
+    for line in failed:
+        print(f"error: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_approx(args) -> int:
@@ -75,11 +96,6 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _phi_field_kmax(result) -> int:
-    k = max((layer.V.k_max for layer in result.Phi.layers), default=1)
-    return max(1, min(int(k), 16))
-
-
 def _cmd_step(args) -> int:
     alpha = _load_freq(args.freq)
     P = _load_field(args.pert)
@@ -95,12 +111,7 @@ def _cmd_step(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "p_plus.field").write_text(fld.serialize(res.P_plus))
-    if res.Phi1.layers:
-        disp = sch.materialize(res.Phi1, max(1, min(res.V.k_max, 16)),
-                               width=s - sigma)
-    else:
-        disp = fld.zero_field(alpha.n, s - sigma)
-    (outdir / "phi1.field").write_text(fld.serialize(disp))
+    (outdir / "phi1.field").write_text(fld.serialize(res.Phi1.displacement))
     budget = {
         "q": res.approx.q,
         "p": [int(v) for v in res.approx.p],
@@ -175,10 +186,8 @@ def _cmd_run(args) -> int:
         "ledger": result.ledger.by_tag(),
         "steps": result.trace,
     })
-    disp = sch.materialize(result.Phi, _phi_field_kmax(result),
-                           width=float(s) / 2.0) \
-        if result.Phi.layers else fld.zero_field(alpha.n, float(s) / 2.0)
-    (outdir / "phi.field").write_text(fld.serialize(disp))
+    (outdir / "phi.field").write_text(
+        fld.serialize(result.Phi.displacement))
     (outdir / "beta.txt").write_text(
         "\n".join(format(float(v), ".17g") for v in result.beta) + "\n")
 
@@ -192,14 +201,7 @@ def _cmd_run(args) -> int:
     _dump_json(outdir / "residual.json", report)
     print(json.dumps({"steps": len(result.trace), "beta": list(
         map(float, result.beta)), **report}, indent=2))
-    return 0
-
-
-def _field_as_map(disp: fld.FourierVectorField):
-    def phi(points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts + fld.eval_many(disp, pts)
-    return phi
+    return _oracle_verdict(report)
 
 
 def _cmd_verify(args) -> int:
@@ -208,7 +210,7 @@ def _cmd_verify(args) -> int:
     disp = _load_field(args.phi)
     beta = np.array([float(line) for line in
                      Path(args.beta).read_text().split()])
-    phi = _field_as_map(disp)
+    phi = partial(apply_displacement, disp)
     report = orc.conjugacy_report(alpha, P, phi, beta, args.grid)
     report["orbit_deviation"] = (
         orc.orbit_shadowing_check(alpha, P, phi, beta, args.orbit_T,
@@ -217,7 +219,7 @@ def _cmd_verify(args) -> int:
     _dump_json(Path(args.out) / "residual.json"
                if args.out else Path("residual.json"), report)
     print(json.dumps(report, indent=2))
-    return 0
+    return _oracle_verdict(report)
 
 
 def _cmd_gen(args) -> int:

@@ -43,14 +43,17 @@ class FrequencyVector:
             raise ParameterError(
                 f"need n >= 2 and {self.n - 1} entries, got "
                 f"{len(self.alpha_tilde)}")
-        if np.any(np.abs(self.alpha_tilde) > 1):
-            raise ParameterError("alpha_tilde entries must lie in [-1, 1]")
-        if self.tau < 0:
-            raise ParameterError(f"tau must be >= 0, got {self.tau}")
+        if not np.all(np.abs(self.alpha_tilde) <= 1):
+            raise ParameterError(
+                "alpha_tilde entries must be finite and lie in [-1, 1]")
+        if not 0 <= self.tau < math.inf:
+            raise ParameterError(
+                f"tau must be finite and >= 0, got {self.tau}")
         if not 0 < self.gamma <= 1:
             raise ParameterError(f"gamma must be in (0, 1], got {self.gamma}")
-        if not self.gamma_bar > 0:
-            raise ParameterError(f"gamma_bar must be > 0, got {self.gamma_bar}")
+        if not 0 < self.gamma_bar < math.inf:
+            raise ParameterError(
+                f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
 
     @property
     def alpha(self) -> np.ndarray:

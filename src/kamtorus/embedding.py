@@ -1,56 +1,32 @@
 """Near-identity torus embeddings built from time-1 flows.
 
-Each elementary map is the time-1 flow of a small vector field; the
-composed embedding keeps the ordered list of layers and evaluates by
-right-to-left composition, so no resampling error accumulates.  A grid
-Fourier fit of the displacement is produced only on demand, with an
-aliasing check by grid doubling.
+Each elementary map is the time-1 flow of a small vector field V.  The
+composed embedding Phi = L_1 o ... o L_m keeps its ordered layers, for
+the displacement bound, and evaluates as theta + u(theta), where the
+displacement u = Phi - Id is a Fourier field built once, on first use,
+by Lie series (Lie transforms): for a layer L, the flow of V, and with
+L_V u = Du.V,
+
+    u_L         = sum_{m>=1} L_V^{m-1} V / m!,
+    u_{Phi o L} = u_L + exp(L_V) u_Phi,
+
+so no ODE is integrated and nothing is resampled on a grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import field as fld
-from .errors import ResolutionError, StiffnessError
 from .field import FourierVectorField
 
-_FLOW_TOL = 1e-13
-_FLOW_MAX_DOUBLINGS = 16
-
-
-def _rk4_flow(V: FourierVectorField, thetas: np.ndarray, t: float,
-              steps: int) -> np.ndarray:
-    """Fixed-step classical Runge-Kutta for theta' = V(theta), batched."""
-    h = t / steps
-    y = np.array(thetas, dtype=float)
-    for _ in range(steps):
-        k1 = fld.eval_many(V, y)
-        k2 = fld.eval_many(V, y + 0.5 * h * k1)
-        k3 = fld.eval_many(V, y + 0.5 * h * k2)
-        k4 = fld.eval_many(V, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
-
-
-def flow_points(V: FourierVectorField, thetas: np.ndarray, t: float = 1.0,
-                tol: float = _FLOW_TOL) -> np.ndarray:
-    """Time-t flow of V from (N, n) points, step-halving until converged."""
-    if not V.coeffs or t == 0.0:
-        return np.array(thetas, dtype=float)
-    steps = 8
-    prev = _rk4_flow(V, thetas, t, steps)
-    for _ in range(_FLOW_MAX_DOUBLINGS):
-        steps *= 2
-        cur = _rk4_flow(V, thetas, t, steps)
-        if np.abs(cur - prev).max() <= tol:
-            return cur
-        prev = cur
-    raise StiffnessError(
-        f"flow of field with norm {fld.norm(V, V.width_s):.3g} did not "
-        f"converge to {tol:g} after {steps} steps")
+# Relative to the norm of V + u: the remainder tolerance of a layer's
+# series, and its pruning floor (the averaging step's default prune_rel).
+_SERIES_TOL_REL = 1e-18
+_PRUNE_REL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -61,9 +37,6 @@ class Layer:
     source_width: float
     target_width: float
 
-    def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        return flow_points(self.V, np.asarray(thetas, dtype=float))
-
     def displacement_bound(self) -> float:
         """|Phi - Id| <= norm(V) on the source strip (flow displacement)."""
         if not self.V.coeffs:
@@ -71,64 +44,46 @@ class Layer:
         return fld.norm(self.V, self.V.width_s)
 
 
+def _compose(u: FourierVectorField, layer: Layer) -> FourierVectorField:
+    """Displacement of Phi o L from the displacement u of Phi."""
+    s = layer.target_width
+    head = fld.add(layer.V, u)
+    ref = fld.norm(head, s) if head.coeffs else 0.0
+    out, _ = fld.lie_series(fld.lie_derivative, layer.V, head, u, layer.V,
+                            s, s - layer.source_width, _SERIES_TOL_REL * ref,
+                            floor=_PRUNE_REL * ref)
+    return out
+
+
+def apply_displacement(u: FourierVectorField, thetas) -> np.ndarray:
+    """theta + u(theta) at one point (n,) or at real points (N, n)."""
+    y = np.asarray(thetas, dtype=float)
+    if y.ndim == 1:
+        return y + fld.eval_many(u, y[None, :])[0]
+    return y + fld.eval_many(u, y)
+
+
 @dataclass(frozen=True)
 class NearIdentityEmbedding:
-    """Composition Phi = L_1 o L_2 o ... o L_m, evaluated right to left."""
+    """Composition Phi = L_1 o L_2 o ... o L_m of time-1 flows."""
 
     n: int
     layers: tuple
 
+    @cached_property
+    def displacement(self) -> FourierVectorField:
+        """Phi - Id as a Fourier field on the innermost source strip."""
+        u = fld.zero_field(
+            self.n, self.layers[0].target_width if self.layers else 1.0)
+        for layer in self.layers:
+            u = _compose(u, layer)
+        return u
+
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        y = np.asarray(thetas, dtype=float)
-        squeeze = y.ndim == 1
-        if squeeze:
-            y = y[None, :]
-        for layer in reversed(self.layers):
-            y = layer(y)
-        return y[0] if squeeze else y
+        return apply_displacement(self.displacement, thetas)
 
     def extended(self, layer: Layer) -> "NearIdentityEmbedding":
         return NearIdentityEmbedding(n=self.n, layers=self.layers + (layer,))
 
     def displacement_bound(self) -> float:
         return sum(layer.displacement_bound() for layer in self.layers)
-
-
-def fit_displacement(phi, n: int, k_max: int, width: float,
-                     tol: float = 1e-10) -> FourierVectorField:
-    """Fourier fit of phi - Id on a real grid, with an aliasing check.
-
-    phi maps (N, n) -> (N, n).  The grid has max(4*k_max, 8) points per
-    axis; the fit is repeated on the doubled grid and the two coefficient
-    sets must agree to tol.
-    """
-    g = max(4 * k_max, 8)
-    first = _grid_coeffs(phi, n, k_max, g)
-    second = _grid_coeffs(phi, n, k_max, 2 * g)
-    diff = 0.0
-    for k in set(first) | set(second):
-        a = first.get(k, np.zeros(n))
-        b = second.get(k, np.zeros(n))
-        diff = max(diff, float(np.abs(a - b).max()))
-    if diff > tol:
-        raise ResolutionError(
-            f"aliasing check failed: coefficient shift {diff:.3g} > {tol:g} "
-            f"on grid doubling (k_max={k_max}, grid={g})")
-    return fld.make_field(n, width, second)
-
-
-def _grid_coeffs(phi, n: int, k_max: int, g: int) -> dict:
-    axes = [np.arange(g) / g] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    disp = phi(pts) - pts
-    spec = np.fft.fftn(disp.reshape((g,) * n + (n,)), axes=tuple(range(n)))
-    spec /= float(g) ** n
-    coeffs = {}
-    for k in np.ndindex(*((2 * k_max + 1,) * n)):
-        kk = tuple(v - k_max for v in k)
-        pos = tuple((v % g) for v in kk)
-        c = spec[pos]
-        if np.any(np.abs(c) > 0):
-            coeffs[kk] = c
-    return coeffs

@@ -77,9 +77,5 @@ class EmbeddingFailureError(KamError, ArithmeticError):
     """A Jacobian was singular where an embedding was expected."""
 
 
-class ResolutionError(KamError, ArithmeticError):
-    """Grid sampling failed its aliasing self-check."""
-
-
 class DomainError(KamError, ValueError):
     """A point lies outside the domain of the requested map."""

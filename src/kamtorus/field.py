@@ -19,11 +19,13 @@ the 2*pi phase convention; see the named constants below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, RealityViolationError
+from .errors import (ParameterError, ParseError, RealityViolationError,
+                     StepSizeError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,6 +107,9 @@ def _symmetrize(n: int, coeffs: dict) -> dict:
 
 def make_field(n: int, width_s: float, coeffs: dict) -> FourierVectorField:
     """Build a field, symmetrizing for reality and completing conjugates."""
+    if coeffs and not np.isfinite(
+            np.array(list(coeffs.values()), dtype=np.complex128)).all():
+        raise ParameterError("field coefficients must be finite")
     sym = _symmetrize(n, {tuple(int(x) for x in k): v for k, v in coeffs.items()})
     k_max = max((max(abs(x) for x in k) for k in sym), default=0)
     return FourierVectorField(n=n, width_s=width_s, coeffs=sym, k_max=k_max)
@@ -194,11 +199,16 @@ def eval_at(x: FourierVectorField, theta) -> np.ndarray:
     return phases @ x.coeff_matrix(modes)
 
 
+# point-modes per block of eval_many's phase matrix (4 MB of complex128)
+_EVAL_CHUNK = 1 << 18
+
+
 def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
     """Evaluate at an (N, n) array of real points; returns (N, n) real.
 
     Reality makes the imaginary part cancel exactly in pairs; the real
-    part is returned directly.
+    part is returned directly.  Points are taken in blocks, so memory
+    stays bounded however many points and modes there are.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != x.n:
@@ -207,8 +217,13 @@ def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
         return np.zeros_like(thetas)
     modes = x.modes
     cm = x.coeff_matrix(modes)
-    phases = np.exp(2j * np.pi * (thetas @ modes.T.astype(float)))
-    return (phases @ cm).real
+    kf = modes.T.astype(float)
+    out = np.empty_like(thetas)
+    rows = max(1, _EVAL_CHUNK // len(modes))
+    for start in range(0, len(thetas), rows):
+        phases = np.exp(2j * np.pi * (thetas[start:start + rows] @ kf))
+        out[start:start + rows] = (phases @ cm).real
+    return out
 
 
 def derivative_matrix_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
@@ -236,9 +251,23 @@ def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorFi
     grid): FFT convolution injects max-scale roundoff into far-out modes,
     which the exponential norm weights amplify.
     """
+    return _convolve(x, v, bracket=True)
+
+
+def lie_derivative(x: FourierVectorField, v: FourierVectorField) -> FourierVectorField:
+    """L_V X = DX.V, the derivative of X along V: the first term of [X, V].
+
+    X composed with the time-1 flow of V is exp(L_V) X.
+    """
+    return _convolve(x, v, bracket=False)
+
+
+def _convolve(x: FourierVectorField, v: FourierVectorField,
+              bracket: bool) -> FourierVectorField:
+    """DX.V, minus DV.X when `bracket` is set."""
     _check_same_dim(x, v)
     width = min(x.width_s, v.width_s)
-    if not x.coeffs or not v.coeffs:
+    if not x.coeffs or not v.coeffs or (x.is_constant and not bracket):
         return zero_field(x.n, width)
     # Constant argument fast paths are diagonal and exact.
     if x.is_constant:
@@ -248,7 +277,7 @@ def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorFi
             dot = sum(ki * xi for ki, xi in zip(k, x0))
             if dot != 0:
                 coeffs[k] = -2j * np.pi * dot * c
-        return _from_raw(x.n, width, coeffs)
+        return make_field(x.n, width, coeffs)
     if v.is_constant:
         v0 = v.coeffs[(0,) * v.n]
         coeffs = {}
@@ -256,7 +285,7 @@ def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorFi
             dot = sum(ki * vi for ki, vi in zip(k, v0))
             if dot != 0:
                 coeffs[k] = 2j * np.pi * dot * c
-        return _from_raw(x.n, width, coeffs)
+        return make_field(x.n, width, coeffs)
 
     n = x.n
     kx_modes = x.modes
@@ -273,9 +302,10 @@ def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorFi
         # term1[a,b,:] = 2 pi i (k1 . V_{.,k2}) X_{.,k1}
         dots1 = a_modes.astype(float) @ cv.T                    # (ma, Mv)
         contrib = (2j * np.pi) * dots1[:, :, None] * a_coef[:, None, :]
-        # term2[a,b,:] = -2 pi i (k2 . X_{.,k1}) V_{.,k2}
-        dots2 = a_coef @ kvf.T                                  # (ma, Mv)
-        contrib -= (2j * np.pi) * dots2[:, :, None] * cv[None, :, :]
+        if bracket:
+            # term2[a,b,:] = -2 pi i (k2 . X_{.,k1}) V_{.,k2}
+            dots2 = a_coef @ kvf.T                              # (ma, Mv)
+            contrib -= (2j * np.pi) * dots2[:, :, None] * cv[None, :, :]
         idx = a_modes[:, None, :] + kv_modes[None, :, :] + k_out  # (ma,Mv,n)
         flat = np.zeros(idx.shape[:2], dtype=np.int64)
         for axis in range(n):
@@ -290,11 +320,6 @@ def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorFi
     # keep the exact-convolution support bound even if some sums vanished
     return FourierVectorField(n=n, width_s=width, coeffs=out.coeffs,
                               k_max=k_out if out.coeffs else 0)
-
-
-def _from_raw(n, width, coeffs):
-    f = make_field(n, width, coeffs)
-    return f
 
 
 def bracket_bound(s: float, sigma: float, nx: float, nv: float, n: int = 2) -> float:
@@ -353,6 +378,75 @@ def prune(x: FourierVectorField, s: float, floor: float):
     k_max = max((max(abs(v) for v in k) for k in kept), default=0)
     return (FourierVectorField(n=x.n, width_s=x.width_s, coeffs=kept,
                                k_max=k_max), removed)
+
+
+_MAX_SERIES_TERMS = 300
+
+
+def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
+    """Majorant ratio rho = bracket_norm_const(n)*e*norm(V,s)/sigma.
+
+    Both operators lie_series applies, X -> [X, V] and its first term
+    X -> DX.V, obey the bracket estimate, so the m-th term of a series in
+    them shrinks like rho^m at width s - sigma; rho < 1 is the convergence
+    precondition.
+    """
+    if not 0 < sigma < s:
+        raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
+    v_norm = norm(V, s) if V.coeffs else 0.0
+    rho = bracket_norm_const(V.n) * math.e * v_norm / sigma
+    if rho >= 1.0:
+        raise StepSizeError(
+            f"Lie series majorant ratio {rho:.3g} >= 1 "
+            f"(norm(V)={v_norm:.3g}, sigma={sigma:.3g}); "
+            "increase Q or decrease the perturbation")
+    return rho
+
+
+def lie_series(op, V: FourierVectorField, head: FourierVectorField,
+               a: FourierVectorField, b: FourierVectorField, s: float,
+               sigma: float, tol: float, *, floor: float = 0.0, ledger=None,
+               tag: str = "lie_series"):
+    """head + sum_{m>=1} (op_V^m a / m! + op_V^m b / (m+1)!), at s - sigma.
+
+    op is lie_bracket (op_V X = [X, V]: pullback by the time-1 flow of V is
+    exp(op_V)) or lie_derivative (op_V X = DX.V: composition with that flow
+    is exp(op_V), and the flow's displacement is sum op_V^m V / (m+1)!).
+    The two series share their m-th term, so they stop together.
+
+    The series stops at the first m >= 2 where the remainder bound
+    t*rho/(1-rho) of the last term's norm t is at most tol; that bound is
+    charged to the ledger as `<tag>.series_tail`.  Modes of the running
+    terms contributing less than floor at the target width are pruned and
+    charged as `<tag>.series_prune`.  Returns (sum, summed term norms).
+    """
+    rho = series_ratio(V, s, sigma)
+    w = s - sigma
+    acc, total = head, 0.0
+    for m in range(1, _MAX_SERIES_TERMS + 1):
+        a = scale(op(a, V), 1.0 / m)
+        b = scale(op(b, V), 1.0 / m)
+        term = add(a, scale(b, 1.0 / (m + 1)))
+        if not term.coeffs and not a.coeffs and not b.coeffs:
+            break
+        acc = add(acc, term)
+        t = norm(term, w) if term.coeffs else 0.0
+        total += t
+        a, lost_a = prune(a, w, floor)
+        b, lost_b = prune(b, w, floor)
+        if ledger is not None and (lost_a or lost_b):
+            ledger.charge(f"{tag}.series_prune", 2.0 * (lost_a + lost_b))
+        rem = t * rho / (1.0 - rho)
+        if m >= 2 and rem <= tol:
+            if ledger is not None:
+                ledger.charge(f"{tag}.series_tail", rem)
+            break
+    else:
+        raise StepSizeError(
+            f"Lie series did not reach tol={tol:.3g} within "
+            f"{_MAX_SERIES_TERMS} terms (ratio {rho:.3g})")
+    return FourierVectorField(n=acc.n, width_s=w, coeffs=acc.coeffs,
+                              k_max=acc.k_max), total
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +508,8 @@ def deserialize(text: str) -> FourierVectorField:
             vals = [float(p) for p in parts[n:]]
         except ValueError as exc:
             raise ParseError(str(exc), line=ln) from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(f"non-finite coefficient of mode {k}", line=ln)
         c = np.array([complex(vals[2 * j], vals[2 * j + 1]) for j in range(n)])
         mk = tuple(-v for v in k)
         if k in coeffs:

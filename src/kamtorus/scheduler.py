@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import averaging as avg
 from . import field as fld
 from .diophantine import FrequencyVector
-from .embedding import NearIdentityEmbedding, fit_displacement
+from .embedding import NearIdentityEmbedding
 from .errors import (ContractionError, InfeasibleError, ParameterError,
                      ThresholdError)
 from .field import FourierVectorField
@@ -47,8 +47,8 @@ def constants(n: int, tau: float, gamma: float,
     resonance constant gamma_star."""
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and >= 0, got {tau}")
     if not 0 < gamma <= 1:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
     if not gamma_bar > 0:
@@ -144,8 +144,7 @@ class RunResult:
 
 def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
                   sched: Schedule, consts: KamConstants, tol: float,
-                  max_steps: int, enforce: bool, ledger: ErrorLedger,
-                  eps: float):
+                  max_steps: int, enforce: bool, ledger: ErrorLedger):
     """One pass of averaging steps starting at frequency alpha + beta.
 
     Returns (phi, trace, defect, final_norm) where defect is how far the
@@ -245,7 +244,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
         passes += 1
         _, _, defect, _ = _forward_pass(
             alpha, P, beta, sched, consts, tol, opts.max_steps,
-            enforce=False, ledger=ErrorLedger(), eps=eps)
+            enforce=False, ledger=ErrorLedger())
         beta = beta - defect
         if np.abs(defect).max() <= defect_tol:
             break
@@ -259,7 +258,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     enforce = not opts.force
     phi, trace, defect, final_norm = _forward_pass(
         alpha, P, beta, sched, consts, tol, opts.max_steps,
-        enforce=enforce, ledger=ledger, eps=eps)
+        enforce=enforce, ledger=ledger)
     beta = beta - defect     # absorb the sub-tolerance remainder exactly
     passes += 1
 
@@ -283,14 +282,3 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
                      final_norm=final_norm, passes=passes, ledger=ledger,
                      alpha=alpha, P=P)
 
-
-def materialize(phi: NearIdentityEmbedding, k_max: int,
-                width: float | None = None,
-                tol: float = 1e-10) -> FourierVectorField:
-    """Fourier displacement of the composed map, fitted on a (4*k_max)^n
-    grid with a grid-doubling aliasing check."""
-    if not phi.layers:
-        return fld.zero_field(phi.n, width or 1.0)
-    if width is None:
-        width = min(layer.source_width for layer in phi.layers)
-    return fit_displacement(phi, phi.n, k_max, width, tol=tol)

@@ -135,3 +135,37 @@ def test_threshold_failure_exit_code(tmp_path, golden_file, capsys):
                  "--modes", "4", "--seed", "1", "--out", str(big)]) == 0
     assert main(["run", "--freq", golden_file, "--pert", str(big),
                  "--s", "1.0", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_non_finite_field_exits_2(tmp_path, golden_file, capsys):
+    bad = tmp_path / "nan.field"
+    bad.write_text("torusfield v1 n=2 s=1 kmax=1\n1 0 nan 0 0 0\n")
+    assert main(["run", "--freq", golden_file, "--pert", str(bad),
+                 "--s", "1.0", "--out", str(tmp_path / "o"),
+                 "--orbit-T", "10"]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_frequency_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.freq"
+    bad.write_text("freq v1 n=2 tau=0 gamma=0.5 gammabar=0.5\nnan\n")
+    assert main(["approx", "--freq", str(bad), "--Q", "10"]) == 2
+    assert main(["constants", "--n", "2", "--tau", "nan",
+                 "--gamma", "0.5", "--gammabar", "0.5"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_residual_breach_exits_1(tmp_path, golden_file, capsys):
+    # Phi = Id and beta = 0 leave a constant perturbation unconjugated
+    pert, phi, beta = (tmp_path / name for name in
+                       ("c.field", "phi.field", "beta.txt"))
+    pert.write_text(fld.serialize(fld.constant_field([1e-4, 0.0], 1.0)))
+    phi.write_text(fld.serialize(fld.zero_field(2, 1.0)))
+    beta.write_text("0\n0\n")
+    assert main(["verify", "--freq", golden_file, "--pert", str(pert),
+                 "--phi", str(phi), "--beta", str(beta), "--grid", "4",
+                 "--out", str(tmp_path)]) == 1
+    res = json.loads((tmp_path / "residual.json").read_text())
+    assert res["sup_residual"] == pytest.approx(1e-4)
+    assert "sup_residual" in capsys.readouterr().err

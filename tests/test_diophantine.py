@@ -221,3 +221,7 @@ def test_frequency_validation():
         dio.FrequencyVector(2, np.array([0.5]), -1.0, 0.5, 0.5)
     with pytest.raises(ParameterError):
         dio.FrequencyVector(2, np.array([0.5]), 0.0, 2.0, 0.5)
+    for at, tau, gamma_bar in (([math.nan], 0.0, 0.5), ([0.5], math.nan, 0.5),
+                               ([0.5], math.inf, 0.5), ([0.5], 0.0, math.inf)):
+        with pytest.raises(ParameterError):
+            dio.FrequencyVector(2, np.array(at), tau, 0.5, gamma_bar)

@@ -2,30 +2,33 @@ import numpy as np
 import pytest
 
 from kamtorus import field as fld
-from kamtorus.embedding import (Layer, NearIdentityEmbedding, fit_displacement,
-                                flow_points)
-from kamtorus.errors import ResolutionError
+from kamtorus.embedding import Layer, NearIdentityEmbedding, apply_displacement
+from kamtorus.errors import StepSizeError
 from kamtorus.generate import random_field
+from kamtorus.oracles import ode_flow
+
+
+def _one_layer(V, source=0.75, target=1.0):
+    return NearIdentityEmbedding(V.n, (Layer(V, source, target),))
 
 
 def test_constant_field_flows_to_translation():
-    V = fld.constant_field([0.3, -0.1], 1.0)
+    V = fld.constant_field([3e-3, -1e-3], 1.0)
     pts = np.random.default_rng(0).uniform(0, 1, size=(7, 2))
-    out = flow_points(V, pts)
-    np.testing.assert_allclose(out, pts + np.array([0.3, -0.1]), atol=1e-13)
+    phi = _one_layer(V)
+    np.testing.assert_allclose(phi(pts), pts + np.array([3e-3, -1e-3]),
+                               atol=1e-15)
+    assert phi.displacement.is_constant
+    # a layer outside the Lie-series ratio rho < 1 is refused, not evaluated
+    with pytest.raises(StepSizeError):
+        _one_layer(fld.constant_field([0.3, -0.1], 1.0))(pts)
 
 
 def test_zero_field_flow_is_identity():
-    V = fld.zero_field(2, 1.0)
     pts = np.random.default_rng(1).uniform(0, 1, size=(5, 2))
-    np.testing.assert_array_equal(flow_points(V, pts), pts)
-
-
-def test_flow_partial_time():
-    V = fld.constant_field([0.5, 0.25], 1.0)
-    pts = np.zeros((1, 2))
-    np.testing.assert_allclose(flow_points(V, pts, t=0.5),
-                               [[0.25, 0.125]], atol=1e-13)
+    phi = _one_layer(fld.zero_field(2, 1.0))
+    assert not phi.displacement.coeffs
+    np.testing.assert_array_equal(phi(pts), pts)
 
 
 def test_layer_displacement_bound():
@@ -33,7 +36,7 @@ def test_layer_displacement_bound():
         V = random_field(2, 1.0, 1e-3, 5, seed)
         layer = Layer(V, source_width=0.75, target_width=1.0)
         pts = np.random.default_rng(seed).uniform(0, 1, size=(25, 2))
-        disp = np.abs(layer(pts) - pts).max()
+        disp = np.abs(NearIdentityEmbedding(2, (layer,))(pts) - pts).max()
         assert disp <= layer.displacement_bound() * (1 + 1e-12)
         assert layer.displacement_bound() == fld.norm(V, 1.0)
 
@@ -45,9 +48,24 @@ def test_embedding_composition_pointwise():
     l2 = Layer(V2, 0.25, 0.5)
     phi = NearIdentityEmbedding(2, (l1, l2))
     pts = np.random.default_rng(2).uniform(0, 1, size=(9, 2))
-    np.testing.assert_allclose(phi(pts), l1(l2(pts)), atol=1e-14)
+    np.testing.assert_allclose(
+        phi(pts), ode_flow(V1, ode_flow(V2, pts, 1.0), 1.0), atol=1e-13)
     assert phi.displacement_bound() == pytest.approx(
         l1.displacement_bound() + l2.displacement_bound())
+
+
+def test_spectral_phi_matches_composed_flows():
+    # Phi = L_1 o L_2 as one Fourier displacement against the RK4 oracle
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for seed, eps in enumerate((1e-4, 1e-3, 1e-2)):
+            V1 = random_field(n, 1.0, eps, 4, 30 + seed, k_max=2)
+            V2 = random_field(n, 1.0, eps / 3, 4, 40 + seed, k_max=2)
+            phi = NearIdentityEmbedding(
+                n, (Layer(V1, 0.75, 1.0), Layer(V2, 0.625, 0.75)))
+            pts = rng.uniform(0, 1, size=(16, n))
+            expect = ode_flow(V1, ode_flow(V2, pts, 1.0), 1.0)
+            np.testing.assert_allclose(phi(pts), expect, rtol=0, atol=1e-13)
 
 
 def test_embedding_extended():
@@ -57,6 +75,9 @@ def test_embedding_extended():
     phi2 = phi.extended(Layer(V2, 0.25, 0.5))
     assert len(phi2.layers) == 2
     assert phi2.layers[0] is phi.layers[0]
+    pts = np.random.default_rng(4).uniform(0, 1, size=(6, 2))
+    np.testing.assert_allclose(phi2(pts), phi(ode_flow(V2, pts, 1.0)),
+                               atol=1e-13)
 
 
 def test_embedding_single_point_shape():
@@ -64,26 +85,13 @@ def test_embedding_single_point_shape():
     phi = NearIdentityEmbedding(2, (Layer(V, 0.5, 1.0),))
     out = phi(np.zeros(2))
     assert out.shape == (2,)
-
-
-def test_fit_displacement_reproduces_embedding():
-    V = random_field(2, 1.0, 1e-4, 5, 21, k_max=3)
-    phi = NearIdentityEmbedding(2, (Layer(V, 0.5, 1.0),))
-    disp = fit_displacement(phi, 2, k_max=12, width=0.25)
-    pts = np.random.default_rng(5).uniform(0, 1, size=(40, 2))
-    approx = pts + fld.eval_many(disp, pts)
-    np.testing.assert_allclose(approx, phi(pts), atol=1e-10)
+    np.testing.assert_array_equal(
+        out, apply_displacement(phi.displacement, np.zeros((1, 2)))[0])
 
 
 def test_fit_displacement_identity_is_zero():
     phi = NearIdentityEmbedding(2, ())
-    disp = fit_displacement(phi, 2, k_max=4, width=0.5)
+    disp = phi.displacement
     assert fld.norm(disp, 0.5) <= 1e-14
-
-
-def test_fit_displacement_resolution_error():
-    # a displacement with substantial mass beyond k_max cannot be certified
-    V = random_field(2, 0.2, 5e-3, 6, 9, k_max=6)
-    phi = NearIdentityEmbedding(2, (Layer(V, 0.1, 0.2),))
-    with pytest.raises(ResolutionError):
-        fit_displacement(phi, 2, k_max=1, width=0.05, tol=1e-12)
+    pts = np.random.default_rng(6).uniform(0, 1, size=(8, 2))
+    np.testing.assert_array_equal(phi(pts), pts)

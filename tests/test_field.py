@@ -28,6 +28,15 @@ def test_self_conjugate_mode_is_real():
     assert f.coeffs[(0, 0)][0].imag == 0.0
 
 
+def test_non_finite_coefficients_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            fld.make_field(2, 1.0, {(1, 0): [bad, 0.0]})
+    text = "torusfield v1 n=2 s=1 kmax=1\n0 1 1.0 0.0 0.0 0.0\n1 0 nan 0 0 0\n"
+    with pytest.raises(ParseError, match="line 3"):
+        fld.deserialize(text)
+
+
 def test_zero_modes_dropped():
     f = fld.make_field(2, 1.0, {(1, 1): [0.0, 0.0]})
     assert f.coeffs == {}

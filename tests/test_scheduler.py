@@ -5,6 +5,7 @@ from kamtorus import field as fld
 from kamtorus import scheduler as sch
 from kamtorus.errors import InfeasibleError, ThresholdError
 from kamtorus.generate import random_field
+from kamtorus.oracles import ode_flow
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +179,23 @@ def test_run_max_steps(golden_freq):
 
 
 # ---------------------------------------------------------------------------
-# materialize
+# materialize: the displacement of Phi as a Fourier field
 # ---------------------------------------------------------------------------
 
-def test_materialize_identity():
+def test_materialize_identity(golden_freq):
     phi = sch.NearIdentityEmbedding(2, ())
-    disp = sch.materialize(phi, k_max=4, width=0.5)
-    assert fld.norm(disp, 0.5) <= 1e-14
+    assert not phi.displacement.coeffs
+    res = sch.run(golden_freq, fld.constant_field([1e-7, -2e-7], 1.0), 1.0)
+    assert not res.Phi.displacement.coeffs
 
 
 def test_materialize_run_output(golden_freq):
     P = random_field(2, 1.0, 1e-6, 5, 2)
     res = sch.run(golden_freq, P, 1.0)
-    disp = sch.materialize(res.Phi, k_max=16, width=0.4)
+    assert len(res.Phi.layers) >= 2
     pts = np.random.default_rng(0).uniform(0, 1, size=(30, 2))
-    np.testing.assert_allclose(pts + fld.eval_many(disp, pts), res.Phi(pts),
-                               atol=1e-10)
+    expect = pts
+    for layer in reversed(res.Phi.layers):
+        expect = ode_flow(layer.V, expect, 1.0)
+    np.testing.assert_allclose(pts + fld.eval_many(res.Phi.displacement, pts),
+                               expect, rtol=0, atol=1e-13)
