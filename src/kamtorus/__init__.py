@@ -24,10 +24,9 @@ from .averaging import (HomologicalSolution, StepBudget, StepResult,
 from .embedding import Layer, NearIdentityEmbedding, apply_displacement
 from .generate import random_field
 from .ledger import ErrorLedger
-from .oracles import (conjugacy_report, conjugacy_residual,
-                      grid_pullback_oracle, ode_flow, orbit_shadowing_check,
-                      quadrature_time_average)
+from .oracles import (conjugacy_report, grid_pullback_oracle, ode_flow,
+                      orbit_shadowing_check, quadrature_time_average)
 from .scheduler import (KamConstants, RunOptions, RunResult, Schedule,
-                        check_conditions, constants, run, select_Q)
+                        constants, run, select_Q)
 
 __version__ = "0.1.0"

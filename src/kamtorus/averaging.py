@@ -20,7 +20,7 @@ floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,23 +58,32 @@ class StepResult:
     V: FourierVectorField
     approx: RationalApprox
 
+    def record(self) -> dict:
+        """The step's Dirichlet certificate and budget, ready for JSON."""
+        b = self.budget
+        return {"q": self.approx.q, "p": [int(v) for v in self.approx.p],
+                "P_avg": [float(v) for v in self.P_avg], "q_eps": b.q_eps,
+                "tail_term": b.tail_term, "bracket_term": b.bracket_term,
+                "conditions_ok": list(b.conditions_ok),
+                "conditions": {k: (list(v) if isinstance(v, tuple) else v)
+                               for k, v in b.report.items()}}
 
-def _divisor(k, q: int, p) -> int:
-    """q * (k . omega) as an exact integer."""
-    dot = q * int(k[0])
-    for ki, pi in zip(k[1:], p):
-        dot += int(ki) * int(pi)
-    return dot
+
+def _divisors(P: FourierVectorField, approx: RationalApprox) -> np.ndarray:
+    """q*(k.omega) = k.(q, p) for every mode of P, exact in int64."""
+    bound = P.k_max * (approx.q + sum(abs(int(v)) for v in approx.p))
+    if bound > np.iinfo(np.int64).max:
+        raise ParameterError(
+            f"divisors up to {bound} (k_max={P.k_max}, q={approx.q}) "
+            "overflow int64")
+    return P.modes @ approx.q_omega()
 
 
 def omega_average(P: FourierVectorField,
                   approx: RationalApprox) -> FourierVectorField:
     """Projection onto the modes with k . omega = 0 (exact integer test)."""
-    q, p = approx.q, approx.p
-    kept = {k: c for k, c in P.coeffs.items() if _divisor(k, q, p) == 0}
-    k_max = max((max(abs(v) for v in k) for k in kept), default=0)
-    return FourierVectorField(n=P.n, width_s=P.width_s, coeffs=kept,
-                              k_max=k_max)
+    keep = _divisors(P, approx) == 0
+    return replace(P, modes=P.modes[keep], coef=P.coef[keep])
 
 
 def space_average(P: FourierVectorField) -> np.ndarray:
@@ -89,16 +98,11 @@ def solve_homological(P: FourierVectorField,
     nonzero on every retained mode, and |k.omega| >= 1/q gives
     norm(V) <= q * norm(P - [P]_omega).
     """
-    q, p = approx.q, approx.p
-    coeffs = {}
-    for k, c in P.coeffs.items():
-        d = _divisor(k, q, p)
-        if d != 0:
-            coeffs[k] = c * (q / (2j * np.pi * d))
-    k_max = max((max(abs(v) for v in k) for k in coeffs), default=0)
-    V = FourierVectorField(n=P.n, width_s=P.width_s, coeffs=coeffs,
-                           k_max=k_max)
+    q = approx.q
     rhs = fld.sub(P, omega_average(P, approx))
+    # q / (2 pi i d) = -i q/(2 pi d), rounded as that one real division
+    factor = -1j * (q / (fld.TWO_PI * _divisors(rhs, approx)))
+    V = replace(rhs, coef=rhs.coef * factor[:, None])
     x_omega = fld.constant_field(approx.omega, P.width_s)
     s = P.width_s
     rhs_norm = fld.norm(rhs, s)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -27,7 +28,7 @@ from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax, resonance_bound)
 from .embedding import apply_displacement
-from .errors import KamError
+from .errors import KamError, ParameterError, ParseError
 from .generate import random_field
 
 # Oracle thresholds of the acceptance gate for run and verify.
@@ -113,21 +114,13 @@ def _cmd_step(args) -> int:
     (outdir / "p_plus.field").write_text(fld.serialize(res.P_plus))
     (outdir / "phi1.field").write_text(fld.serialize(res.Phi1.displacement))
     budget = {
-        "q": res.approx.q,
-        "p": [int(v) for v in res.approx.p],
         "Q": q0,
         "sigma": sigma,
-        "q_eps": res.budget.q_eps,
-        "tail_term": res.budget.tail_term,
-        "bracket_term": res.budget.bracket_term,
-        "conditions_ok": list(res.budget.conditions_ok),
-        "conditions": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in res.budget.report.items()},
         "norm_P": fld.norm(P, s),
         "norm_P_plus": (fld.norm(res.P_plus, s - sigma)
                         if res.P_plus.coeffs else 0.0),
         "norm_V": fld.norm(res.V, s) if res.V.coeffs else 0.0,
-        "P_avg": [float(v) for v in res.P_avg],
+        **res.record(),
     }
     _dump_json(outdir / "budget.json", budget)
     print(json.dumps(budget, indent=2))
@@ -146,14 +139,24 @@ def _read_config(path: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise KamError(f"config line {ln}: expected key=value")
+            raise ParseError("expected key=value", line=ln)
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _RUN_KEYS:
-            raise KamError(f"config line {ln}: unknown key {key!r}")
+            raise ParseError(f"unknown key {key!r}", line=ln)
         conv = _RUN_KEYS[key]
-        values[key] = (val.lower() in ("1", "true", "yes")
-                       if conv is bool else conv(val))
+        try:
+            values[key] = (val.lower() in ("1", "true", "yes")
+                           if conv is bool else conv(val))
+        except ValueError:
+            raise ParseError(f"bad {conv.__name__} value {val!r} for "
+                             f"{key}", line=ln) from None
     return values
+
+
+def _finite(name: str, value):
+    if value is not None and not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _cmd_run(args) -> int:
@@ -164,14 +167,16 @@ def _cmd_run(args) -> int:
 
     freq = pick(args.freq, "freq")
     pert = pick(args.pert, "pert")
-    s = pick(args.s, "s")
+    s = _finite("s", pick(args.s, "s"))
     if not freq or not pert or s is None:
         raise KamError("run requires --freq, --pert and --s "
                        "(flags or config)")
+    grid = int(pick(args.grid, "grid", 32))
+    orbit_t = _finite("orbit-T", float(pick(args.orbit_T, "orbit-T", 100.0)))
     alpha = _load_freq(freq)
     P = _load_field(pert)
     opts = sch.RunOptions(
-        tol=pick(args.tol, "tol"),
+        tol=_finite("tol", pick(args.tol, "tol")),
         max_steps=int(pick(args.max_steps, "max-steps", 64)),
         force=bool(args.force or cfg.get("force", False)))
     result = sch.run(alpha, P, float(s), opts)
@@ -191,8 +196,6 @@ def _cmd_run(args) -> int:
     (outdir / "beta.txt").write_text(
         "\n".join(format(float(v), ".17g") for v in result.beta) + "\n")
 
-    grid = int(pick(args.grid, "grid", 32))
-    orbit_t = float(pick(args.orbit_T, "orbit-T", 100.0))
     report = orc.conjugacy_report(alpha, P, result.Phi, result.beta, grid)
     report["orbit_deviation"] = (
         orc.orbit_shadowing_check(alpha, P, result.Phi, result.beta,
@@ -205,6 +208,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _finite("orbit-T", args.orbit_T)
     alpha = _load_freq(args.freq)
     P = _load_field(args.pert)
     disp = _load_field(args.phi)
@@ -309,7 +313,7 @@ def main(argv=None) -> int:
     except KamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

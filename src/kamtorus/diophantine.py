@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,13 @@ from .errors import (ConstantsInconsistencyError, KamError, ParameterError,
 # continued-fraction / return-time enumeration paths.
 _BRUTE_Q_CAP = 2_000_000
 
-_approx_cache: dict = {}
+# dirichlet_approx remembers this many most recently used (alpha, Q)
+_APPROX_CACHE_SIZE = 256
+_approx_cache: OrderedDict = OrderedDict()
+
+# psi_argmax, estimate_constants and enumerate_resonant raise before
+# enumerating more integer points than this (tens of MB at n = 3).
+_GRID_CELL_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -260,6 +267,13 @@ def _build_approx(alpha: FrequencyVector, q: int, Q: float) -> RationalApprox:
                           Q=float(Q), varpi=varpi)
 
 
+def _check_cells(cells: int, what: str) -> None:
+    if cells > _GRID_CELL_BUDGET:
+        raise ParameterError(
+            f"{what} would enumerate {cells} lattice points, above the "
+            f"budget of {_GRID_CELL_BUDGET}")
+
+
 def _verify_dirichlet(alpha: FrequencyVector, approx: RationalApprox, Q: float):
     fracs = _as_fracs(alpha.alpha_tilde)
     delta = 1 / Fraction(float(Q))
@@ -280,30 +294,23 @@ def dirichlet_approx(alpha: FrequencyVector, Q: float) -> RationalApprox:
     The box principle guarantees existence.  Tie-break: smallest q; the
     nearest-integer p uses round-half-to-even.
     """
-    if not Q >= 1:
-        raise ParameterError(f"Q must be >= 1, got {Q}")
+    if not 1 <= Q < math.inf:
+        raise ParameterError(f"Q must be finite and >= 1, got {Q}")
     key = (alpha.alpha_tilde.tobytes(), float(Q))
     hit = _approx_cache.get(key)
     if hit is not None:
+        _approx_cache.move_to_end(key)
         return hit
     n = alpha.n
     delta = 1 / Fraction(float(Q))
     qmax = math.floor(Fraction(float(Q)) ** (n - 1))
     fracs = _as_fracs(alpha.alpha_tilde)
 
-    if n == 2:
+    if n == 2:      # a q above qmax fails _verify_dirichlet
         x = fracs[0]
         q = _smallest_q_within(x.numerator % x.denominator, x.denominator,
                                delta)
-        if q is None or q > qmax:
-            raise KamError("floating-point inconsistency: no Dirichlet "
-                           "denominator found (mathematically impossible)")
-        approx = _build_approx(alpha, q, Q)
-        _verify_dirichlet(alpha, approx, Q)
-        _approx_cache[key] = approx
-        return approx
-
-    if qmax <= _BRUTE_Q_CAP:
+    elif qmax <= _BRUTE_Q_CAP:
         q = _dirichlet_brute(alpha.alpha_tilde, float(Q), qmax, fracs, delta)
     else:
         q = _dirichlet_ladder(fracs, delta, qmax)
@@ -313,6 +320,8 @@ def dirichlet_approx(alpha: FrequencyVector, Q: float) -> RationalApprox:
     approx = _build_approx(alpha, q, Q)
     _verify_dirichlet(alpha, approx, Q)
     _approx_cache[key] = approx
+    if len(_approx_cache) > _APPROX_CACHE_SIZE:
+        _approx_cache.popitem(last=False)
     return approx
 
 
@@ -335,9 +344,10 @@ def _dirichlet_brute(alpha_tilde, Q, qmax, fracs, delta):
 
 def psi_argmax(alpha: FrequencyVector, Q: float):
     """max |k . alpha|^{-1} over 0 < |k|_inf <= Q, with the arg-max k."""
-    if not Q >= 1:
-        raise ParameterError(f"Q must be >= 1, got {Q}")
-    kf = int(math.floor(Q))
+    if not 1 <= Q < math.inf:
+        raise ParameterError(f"Q must be finite and >= 1, got {Q}")
+    kf = math.floor(Q)
+    _check_cells((2 * kf + 1) ** alpha.n, "psi")
     rng = np.arange(-kf, kf + 1)
     grids = np.meshgrid(*([rng] * alpha.n), indexing="ij")
     ks = np.stack([g.ravel() for g in grids], axis=1)
@@ -382,6 +392,7 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
                 witness=(bad,))
         gamma = float(np.min(dist * ks ** exp_lin))
     else:
+        _check_cells((2 * k_range + 1) ** m, "estimate_constants")
         rng = np.arange(-k_range, k_range + 1)
         grids = np.meshgrid(*([rng] * m), indexing="ij")
         ks = np.stack([g.ravel() for g in grids], axis=1)
@@ -460,6 +471,7 @@ def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
             out.append((-k0, -k1))
             j += 1
         return np.array(sorted(out), dtype=np.int64).reshape(-1, 2)
+    _check_cells((2 * box + 1) ** (n - 1), "enumerate_resonant")
     rng = np.arange(-box, box + 1)
     grids = np.meshgrid(*([rng] * (n - 1)), indexing="ij")
     kt = np.stack([g.ravel() for g in grids], axis=1).astype(object)

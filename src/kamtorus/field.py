@@ -1,12 +1,17 @@
 """Truncated Fourier representation of real-analytic vector fields on T^n.
 
-A field is stored as a finite map from integer modes k in Z^n to complex
+A field is a finite sum over integer modes k in Z^n of complex
 coefficient vectors, with the convention
 
     P(theta) = sum_k  c_k  exp(2*pi*i * k . theta),
 
 so the field is 1-periodic in every coordinate.  Reality on the real torus
 is the invariant  c_{-k} = conj(c_k), preserved by every operation here.
+
+A field stores int64 modes (M, n), strictly sorted lexicographically and
+closed under k -> -k, so row M-1-i holds -k and conj(c_k) of row i, and
+their complex128 coefficients (M, n).  Merges and sums over modes use flat
+int64 keys of the box |k|_inf <= K, which keep the modes' order.
 
 Norms are the weighted l1 majorant
 
@@ -19,7 +24,9 @@ the 2*pi phase convention; see the named constants below.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,66 +50,107 @@ def bracket_norm_const(n: int) -> float:
 ROUNDOFF_GUARD = 1.0 + 1e-12
 
 
+def _check_box(n: int, k_max: int) -> None:
+    """Flat int64 keys must count the cells of the box |k|_inf <= k_max."""
+    if not 1 <= n < 64:
+        raise ParameterError(f"dimension must be in [1, 63], got {n}")
+    if (2 * int(k_max) + 1) ** int(n) > 2 ** 63:
+        raise ParameterError(
+            f"modes up to |k| = {k_max} in dimension {n} exceed int64 keys")
+
+
 @dataclass(frozen=True)
 class FourierVectorField:
     """Immutable truncated Fourier series of a vector field on T^n.
 
-    coeffs maps mode tuples to complex vectors of length n.  k_max bounds
-    the sup norm of every stored mode.  width_s is the analyticity width
-    the representation is trusted on.
+    modes (int64, (M, n)) is strictly sorted lexicographically and closed
+    under k -> -k; coef (complex128, (M, n)) holds the matching
+    coefficients with coef[M-1-i] == conj(coef[i]) and no all-zero row.
+    k_max bounds the sup norm of every stored mode.  width_s is the
+    analyticity width the representation is trusted on.
     """
 
     n: int
     width_s: float
-    coeffs: dict
+    modes: np.ndarray
+    coef: np.ndarray
     k_max: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"dimension must be >= 1, got {self.n}")
+        _check_box(self.n, self.k_max)
         if not self.width_s > 0:
             raise ParameterError(f"width_s must be > 0, got {self.width_s}")
+        shape = (len(self.modes), self.n)
+        if self.modes.shape != shape or self.coef.shape != shape:
+            raise ParameterError(f"modes, coef must have shape (M, {self.n})")
+        self.modes.flags.writeable = self.coef.flags.writeable = False
 
     @property
-    def modes(self) -> np.ndarray:
-        """Stored modes as an (M, n) int array, lexicographically sorted."""
-        if not self.coeffs:
-            return np.zeros((0, self.n), dtype=np.int64)
-        return np.array(sorted(self.coeffs), dtype=np.int64)
-
-    def coeff_matrix(self, modes: np.ndarray | None = None) -> np.ndarray:
-        if modes is None:
-            modes = self.modes
-        out = np.zeros((len(modes), self.n), dtype=np.complex128)
-        for i, k in enumerate(modes):
-            out[i] = self.coeffs[tuple(int(x) for x in k)]
-        return out
+    def coeffs(self) -> Mapping:
+        """Read-only {mode tuple: coefficient vector} view of the field."""
+        return _CoeffView(self)
 
     @property
     def is_constant(self) -> bool:
-        return all(all(v == 0 for v in k) for k in self.coeffs)
+        return not self.modes.any()
 
     def constant_part(self) -> np.ndarray:
-        c = self.coeffs.get((0,) * self.n)
-        if c is None:
+        # a symmetric support holds mode 0 exactly when its size is odd
+        m = len(self.modes)
+        if m % 2 == 0:
             return np.zeros(self.n)
-        return np.asarray(c).real.copy()
+        return self.coef[m // 2].real.copy()
 
 
-def _symmetrize(n: int, coeffs: dict) -> dict:
-    """Enforce c_{-k} = conj(c_k) exactly; drops all-zero modes."""
-    out = {}
-    for k, c in coeffs.items():
-        mk = tuple(-x for x in k)
-        c = np.asarray(c, dtype=np.complex128)
-        if mk in coeffs:
-            c = 0.5 * (c + np.conj(np.asarray(coeffs[mk], dtype=np.complex128)))
-        if k == mk:
-            c = c.real.astype(np.complex128)
-        if np.any(c != 0):
-            out[k] = c
-            out[mk] = np.conj(c)
-    return out
+class _CoeffView(Mapping):
+    """Tests and perfbench look modes up by tuple; built on first lookup."""
+
+    def __init__(self, x: FourierVectorField):
+        self._x, self._rows = x, None
+
+    def __len__(self):
+        return len(self._x.modes)
+
+    def __iter__(self):
+        return map(tuple, self._x.modes.tolist())
+
+    def __getitem__(self, k):
+        if self._rows is None:
+            self._rows = {mode: i for i, mode in enumerate(self)}
+        return self._x.coef[self._rows[tuple(k)]]
+
+
+def _keys(modes: np.ndarray, k: int) -> np.ndarray:
+    """Flat keys of modes in the box |k|_inf <= k, in lexicographic order;
+    the box has (2k+1)^n cells and the key of -m is cells - 1 - key(m)."""
+    w = (2 * k + 1) ** np.arange(modes.shape[1] - 1, -1, -1, dtype=np.int64)
+    return modes @ w + k * int(w.sum())
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
+def _nonzero_rows(coef: np.ndarray) -> np.ndarray:
+    # any() over each row, as a boolean matmul: faster for short rows
+    return (coef != 0) @ np.ones(coef.shape[1], dtype=bool)
+
+
+def _field(n: int, width_s: float, modes: np.ndarray, coef: np.ndarray,
+           keep: np.ndarray | None = None) -> FourierVectorField:
+    """The rows of sorted symmetric arrays where keep holds (by default the
+    nonzero rows), with k_max their largest |k|."""
+    if keep is None:
+        keep = _nonzero_rows(coef)
+    return FourierVectorField(n, width_s, modes[keep], coef[keep],
+                              int(np.abs(modes[keep]).max(initial=0)))
+
+
+def _symmetrized(n, width_s, modes, coef) -> FourierVectorField:
+    """c_k -> (c_k + conj(c_{-k}))/2 on sorted rows closed under k -> -k,
+    which makes c_{-k} = conj(c_k) exact and mode 0 real."""
+    return _field(n, width_s, modes, 0.5 * (coef + np.conj(coef[::-1])))
 
 
 def make_field(n: int, width_s: float, coeffs: dict) -> FourierVectorField:
@@ -110,13 +158,19 @@ def make_field(n: int, width_s: float, coeffs: dict) -> FourierVectorField:
     if coeffs and not np.isfinite(
             np.array(list(coeffs.values()), dtype=np.complex128)).all():
         raise ParameterError("field coefficients must be finite")
-    sym = _symmetrize(n, {tuple(int(x) for x in k): v for k, v in coeffs.items()})
-    k_max = max((max(abs(x) for x in k) for k in sym), default=0)
-    return FourierVectorField(n=n, width_s=width_s, coeffs=sym, k_max=k_max)
+    coeffs = {tuple(int(x) for x in k): v for k, v in coeffs.items()}
+    _check_box(n, max((max(map(abs, k)) for k in coeffs), default=0))
+    full = {tuple(-x for x in k): np.conj(v) for k, v in coeffs.items()}
+    full.update(coeffs)                 # an absent c_{-k} is conj(c_k)
+    keys = sorted(full)
+    return _symmetrized(
+        n, width_s, np.array(keys, dtype=np.int64).reshape(-1, n),
+        np.array([full[k] for k in keys], dtype=np.complex128).reshape(-1, n))
 
 
 def zero_field(n: int, width_s: float) -> FourierVectorField:
-    return FourierVectorField(n=n, width_s=width_s, coeffs={}, k_max=0)
+    return FourierVectorField(n, width_s, np.zeros((0, n), dtype=np.int64),
+                              np.zeros((0, n), dtype=np.complex128), 0)
 
 
 def constant_field(values, width_s: float) -> FourierVectorField:
@@ -124,34 +178,30 @@ def constant_field(values, width_s: float) -> FourierVectorField:
     n = len(values)
     if np.all(values == 0):
         return zero_field(n, width_s)
-    return FourierVectorField(
-        n=n, width_s=width_s,
-        coeffs={(0,) * n: values.astype(np.complex128)}, k_max=0)
+    return FourierVectorField(n, width_s, np.zeros((1, n), dtype=np.int64),
+                              values[None, :].astype(np.complex128), 0)
 
 
 def add(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
     _check_same_dim(x, y)
-    coeffs = {k: c.copy() for k, c in x.coeffs.items()}
-    for k, c in y.coeffs.items():
-        if k in coeffs:
-            s = coeffs[k] + c
-            if np.any(s != 0):
-                coeffs[k] = s
-            else:
-                del coeffs[k]
-        else:
-            coeffs[k] = c.copy()
-    k_max = max((max(abs(v) for v in k) for k in coeffs), default=0)
-    return FourierVectorField(n=x.n, width_s=min(x.width_s, y.width_s),
-                              coeffs=coeffs, k_max=k_max)
+    k = max(x.k_max, y.k_max)
+    kx, ky = _keys(x.modes, k), _keys(y.modes, k)
+    union = _distinct(np.concatenate([kx, ky]))
+    ix, iy = np.searchsorted(union, kx), np.searchsorted(union, ky)
+    modes = np.empty((len(union), x.n), dtype=np.int64)
+    modes[ix] = x.modes
+    modes[iy] = y.modes
+    coef = np.zeros((len(union), x.n), dtype=np.complex128)
+    coef[ix] = x.coef
+    coef[iy] += y.coef
+    return _field(x.n, min(x.width_s, y.width_s), modes, coef)
 
 
 def scale(x: FourierVectorField, a: float) -> FourierVectorField:
     if a == 0:
         return zero_field(x.n, x.width_s)
-    return FourierVectorField(n=x.n, width_s=x.width_s,
-                              coeffs={k: a * c for k, c in x.coeffs.items()},
-                              k_max=x.k_max)
+    return dataclasses.replace(_field(x.n, x.width_s, x.modes, a * x.coef),
+                               k_max=x.k_max)
 
 
 def sub(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
@@ -168,18 +218,18 @@ def _log_weights(modes: np.ndarray, s: float) -> np.ndarray:
 
 
 def norm(x: FourierVectorField, s: float) -> float:
-    """Weighted l1 majorant norm at width s (see module docstring)."""
+    """Weighted l1 majorant norm at width s (see module docstring), summed
+    in log space; it may be inf at a wide strip, never NaN."""
     if not 0 < s <= x.width_s:
         raise ParameterError(
             f"norm width s={s} outside (0, {x.width_s}]")
-    if not x.coeffs:
+    if not len(x.modes):
         return 0.0
-    modes = x.modes
-    cm = np.abs(x.coeff_matrix(modes))
-    logw = _log_weights(modes, s)
+    cm = np.abs(x.coef)
+    if np.isnan(cm).any():
+        raise ParameterError("field has a NaN coefficient")
     with np.errstate(divide="ignore", over="ignore"):
-        terms = np.exp(np.where(cm > 0, np.log(np.where(cm > 0, cm, 1.0)), -np.inf)
-                       + logw[:, None])
+        terms = np.exp(np.log(cm) + _log_weights(x.modes, s)[:, None])
     return float(terms.sum(axis=0).max())
 
 
@@ -192,11 +242,7 @@ def eval_at(x: FourierVectorField, theta) -> np.ndarray:
         raise ParameterError(
             f"point with |Im theta| = {np.abs(theta.imag).max()} outside "
             f"strip of width {x.width_s}")
-    if not x.coeffs:
-        return np.zeros(x.n, dtype=np.complex128)
-    modes = x.modes
-    phases = np.exp(2j * np.pi * (modes @ theta))
-    return phases @ x.coeff_matrix(modes)
+    return np.exp(2j * np.pi * (x.modes @ theta)) @ x.coef
 
 
 # point-modes per block of eval_many's phase matrix (4 MB of complex128)
@@ -213,35 +259,28 @@ def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != x.n:
         raise ParameterError(f"points must have shape (N, {x.n})")
-    if not x.coeffs:
+    if not len(x.modes):
         return np.zeros_like(thetas)
-    modes = x.modes
-    cm = x.coeff_matrix(modes)
-    kf = modes.T.astype(float)
     out = np.empty_like(thetas)
-    rows = max(1, _EVAL_CHUNK // len(modes))
+    rows = max(1, _EVAL_CHUNK // len(x.modes))
     for start in range(0, len(thetas), rows):
-        phases = np.exp(2j * np.pi * (thetas[start:start + rows] @ kf))
-        out[start:start + rows] = (phases @ cm).real
+        phases = np.exp(2j * np.pi * (thetas[start:start + rows] @ x.modes.T))
+        out[start:start + rows] = (phases @ x.coef).real
     return out
 
 
 def derivative_matrix_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
     """Spectral Jacobians dX_j/dtheta_l at (N, n) real points -> (N, n, n)."""
     thetas = np.asarray(thetas, dtype=float)
-    if not x.coeffs:
-        return np.zeros((len(thetas), x.n, x.n))
-    modes = x.modes
-    cm = x.coeff_matrix(modes)
-    phases = np.exp(2j * np.pi * (thetas @ modes.T.astype(float)))  # (N, M)
-    out = np.empty((len(thetas), x.n, x.n))
-    for l in range(x.n):
-        dcol = 2j * np.pi * modes[:, l].astype(float)
-        out[:, :, l] = (phases @ (dcol[:, None] * cm)).real
-    return out
+    kf = x.modes.astype(float)
+    phases = np.exp(2j * np.pi * (thetas @ kf.T))  # (N, M)
+    grad = (2j * np.pi) * x.coef[:, :, None] * kf[:, None, :]  # (M, n, n)
+    return (phases @ grad.reshape(len(kf), x.n * x.n)).real.reshape(
+        -1, x.n, x.n)
 
 
-_BRACKET_CHUNK = 512
+# pairs of modes per block of the bracket's product array
+_BRACKET_CHUNK = 1 << 17
 
 
 def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorField:
@@ -262,64 +301,61 @@ def lie_derivative(x: FourierVectorField, v: FourierVectorField) -> FourierVecto
     return _convolve(x, v, bracket=False)
 
 
+def _diagonal(x: FourierVectorField, c0: np.ndarray, factor: complex,
+              width: float) -> FourierVectorField:
+    """Coefficients factor * (k . c0) * c_k: a derivative along a constant."""
+    dot = sum(x.modes[:, i] * c0[i] for i in range(x.n))
+    return _field(x.n, width, x.modes, (factor * dot)[:, None] * x.coef)
+
+
 def _convolve(x: FourierVectorField, v: FourierVectorField,
               bracket: bool) -> FourierVectorField:
     """DX.V, minus DV.X when `bracket` is set."""
     _check_same_dim(x, v)
+    n = x.n
     width = min(x.width_s, v.width_s)
-    if not x.coeffs or not v.coeffs or (x.is_constant and not bracket):
-        return zero_field(x.n, width)
+    if not len(x.modes) or not len(v.modes) or (x.is_constant and not bracket):
+        return zero_field(n, width)
     # Constant argument fast paths are diagonal and exact.
     if x.is_constant:
-        x0 = x.coeffs[(0,) * x.n]
-        coeffs = {}
-        for k, c in v.coeffs.items():
-            dot = sum(ki * xi for ki, xi in zip(k, x0))
-            if dot != 0:
-                coeffs[k] = -2j * np.pi * dot * c
-        return make_field(x.n, width, coeffs)
+        return _diagonal(v, x.constant_part(), -2j * np.pi, width)
     if v.is_constant:
-        v0 = v.coeffs[(0,) * v.n]
-        coeffs = {}
-        for k, c in x.coeffs.items():
-            dot = sum(ki * vi for ki, vi in zip(k, v0))
-            if dot != 0:
-                coeffs[k] = 2j * np.pi * dot * c
-        return make_field(x.n, width, coeffs)
+        return _diagonal(x, v.constant_part(), 2j * np.pi, width)
 
-    n = x.n
-    kx_modes = x.modes
-    kv_modes = v.modes
-    cx = x.coeff_matrix(kx_modes)
-    cv = v.coeff_matrix(kv_modes)
+    # in the box of the output modes, key(k1 + k2) = key(k1) + key(k2) - key(0)
     k_out = x.k_max + v.k_max
-    size = 2 * k_out + 1
-    dense = np.zeros((size,) * n + (n,), dtype=np.complex128)
-    kvf = kv_modes.astype(float)
-    for start in range(0, len(kx_modes), _BRACKET_CHUNK):
-        a_modes = kx_modes[start:start + _BRACKET_CHUNK]
-        a_coef = cx[start:start + _BRACKET_CHUNK]
+    _check_box(n, k_out)
+    cells = (2 * k_out + 1) ** n
+    shift_v = _keys(v.modes, k_out) - (cells - 1) // 2
+    pair_keys = (_keys(x.modes, k_out)[:, None] + shift_v[None, :]).ravel()
+    out_keys = _distinct(pair_keys)
+    slot = np.searchsorted(out_keys, pair_keys)
+    kxf, kvf = x.modes.astype(float), v.modes.astype(float)
+    acc = np.zeros((len(out_keys), 2 * n))     # real, imag interleaved
+    rows = max(1, _BRACKET_CHUNK // len(v.modes))
+    for start in range(0, len(x.modes), rows):
+        stop = start + rows
+        a_coef = x.coef[start:stop]
         # term1[a,b,:] = 2 pi i (k1 . V_{.,k2}) X_{.,k1}
-        dots1 = a_modes.astype(float) @ cv.T                    # (ma, Mv)
+        dots1 = kxf[start:stop] @ v.coef.T                      # (ma, Mv)
         contrib = (2j * np.pi) * dots1[:, :, None] * a_coef[:, None, :]
         if bracket:
             # term2[a,b,:] = -2 pi i (k2 . X_{.,k1}) V_{.,k2}
             dots2 = a_coef @ kvf.T                              # (ma, Mv)
-            contrib -= (2j * np.pi) * dots2[:, :, None] * cv[None, :, :]
-        idx = a_modes[:, None, :] + kv_modes[None, :, :] + k_out  # (ma,Mv,n)
-        flat = np.zeros(idx.shape[:2], dtype=np.int64)
-        for axis in range(n):
-            flat = flat * size + idx[:, :, axis]
-        np.add.at(dense.reshape(-1, n), flat.reshape(-1), contrib.reshape(-1, n))
-    nz = np.argwhere(np.any(dense != 0, axis=-1))
-    coeffs = {}
-    for pos in nz:
-        k = tuple(int(p) - k_out for p in pos)
-        coeffs[k] = dense[tuple(pos)].copy()
-    out = make_field(n, width, coeffs)
+            contrib -= (2j * np.pi) * dots2[:, :, None] * v.coef[None, :, :]
+        where = slot[start * len(v.modes):stop * len(v.modes)]
+        acc += np.stack([np.bincount(where, part, len(out_keys)) for part in
+                         contrib.reshape(-1, n).view(float).T], axis=1)
+    # the sums are closed under k -> -k; one that vanished, but not its
+    # partner's, stands for the conjugate of that partner
+    coef = acc.view(np.complex128)
+    gone = ~_nonzero_rows(coef)
+    coef[gone] = np.conj(coef[::-1][gone])
+    modes = np.stack(np.unravel_index(out_keys, (2 * k_out + 1,) * n),
+                     axis=1) - k_out
+    out = _symmetrized(n, width, modes, coef)
     # keep the exact-convolution support bound even if some sums vanished
-    return FourierVectorField(n=n, width_s=width, coeffs=out.coeffs,
-                              k_max=k_out if out.coeffs else 0)
+    return dataclasses.replace(out, k_max=k_out if len(out.modes) else 0)
 
 
 def bracket_bound(s: float, sigma: float, nx: float, nv: float, n: int = 2) -> float:
@@ -332,13 +368,9 @@ def bracket_bound(s: float, sigma: float, nx: float, nv: float, n: int = 2) -> f
 
 def tail_split(x: FourierVectorField, big_k: float):
     """Split into (low, high) with high holding exactly the modes |k| >= K."""
-    low, high = {}, {}
-    for k, c in x.coeffs.items():
-        if max(abs(v) for v in k) >= big_k:
-            high[k] = c.copy()
-        else:
-            low[k] = c.copy()
-    return (make_field(x.n, x.width_s, low), make_field(x.n, x.width_s, high))
+    high = np.abs(x.modes).max(axis=1, initial=0) >= big_k
+    return (_field(x.n, x.width_s, x.modes, x.coef, ~high),
+            _field(x.n, x.width_s, x.modes, x.coef, high))
 
 
 def tail_bound(n: int, sigma: float, big_k: float) -> float:
@@ -362,22 +394,15 @@ def prune(x: FourierVectorField, s: float, floor: float):
     Returns (pruned field, total weighted mass removed).  Mode 0 is kept.
     Conjugate pairs have equal contributions, so reality survives.
     """
-    if floor <= 0 or not x.coeffs:
+    if floor <= 0 or not len(x.modes):
         return x, 0.0
-    kept, removed = {}, 0.0
-    zero = (0,) * x.n
-    for k, c in x.coeffs.items():
-        w = float(np.exp(TWO_PI * s * sum(abs(v) for v in k)))
-        contrib = float(np.abs(c).max()) * w
-        if k == zero or contrib >= floor:
-            kept[k] = c
-        else:
-            removed += contrib
-    if len(kept) == len(x.coeffs):
+    with np.errstate(over="ignore"):
+        contrib = np.abs(x.coef).max(axis=1) * np.exp(_log_weights(x.modes, s))
+    keep = (contrib >= floor) | ~x.modes.any(axis=1)
+    if keep.all():
         return x, 0.0
-    k_max = max((max(abs(v) for v in k) for k in kept), default=0)
-    return (FourierVectorField(n=x.n, width_s=x.width_s, coeffs=kept,
-                               k_max=k_max), removed)
+    return (_field(x.n, x.width_s, x.modes, x.coef, keep),
+            float(contrib[~keep].sum()))
 
 
 _MAX_SERIES_TERMS = 300
@@ -393,7 +418,7 @@ def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
     """
     if not 0 < sigma < s:
         raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
-    v_norm = norm(V, s) if V.coeffs else 0.0
+    v_norm = norm(V, s) if len(V.modes) else 0.0
     rho = bracket_norm_const(V.n) * math.e * v_norm / sigma
     if rho >= 1.0:
         raise StepSizeError(
@@ -427,10 +452,10 @@ def lie_series(op, V: FourierVectorField, head: FourierVectorField,
         a = scale(op(a, V), 1.0 / m)
         b = scale(op(b, V), 1.0 / m)
         term = add(a, scale(b, 1.0 / (m + 1)))
-        if not term.coeffs and not a.coeffs and not b.coeffs:
+        if not (len(term.modes) or len(a.modes) or len(b.modes)):
             break
         acc = add(acc, term)
-        t = norm(term, w) if term.coeffs else 0.0
+        t = norm(term, w) if len(term.modes) else 0.0
         total += t
         a, lost_a = prune(a, w, floor)
         b, lost_b = prune(b, w, floor)
@@ -445,8 +470,7 @@ def lie_series(op, V: FourierVectorField, head: FourierVectorField,
         raise StepSizeError(
             f"Lie series did not reach tol={tol:.3g} within "
             f"{_MAX_SERIES_TERMS} terms (ratio {rho:.3g})")
-    return FourierVectorField(n=acc.n, width_s=w, coeffs=acc.coeffs,
-                              k_max=acc.k_max), total
+    return dataclasses.replace(acc, width_s=w), total
 
 
 # ---------------------------------------------------------------------------
@@ -457,23 +481,12 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _canonical(k) -> bool:
-    """True for the representative of a conjugate pair {k, -k} (and 0)."""
-    for v in k:
-        if v > 0:
-            return True
-        if v < 0:
-            return False
-    return True
-
-
 def serialize(x: FourierVectorField) -> str:
+    """One line per mode k >= 0 lexicographically: the back half of rows."""
     lines = [f"torusfield v1 n={x.n} s={_fmt(x.width_s)} kmax={x.k_max}"]
-    for k in sorted(x.coeffs):
-        if not _canonical(k):
-            continue
-        c = x.coeffs[k]
-        parts = [str(int(v)) for v in k]
+    half = len(x.modes) // 2
+    for k, c in zip(x.modes[half:].tolist(), x.coef[half:]):
+        parts = [str(v) for v in k]
         for z in c:
             parts.append(_fmt(z.real))
             parts.append(_fmt(z.imag))
@@ -522,12 +535,9 @@ def deserialize(text: str) -> FourierVectorField:
         if mk == k and np.any(c.imag != 0):
             raise RealityViolationError(
                 f"self-conjugate mode {k} has nonzero imaginary part", line=ln)
-    for k in list(coeffs):
-        mk = tuple(-v for v in k)
-        if mk not in coeffs:
-            coeffs[mk] = np.conj(coeffs[k])
     got_kmax = max((max(abs(v) for v in k) for k in coeffs), default=0)
     if got_kmax > k_max:
         raise ParseError(
             f"mode exceeds declared kmax={k_max}", line=1)
-    return FourierVectorField(n=n, width_s=s, coeffs=coeffs, k_max=k_max)
+    # conjugates are checked exact, so make_field only completes them
+    return dataclasses.replace(make_field(n, s, coeffs), k_max=k_max)

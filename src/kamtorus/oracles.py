@@ -203,11 +203,6 @@ def conjugacy_report(alpha, P: FourierVectorField, phi, beta,
             "jacobian_min_det": float(np.abs(dets).min())}
 
 
-def conjugacy_residual(alpha, P: FourierVectorField, phi, beta,
-                       grid: int) -> float:
-    return conjugacy_report(alpha, P, phi, beta, grid)["sup_residual"]
-
-
 def orbit_shadowing_check(alpha, P: FourierVectorField, phi, beta,
                           T: float, samples: int,
                           theta0=None) -> float:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,25 +83,11 @@ class Schedule:
         return self.s / 2.0 + self.s * 2.0 ** (-m - 1)
 
 
-def check_conditions(consts: KamConstants, schedule: Schedule, m: int,
-                     eps: float):
-    """Evaluate the three step conditions at step m for a run starting at
-    size eps (so the step sees eps_m = b^{-m} * eps)."""
-    eps_m = consts.b ** (-m) * eps
-    return avg.step_conditions(consts, schedule.Q(m), schedule.sigma(m),
-                               eps_m)
-
-
-def select_Q(consts: KamConstants, s: float,
-             gamma_star: float | None = None):
+def select_Q(consts: KamConstants, s: float):
     """Smallest Q0 on the geometric grid 2^j making the middle and tail
     conditions hold at m = 0 (they then improve monotonically in m), plus
     the threshold eps_star = Q0^{-n} below which the first condition holds.
     """
-    if gamma_star is not None and gamma_star != consts.gamma_star:
-        consts = KamConstants(n=consts.n, tau=consts.tau, a=consts.a,
-                              b=consts.b, c=consts.c, d=consts.d,
-                              gamma_star=gamma_star)
     sigma0 = s / 4.0
     last = None
     for j in range(_Q_CAP_EXP + 1):
@@ -174,23 +160,9 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         if res.Phi1.layers:
             phi = phi.extended(res.Phi1.layers[0])
         v_norm = fld.norm(res.V, res.V.width_s) if res.V.coeffs else 0.0
-        trace.append({
-            "m": m,
-            "q": res.approx.q,
-            "p": [int(v) for v in res.approx.p],
-            "Q_m": sched.Q(m),
-            "sigma_m": sched.sigma(m),
-            "norm_P": norm_m,
-            "norm_V": v_norm,
-            "norm_phi1_defect": v_norm,
-            "P_avg": [float(v) for v in res.P_avg],
-            "q_eps": res.budget.q_eps,
-            "tail_term": res.budget.tail_term,
-            "bracket_term": res.budget.bracket_term,
-            "conditions_ok": list(res.budget.conditions_ok),
-            "conditions": {k: (list(v) if isinstance(v, tuple) else v)
-                           for k, v in res.budget.report.items()},
-        })
+        trace.append({"m": m, "Q_m": sched.Q(m), "sigma_m": sched.sigma(m),
+                      "norm_P": norm_m, "norm_V": v_norm,
+                      "norm_phi1_defect": v_norm, **res.record()})
         u = x_m
         Pm = res.P_plus
         m += 1
@@ -212,7 +184,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     if not 0 < s <= P.width_s:
         raise ParameterError(
             f"requested width s={s} exceeds the field width {P.width_s}")
-    P = FourierVectorField(n=P.n, width_s=s, coeffs=P.coeffs, k_max=P.k_max)
+    P = replace(P, width_s=s)
     consts = constants(alpha.n, alpha.tau, alpha.gamma, alpha.gamma_bar)
     Q0, eps_star = select_Q(consts, s)
     eps = fld.norm(P, s) if P.coeffs else 0.0

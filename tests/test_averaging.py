@@ -101,7 +101,7 @@ def test_homological_identity_and_norm_bound(seed, Q, golden_freq):
     assert fld.norm(sol.V, 1.0) <= ap.q * rhs_norm * (1 + 1e-12)
     # V vanishes on resonant modes
     for k in sol.V.coeffs:
-        assert avg._divisor(k, ap.q, ap.p) != 0
+        assert ap.q * k[0] + sum(ki * int(pi) for ki, pi in zip(k[1:], ap.p))
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +257,19 @@ def test_counter_term_shift_stays_in_budget(golden_freq, golden_consts):
                                       golden_consts)
     assert np.abs(phi1_x - golden_freq.alpha).max() <= \
         golden_consts.d * eps * (1 + 1e-9)
+
+
+def test_divisor_overflow_raises_instead_of_wrapping():
+    # q*(k.omega) reaches 2*(2^62 + 1) > 2^63 - 1 at |k| = 2
+    huge = RationalApprox(q=2 ** 62, p=np.array([1]), Q=2.0 ** 62,
+                          varpi=np.zeros(2))
+    P = fld.make_field(2, 1.0, {(2, 1): [1.0, 0.0]})
+    with pytest.raises(ParameterError, match="overflow"):
+        avg.omega_average(P, huge)
+    with pytest.raises(ParameterError, match="overflow"):
+        avg.solve_homological(P, huge)
+    # at |k| = 1 the bound 2^62 + 1 fits, and the divisors are exact
+    Q1 = fld.make_field(2, 1.0, {(1, -1): [1.0, 0.0]})
+    sol = avg.solve_homological(Q1, huge)
+    np.testing.assert_array_equal(avg._divisors(sol.V, huge),
+                                  [-(2 ** 62 - 1), 2 ** 62 - 1])

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kamtorus import field as fld
 from kamtorus.cli import main
+from kamtorus.errors import KamError
 from kamtorus.diophantine import serialize_frequency
 
 
@@ -169,3 +171,67 @@ def test_verify_residual_breach_exits_1(tmp_path, golden_file, capsys):
     res = json.loads((tmp_path / "residual.json").read_text())
     assert res["sup_residual"] == pytest.approx(1e-4)
     assert "sup_residual" in capsys.readouterr().err
+
+
+def test_bad_config_value_exits_2_with_line(tmp_path, golden_file, pert_file,
+                                            capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"freq = {golden_file}\npert = {pert_file}\ns = 1.0\n"
+                   "grid = abc\n")
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "line 4" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key,value", [("s", "nan"), ("s", "inf"),
+                                       ("tol", "nan"), ("orbit-T", "nan"),
+                                       ("orbit-T", "inf")])
+def test_non_finite_run_options_exit_2(tmp_path, golden_file, pert_file,
+                                       capsys, key, value):
+    base = {"freq": golden_file, "pert": pert_file, "s": "1.0",
+            "grid": "4", "orbit-T": "0"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n"
+                           for k, v in {**base, key: value}.items()))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    flags = [arg for k, v in {**base, key: value}.items()
+             for arg in (f"--{k}", v)]
+    assert main(["run", *flags, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_non_finite_orbit_time_exits_2(tmp_path, golden_file,
+                                              pert_file, capsys):
+    assert main(["verify", "--freq", golden_file, "--pert", pert_file,
+                 "--phi", pert_file, "--beta", pert_file,
+                 "--orbit-T", "nan"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_psi_above_cell_budget_exits_2(golden_file, capsys):
+    assert main(["psi", "--freq", golden_file, "--Q", "1e5"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+_CONFIG_LINES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    st.builds("{} = {}".format,
+              st.sampled_from(["s", "tol", "grid", "max-steps", "force",
+                               "orbit-T", "freq", "bogus"]),
+              st.sampled_from(["1", "1.5", "-2", "nan", "abc", "", "1e999",
+                               "true", "9" * 5000])))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_CONFIG_LINES, max_size=6))
+def test_read_config_fuzz_raises_only_kam_errors(tmp_path_factory, lines):
+    from kamtorus.cli import _read_config
+    cfg = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    cfg.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        _read_config(str(cfg))
+    except KamError:
+        pass

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kamtorus import diophantine as dio
-from kamtorus.errors import (ConstantsInconsistencyError, ParameterError,
-                             ParseError, ResonanceError)
+from kamtorus.errors import (ConstantsInconsistencyError, KamError,
+                             ParameterError, ParseError, ResonanceError)
 from conftest import GOLDEN
 
 
@@ -225,3 +225,61 @@ def test_frequency_validation():
                                ([0.5], math.inf, 0.5), ([0.5], 0.0, math.inf)):
         with pytest.raises(ParameterError):
             dio.FrequencyVector(2, np.array(at), tau, 0.5, gamma_bar)
+
+
+# ---------------------------------------------------------------------------
+# bounded allocations and the approximation cache
+# ---------------------------------------------------------------------------
+
+def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
+    # each request would need far more than _GRID_CELL_BUDGET points; the
+    # raise comes before any of them is allocated
+    with pytest.raises(ParameterError, match="budget"):
+        dio.psi_argmax(golden_freq, 1e5)
+    with pytest.raises(ParameterError, match="budget"):
+        dio.psi(plastic_freq, 60)
+    with pytest.raises(ParameterError, match="budget"):
+        dio.estimate_constants(plastic_freq.alpha_tilde, 0.1, 10 ** 4, 10)
+    a = dio.dirichlet_approx(plastic_freq, 5)
+    with pytest.raises(ParameterError, match="budget"):
+        dio.enumerate_resonant(a, 10 ** 4)
+    for Q in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            dio.psi(golden_freq, Q)
+        with pytest.raises(ParameterError):
+            dio.dirichlet_approx(golden_freq, Q)
+
+
+def test_approx_cache_is_bounded_lru(golden_freq, monkeypatch):
+    from collections import OrderedDict
+    monkeypatch.setattr(dio, "_approx_cache", OrderedDict())
+    monkeypatch.setattr(dio, "_APPROX_CACHE_SIZE", 3)
+    first = dio.dirichlet_approx(golden_freq, 10.0)
+    for Q in (11.0, 12.0):
+        dio.dirichlet_approx(golden_freq, Q)
+    assert dio.dirichlet_approx(golden_freq, 10.0) is first   # now newest
+    dio.dirichlet_approx(golden_freq, 13.0)                    # evicts 11
+    assert [key[1] for key in dio._approx_cache] == [12.0, 10.0, 13.0]
+
+
+_FREQ_TOKENS = st.sampled_from(["2", "3", "0", "-1", "0.5", "-0.5", "nan",
+                                "inf", "1e999", "x", "="])
+
+
+@st.composite
+def _frequency_texts(draw):
+    head = draw(st.sampled_from(["freq v1", "freq v2", "f v1"]))
+    head += " " + " ".join(
+        f"{key}={draw(_FREQ_TOKENS)}" for key in
+        draw(st.permutations(["n", "tau", "gamma", "gammabar"])))
+    lines = draw(st.lists(_FREQ_TOKENS, max_size=3))
+    return "\n".join([head] + lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(), _frequency_texts()))
+def test_deserialize_frequency_fuzz_raises_only_kam_errors(text):
+    try:
+        dio.deserialize_frequency(text)
+    except KamError:
+        pass

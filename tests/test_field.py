@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kamtorus import field as fld
-from kamtorus.errors import ParameterError, ParseError, RealityViolationError
+from kamtorus.errors import (KamError, ParameterError, ParseError,
+                             RealityViolationError)
 from kamtorus.generate import random_field
 
 
@@ -278,3 +279,155 @@ def test_deserialize_kmax_mismatch():
     text = "torusfield v1 n=2 s=1 kmax=1\n0 2 1.0 0.0 0.0 0.0\n"
     with pytest.raises(ParseError):
         fld.deserialize(text)
+
+
+def test_norm_rejects_nan_coefficient():
+    modes = np.array([[-1, 0], [1, 0]])
+    nan = fld.FourierVectorField(
+        2, 1.0, modes, np.array([[math.nan, 0], [math.nan, 0]], complex), 1)
+    with pytest.raises(ParameterError, match="NaN"):
+        fld.norm(nan, 1.0)
+    # overflow at a wide strip is an honest inf, not an error
+    wide = fld.FourierVectorField(2, 200.0, modes,
+                                  np.array([[1, 0], [1, 0]], complex), 1)
+    assert fld.norm(wide, 200.0) == math.inf
+
+
+def test_fields_too_wide_for_int64_keys_rejected():
+    with pytest.raises(ParameterError):
+        fld.make_field(3, 1.0, {(2 ** 21, 0, 0): [1.0, 0.0, 0.0]})
+    x = fld.make_field(3, 1.0, {(2 ** 19, 1, 0): [1.0, 0.0, 0.0]})
+    with pytest.raises(ParameterError):
+        fld.lie_bracket(x, x)       # output modes up to |k| = 2^20
+    with pytest.raises(ParameterError):
+        fld.deserialize("torusfield v1 n=2 s=1 kmax=4294967296\n")
+
+
+# ---------------------------------------------------------------------------
+# storage invariant of every operation
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(f):
+    """Sorted unique modes closed under k -> -k, c_{-k} == conj(c_k)
+    exactly, no all-zero row, k_max >= max|k| and finite values."""
+    m, c = f.modes, f.coef
+    assert m.dtype == np.int64 and c.dtype == np.complex128
+    assert m.shape == c.shape == (len(m), f.n)
+    rows = [tuple(r) for r in m.tolist()]
+    assert rows == sorted(set(rows))
+    np.testing.assert_array_equal(m[::-1], -m)
+    assert (c[::-1] == np.conj(c)).all()
+    assert (c != 0).any(axis=1).all()
+    assert f.k_max >= np.abs(m).max(initial=0)
+    assert np.isfinite(c).all()
+
+
+@st.composite
+def _field_pairs(draw):
+    n = draw(st.integers(2, 3))
+    k = draw(st.integers(0, 3))
+    mode = st.tuples(*[st.integers(-k, k)] * n)
+    part = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1)
+    vec = st.lists(st.builds(complex, part, part), min_size=n, max_size=n)
+
+    def field():
+        return fld.make_field(
+            n, 1.0, draw(st.dictionaries(mode, vec, max_size=6)))
+
+    x, y = field(), field()
+    if draw(st.booleans()):
+        y = fld.sub(y, x)            # shared modes that cancel in add(x, y)
+    return x, y
+
+
+@settings(deadline=None, max_examples=150)
+@given(_field_pairs(), st.integers(1, 7), st.data())
+def test_every_operation_keeps_the_storage_invariant(pair, q, data):
+    from kamtorus import averaging as avg
+    from kamtorus.diophantine import RationalApprox
+
+    x, y = pair
+    n = x.n
+    p = data.draw(st.lists(st.integers(-q, q), min_size=n - 1,
+                           max_size=n - 1))
+    approx = RationalApprox(q=q, p=np.array(p), Q=float(q),
+                            varpi=np.zeros(n))
+    y_norm = fld.norm(y, 1.0)
+    V = fld.scale(y, 1e-3 / y_norm) if y_norm else y
+    outs = [x, y, fld.add(x, y), fld.sub(x, y), fld.scale(x, -0.3),
+            fld.lie_bracket(x, y), fld.lie_derivative(x, y),
+            fld.prune(x, 1.0, 0.1 * fld.norm(x, 1.0))[0],
+            *fld.tail_split(x, 2), avg.omega_average(x, approx),
+            avg.solve_homological(x, approx).V,
+            fld.lie_series(fld.lie_bracket, V, x, x, y, 1.0, 0.5, 1e-14,
+                           floor=1e-16)[0],
+            fld.lie_series(fld.lie_derivative, V, x, y, V, 1.0, 0.5,
+                           1e-14)[0]]
+    for out in outs:
+        _assert_canonical(out)
+
+
+def _reference_convolution(x, v, bracket):
+    """DX.V (minus DV.X) by a loop over mode pairs: the reference for the
+    array implementation.  Returns {mode: (value, sum of |terms|)}."""
+    out = {}
+    for k1, c1 in x.coeffs.items():
+        for k2, c2 in v.coeffs.items():
+            term = 2j * np.pi * np.dot(k1, c2) * c1
+            if bracket:
+                term = term - 2j * np.pi * np.dot(k2, c1) * c2
+            k = tuple(a + b for a, b in zip(k1, k2))
+            val, mag = out.get(k, (0.0, 0.0))
+            out[k] = (val + term, mag + np.abs(term))
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(_field_pairs())
+def test_array_ops_match_per_mode_reference(pair):
+    x, y = pair
+    # add: the same sums as a dict merge, so exactly equal
+    ref = dict(x.coeffs)
+    for k, c in y.coeffs.items():
+        ref[k] = ref[k] + c if k in ref else c
+    ref = {k: c for k, c in ref.items() if np.any(c != 0)}
+    got = fld.add(x, y).coeffs
+    assert set(got) == set(ref)
+    for k in ref:
+        np.testing.assert_array_equal(got[k], ref[k])
+    # brackets: summed in another order, so equal to rounding
+    for op, bracket in ((fld.lie_bracket, True), (fld.lie_derivative, False)):
+        got = op(x, y).coeffs
+        ref = _reference_convolution(x, y, bracket)
+        assert set(got) <= set(ref)
+        for k, (val, mag) in ref.items():
+            assert np.all(np.abs(got.get(k, 0.0) - val) <= 1e-14 * mag)
+
+
+# ---------------------------------------------------------------------------
+# parser fuzzing
+# ---------------------------------------------------------------------------
+
+_TOKENS = st.sampled_from(["0", "1", "-1", "2", "0.5", "-0", "nan", "inf",
+                           "1e999", "x", "99999999999999999999", "="])
+
+
+@st.composite
+def _field_texts(draw):
+    head = draw(st.sampled_from(["torusfield v1", "torusfield v2", "t v1"]))
+    head += " " + " ".join(
+        f"{key}={draw(_TOKENS)}" for key in
+        draw(st.permutations(["n", "s", "kmax"])))
+    lines = [" ".join(draw(st.lists(_TOKENS, max_size=8)))
+             for _ in range(draw(st.integers(0, 4)))]
+    return "\n".join([head] + lines)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(), _field_texts()))
+def test_deserialize_fuzz_raises_only_kam_errors(text):
+    try:
+        f = fld.deserialize(text)
+    except KamError:
+        return
+    _assert_canonical(f)

@@ -104,7 +104,7 @@ def test_grid_pullback_modes_agree():
 
 
 # ---------------------------------------------------------------------------
-# conjugacy_residual / orbit_shadowing_check
+# conjugacy_report / orbit_shadowing_check
 # ---------------------------------------------------------------------------
 
 def test_conjugacy_trivial_identity(golden_freq):
@@ -121,8 +121,8 @@ def test_conjugacy_constant_counter_term(golden_freq):
     P = fld.constant_field([1e-4, -2e-4], 1.0)
     phi = NearIdentityEmbedding(2, ())
     grid = 8
-    res = orc.conjugacy_residual(golden_freq, P, phi,
-                                 np.array([-1e-4, 2e-4]), grid)
+    res = orc.conjugacy_report(golden_freq, P, phi, np.array([-1e-4, 2e-4]),
+                               grid)["sup_residual"]
     assert res <= 1e-11
 
 
@@ -130,7 +130,8 @@ def test_conjugacy_detects_missing_counter_term(golden_freq):
     P = fld.constant_field([1e-4, -2e-4], 1.0)
     phi = NearIdentityEmbedding(2, ())
     grid = 8
-    res = orc.conjugacy_residual(golden_freq, P, phi, np.zeros(2), grid)
+    res = orc.conjugacy_report(golden_freq, P, phi, np.zeros(2),
+                               grid)["sup_residual"]
     assert res == pytest.approx(2e-4, rel=1e-6)
 
 
@@ -141,8 +142,8 @@ def test_conjugacy_residual_linearity(golden_freq):
     res = []
     for scale in (1.0, 2.0):
         P = fld.make_field(2, 1.0, {(1, 0): [scale * 1e-6, 0.0]})
-        res.append(orc.conjugacy_residual(golden_freq, P, phi,
-                                          np.zeros(2), grid))
+        res.append(orc.conjugacy_report(golden_freq, P, phi, np.zeros(2),
+                                        grid)["sup_residual"])
     assert res[1] == pytest.approx(2.0 * res[0], rel=1e-5)
 
 

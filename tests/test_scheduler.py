@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kamtorus import averaging as avg
 from kamtorus import field as fld
 from kamtorus import scheduler as sch
 from kamtorus.errors import InfeasibleError, ThresholdError
@@ -84,8 +85,7 @@ def test_select_q_golden(golden_freq):
     Q0, eps_star = sch.select_Q(c, 1.0)
     assert Q0 == 512.0
     assert eps_star == pytest.approx(512.0 ** -2)
-    ok, _ = sch.check_conditions(c, sch.Schedule(c, 1.0, Q0, eps_star), 0,
-                                 eps_star)
+    ok, _ = avg.step_conditions(c, Q0, 0.25, eps_star)
     assert ok
 
 
@@ -115,10 +115,12 @@ def test_check_conditions_scaling(golden_freq):
     c = sch.constants(2, 0.0, golden_freq.gamma, golden_freq.gamma_bar)
     sched = sch.Schedule(c, 1.0, 512.0, eps0=512.0 ** -2)
     for m in range(6):
-        ok, rep = sch.check_conditions(c, sched, m, sched.eps(m))
+        ok, rep = avg.step_conditions(c, sched.Q(m), sched.sigma(m),
+                                      c.b ** -m * sched.eps(m))
         assert ok, rep
     # an eps above the threshold at m=0 fails the first condition
-    ok, rep = sch.check_conditions(c, sched, 0, 10 * 512.0 ** -2)
+    ok, rep = avg.step_conditions(c, sched.Q(0), sched.sigma(0),
+                                  10 * 512.0 ** -2)
     assert not ok and not rep["ok"][0]
 
 
