@@ -159,6 +159,31 @@ def _finite(name: str, value):
     return value
 
 
+def _grid(value: int) -> int:
+    if value < 1:
+        raise ParameterError(f"grid must be >= 1, got {value}")
+    return value
+
+
+def _load_beta(path: str, n: int) -> np.ndarray:
+    """Exactly n finite floats, one a line (blank lines are skipped)."""
+    lines = Path(path).read_text().splitlines()
+    beta = []
+    for ln, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                beta.append(float(line))
+            except ValueError:
+                beta.append(math.nan)
+            if not math.isfinite(beta[-1]):
+                raise ParseError(f"beta entry {line.strip()!r} is not a "
+                                 "finite number", line=ln)
+    if len(beta) != n:
+        raise ParseError(f"expected {n} beta entries, got {len(beta)}",
+                         line=max(len(lines), 1))
+    return np.array(beta)
+
+
 def _cmd_run(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
 
@@ -171,7 +196,7 @@ def _cmd_run(args) -> int:
     if not freq or not pert or s is None:
         raise KamError("run requires --freq, --pert and --s "
                        "(flags or config)")
-    grid = int(pick(args.grid, "grid", 32))
+    grid = _grid(int(pick(args.grid, "grid", 32)))
     orbit_t = _finite("orbit-T", float(pick(args.orbit_T, "orbit-T", 100.0)))
     alpha = _load_freq(freq)
     P = _load_field(pert)
@@ -209,11 +234,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     _finite("orbit-T", args.orbit_T)
+    _grid(args.grid)
     alpha = _load_freq(args.freq)
     P = _load_field(args.pert)
     disp = _load_field(args.phi)
-    beta = np.array([float(line) for line in
-                     Path(args.beta).read_text().split()])
+    beta = _load_beta(args.beta, alpha.n)
     phi = partial(apply_displacement, disp)
     report = orc.conjugacy_report(alpha, P, phi, beta, args.grid)
     report["orbit_deviation"] = (

@@ -9,6 +9,7 @@ q*alpha are not determined by the data beyond that reading.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import OrderedDict
@@ -20,16 +21,12 @@ import numpy as np
 from .errors import (ConstantsInconsistencyError, KamError, ParameterError,
                      ParseError, ResonanceError)
 
-# Above this q-range the brute-force scan hands over to the exact
-# continued-fraction / return-time enumeration paths.
-_BRUTE_Q_CAP = 2_000_000
-
 # dirichlet_approx remembers this many most recently used (alpha, Q)
 _APPROX_CACHE_SIZE = 256
 _approx_cache: OrderedDict = OrderedDict()
 
-# psi_argmax, estimate_constants and enumerate_resonant raise before
-# enumerating more integer points than this (tens of MB at n = 3).
+# The lattice enumerations of this module raise before enumerating more
+# integer points than this (tens of MB at n = 3).
 _GRID_CELL_BUDGET = 1 << 20
 
 
@@ -105,153 +102,98 @@ def _as_fracs(alpha_tilde) -> list[Fraction]:
     return [Fraction(float(x)) for x in alpha_tilde]
 
 
-def _dist_to_int_frac(x: Fraction) -> Fraction:
-    f = x - math.floor(x)
-    return min(f, 1 - f)
+def _lll(basis: list[list[int]]) -> list[list[int]]:
+    """LLL-reduce integer rows (Lovasz constant 3/4) in exact arithmetic.
 
-
-def _round_half_even(x: Fraction) -> int:
-    fl = math.floor(x)
-    rem = x - fl
-    if rem > Fraction(1, 2):
-        return fl + 1
-    if rem < Fraction(1, 2):
-        return fl
-    return fl if fl % 2 == 0 else fl + 1
-
-
-def _convergent_denominators(num: int, den: int):
-    """Yield (q_k, err) for the convergents of num/den, err = q_k*||.||
-    as the exact Fraction ||q_k * num/den||_Z, in increasing q."""
-    f = num % den
-    if f == 0:
-        yield 1, Fraction(0)
-        return
-    # continued fraction of f/den
-    a, b = den, f        # x = f/den = [0; a1, a2, ...]
-    q_prev, q_cur = 0, 1  # denominators of 0/1 then convergents
-    yield 1, min(Fraction(f, den), Fraction(den - f, den))
-    while b:
-        part = a // b
-        a, b = b, a - part * b
-        q_prev, q_cur = q_cur, part * q_cur + q_prev
-        if q_cur == 1:      # first partial quotient 1 revisits q=1
-            continue
-        err_num = (q_cur * f) % den
-        yield q_cur, Fraction(min(err_num, den - err_num), den)
-        if err_num == 0:
-            return
-
-
-def _smallest_q_within(num: int, den: int, delta: Fraction):
-    """Smallest q >= 1 with ||q*num/den||_Z <= delta, or None."""
-    for q, err in _convergent_denominators(num, den):
-        if err <= delta:
-            return q
-    return None
-
-
-def _one_sided_records(num: int, den: int, thresh: int):
-    """Walk the one-sided best-approximation records of num/den.
-
-    Returns (t_above, t_below): the smallest t with residue t*num mod den
-    in (0, thresh] resp. [den-thresh, den).  Either may be None when the
-    fraction is exactly rational with too coarse a residue lattice.
-    Residue 0 (exact return) is reported on both sides with its period.
+    Row k's Gram-Schmidt data are computed from the Gram matrix, in
+    Fractions, each time the reduction reaches row k: the rows below it
+    are then current.
     """
-    r1 = num % den
-    if r1 == 0:
-        return (1, 1)       # every t returns exactly
-    qa, ra = 1, r1          # record with smallest positive residue
-    qb, rb = 1, r1          # record with residue closest to den
-    t_above = qa if ra <= thresh else None
-    t_below = qb if den - rb <= thresh else None
-    while t_above is None or t_below is None:
-        if ra == 0 or rb == den:
-            period = qa if ra == 0 else qb
-            t_above = period if t_above is None else t_above
-            t_below = period if t_below is None else t_below
-            break
-        gap_b = den - rb
-        if ra + rb < den:
-            # adding A to B raises B's residue by ra per step
-            steps = (den - 1 - rb) // ra
-            if t_below is None:
-                need = (den - thresh) - rb
-                j = -(-need // ra)
-                if 0 < j <= steps:
-                    t_below = qb + j * qa
-            qb += steps * qa
-            rb += steps * ra
+    b = [list(row) for row in basis]
+    n = len(b)
+    mu = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    B = [Fraction(0)] * n
+    k = 0
+    while k < n:
+        for j in range(k):
+            mu[k][j] = (_dot(b[k], b[j]) - sum(
+                mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+        B[k] = Fraction(_dot(b[k], b[k])) - sum(
+            mu[k][j] ** 2 * B[j] for j in range(k))
+        for l in range(k - 1, -1, -1):
+            r = round(mu[k][l])
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+                for i in range(l + 1):
+                    mu[k][i] -= r * mu[l][i]
+        if k and B[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k -= 1
         else:
-            # adding B to A lowers A's residue by (den - rb) per step;
-            # residue 0 (a period of the lattice) is a legal stopping state
-            if ra % gap_b == 0:
-                steps = ra // gap_b
-            else:
-                steps = (ra - 1) // gap_b
-            if t_above is None:
-                need = ra - thresh
-                j = -(-need // gap_b)
-                if 0 < j <= steps:
-                    t_above = qa + j * qb
-            qa += steps * qb
-            ra -= steps * gap_b
-    return (t_above, t_below)
+            k += 1
+    return b
 
 
-def _return_offsets(num: int, den: int, thresh: int):
-    """Candidate gaps of the set {t : ||t*num/den|| <= thresh/den}."""
-    ta, tb = _one_sided_records(num, den, thresh)
-    offs = sorted({t for t in (ta, tb) if t} |
-                  ({ta + tb} if ta and tb else set()))
-    return offs
+def _dot(u, v) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
-class _ExactCoord:
-    """Exact membership test ||q*x|| <= delta for one coordinate."""
+def _inverse(rows: list[list[int]]) -> list[list[Fraction]]:
+    """Exact inverse of a nonsingular integer matrix (Gauss-Jordan)."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
 
-    def __init__(self, x: Fraction, delta: Fraction):
-        self.num = x.numerator % x.denominator
-        self.den = x.denominator
-        # ||q x|| <= delta  <=>  min(r, den-r) <= floor(delta*den)
-        self.thresh = (delta.numerator * self.den) // delta.denominator
 
-    def hit(self, q: int) -> bool:
-        r = (q * self.num) % self.den
-        return min(r, self.den - r) <= self.thresh
+def _smallest_dirichlet_q(fracs: list[Fraction], delta: Fraction,
+                          qmax: int):
+    """Smallest q >= 1 with ||q x||_Z <= delta for every x, or None.
 
-
-def _dirichlet_ladder(alpha_fracs, delta: Fraction, qmax: int):
-    """Smallest q <= qmax hitting every coordinate within delta, found by
-    enumerating the return times of coordinate 0 (three-distance gaps)."""
-    lead = alpha_fracs[0]
-    num, den = lead.numerator % lead.denominator, lead.denominator
-    coords = [_ExactCoord(x, delta) for x in alpha_fracs]
-    q = _smallest_q_within(num, den, delta)
-    if q is None:
-        return None
-    # window 2*delta return offsets of the leading coordinate
-    thresh2 = (2 * delta.numerator * den) // delta.denominator
-    offsets = _return_offsets(num, den, max(thresh2, 1))
-    while q <= qmax:
-        if all(c.hit(q) for c in coords):
-            return q
-        nxt = None
-        for t in offsets:
-            if coords[0].hit(q + t):
-                nxt = q + t
-                break
-        if nxt is None:
-            # three-distance guarantees one of the offsets works; scan as
-            # a safety net against a degenerate lattice
-            step = offsets[-1] if offsets else 1
-            cand = q + 1
-            while cand <= q + step and not coords[0].hit(cand):
-                cand += 1
-            nxt = cand
-        q = nxt
-    return None
+    With x_i = a_i/D and delta = dn/dd, the vectors
+    v = q*b_0 + sum_i p_i*b_i of the lattice with rows
+    b_0 = (dn*D, a_1*c*dd, ..., a_m*c*dd) and b_i = -D*c*dd e_i satisfy
+    |v|_inf <= half = dn*D*c exactly when q <= c and |q x_i - p_i| <= delta,
+    and then v_0 = q*dn*D.  After LLL, the integer coefficients of those
+    v, bounded through the exact inverse of the reduced basis, form a box
+    that is enumerated in full.  The cap c grows 16-fold from 1 until a q
+    is found (None once c passes qmax), so the last box holds few
+    admissible q even where many lie below qmax (a rational x, say).
+    """
+    D = math.lcm(*(x.denominator for x in fracs))
+    dn, dd = delta.numerator, delta.denominator
+    m = len(fracs)
+    lead = dn * D
+    basis = [[lead] + [x.numerator * (D // x.denominator) * dd for x in fracs]]
+    basis += [[0] * (i + 1) + [-D * dd] + [0] * (m - 1 - i) for i in range(m)]
+    c = 1
+    while True:
+        basis = _lll(basis)
+        half = lead * c
+        inv = _inverse(basis)
+        bounds = [math.floor(half * sum(abs(row[j]) for row in inv))
+                  for j in range(m + 1)]
+        _check_cells(math.prod(2 * b + 1 for b in bounds), "dirichlet_approx")
+        cols = list(zip(*basis))
+        best = None
+        for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            v0 = _dot(x, cols[0])
+            if 0 < v0 and (best is None or v0 < best) and all(
+                    abs(_dot(x, col)) <= half for col in cols[1:]):
+                best = v0
+        if best is not None or c >= qmax:
+            return None if best is None else best // lead
+        # scaling c scales every column but the first: the reduced basis,
+        # so scaled, spans the next lattice and is nearly reduced
+        c *= 16
+        basis = [[row[0]] + [16 * y for y in row[1:]] for row in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +202,7 @@ def _dirichlet_ladder(alpha_fracs, delta: Fraction, qmax: int):
 
 def _build_approx(alpha: FrequencyVector, q: int, Q: float) -> RationalApprox:
     fracs = _as_fracs(alpha.alpha_tilde)
-    p = [_round_half_even(q * x) for x in fracs]
+    p = [round(q * x) for x in fracs]     # Fraction rounds half to even
     varpi = np.array(
         [0.0] + [float(x - Fraction(pi, q)) for x, pi in zip(fracs, p)])
     return RationalApprox(q=int(q), p=np.array(p, dtype=np.int64),
@@ -301,19 +243,9 @@ def dirichlet_approx(alpha: FrequencyVector, Q: float) -> RationalApprox:
     if hit is not None:
         _approx_cache.move_to_end(key)
         return hit
-    n = alpha.n
-    delta = 1 / Fraction(float(Q))
-    qmax = math.floor(Fraction(float(Q)) ** (n - 1))
-    fracs = _as_fracs(alpha.alpha_tilde)
-
-    if n == 2:      # a q above qmax fails _verify_dirichlet
-        x = fracs[0]
-        q = _smallest_q_within(x.numerator % x.denominator, x.denominator,
-                               delta)
-    elif qmax <= _BRUTE_Q_CAP:
-        q = _dirichlet_brute(alpha.alpha_tilde, float(Q), qmax, fracs, delta)
-    else:
-        q = _dirichlet_ladder(fracs, delta, qmax)
+    q = _smallest_dirichlet_q(_as_fracs(alpha.alpha_tilde),
+                              1 / Fraction(float(Q)),
+                              math.floor(Fraction(float(Q)) ** (alpha.n - 1)))
     if q is None:
         raise KamError("floating-point inconsistency: no Dirichlet "
                        "denominator found (mathematically impossible)")
@@ -323,23 +255,6 @@ def dirichlet_approx(alpha: FrequencyVector, Q: float) -> RationalApprox:
     if len(_approx_cache) > _APPROX_CACHE_SIZE:
         _approx_cache.popitem(last=False)
     return approx
-
-
-def _dirichlet_brute(alpha_tilde, Q, qmax, fracs, delta):
-    """Vectorized float scan with exact confirmation of the winner."""
-    at = np.asarray(alpha_tilde, dtype=float)
-    chunk = 262_144
-    for start in range(1, qmax + 1, chunk):
-        qs = np.arange(start, min(start + chunk, qmax + 1), dtype=float)
-        prod = qs[:, None] * at[None, :]
-        err = np.abs(prod - np.round(prod)).max(axis=1)
-        # keep a small float margin, confirm candidates exactly
-        cand = np.nonzero(err <= 1.0 / Q + 1e-9)[0]
-        for idx in cand:
-            q = int(qs[idx])
-            if all(_dist_to_int_frac(q * x) <= delta for x in fracs):
-                return q
-    return None
 
 
 def psi_argmax(alpha: FrequencyVector, Q: float):

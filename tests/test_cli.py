@@ -211,6 +211,42 @@ def test_verify_non_finite_orbit_time_exits_2(tmp_path, golden_file,
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("how,grid", [("verify", "0"), ("verify", "-3"),
+                                      ("run-flag", "0"), ("run-config", "0")])
+def test_grid_below_one_exits_2(tmp_path, golden_file, pert_file, capsys,
+                                how, grid):
+    out = tmp_path / "o"
+    if how == "verify":
+        beta = tmp_path / "beta.txt"
+        beta.write_text("0\n0\n")
+        argv = ["verify", "--freq", golden_file, "--pert", pert_file,
+                "--phi", pert_file, "--beta", str(beta), "--grid", grid]
+    elif how == "run-flag":
+        argv = ["run", "--freq", golden_file, "--pert", pert_file,
+                "--s", "1.0", "--grid", grid]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"freq = {golden_file}\npert = {pert_file}\n"
+                       f"s = 1.0\ngrid = {grid}\n")
+        argv = ["run", "--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "grid must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text,line", [("0\nx\n", 2), ("inf\n0\n", 1),
+                                       ("0\n", 1), ("0\n0\n0\n", 3)])
+def test_bad_beta_file_exits_2(tmp_path, golden_file, pert_file, capsys,
+                               text, line):
+    beta = tmp_path / "beta.txt"
+    beta.write_text(text)
+    assert main(["verify", "--freq", golden_file, "--pert", pert_file,
+                 "--phi", pert_file, "--beta", str(beta),
+                 "--out", str(tmp_path)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+    assert not (tmp_path / "residual.json").exists()
+
+
 def test_psi_above_cell_budget_exits_2(golden_file, capsys):
     assert main(["psi", "--freq", golden_file, "--Q", "1e5"]) == 2
     assert "budget" in capsys.readouterr().err

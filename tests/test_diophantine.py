@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kamtorus import diophantine as dio
 from kamtorus.errors import (ConstantsInconsistencyError, KamError,
@@ -18,10 +18,14 @@ def _freq(at, tau=0.0):
 
 
 def _brute_smallest_q(at, Q, qmax):
+    # exact: ||q a/d||_Z <= dn/dd  <=>  min(r, d - r)*dd <= dn*d, r = q a mod d
     delta = 1 / Fraction(float(Q))
     fracs = [Fraction(float(x)) for x in np.atleast_1d(at)]
     for q in range(1, qmax + 1):
-        if all(dio._dist_to_int_frac(q * x) <= delta for x in fracs):
+        if all(min(r, x.denominator - r) * delta.denominator
+               <= delta.numerator * x.denominator
+               for x in fracs
+               for r in [q * x.numerator % x.denominator]):
             return q
     return None
 
@@ -64,19 +68,41 @@ def test_n3_matches_brute_force(seed, Q):
     assert got == _brute_smallest_q(at, Q, Q * Q)
 
 
-@settings(deadline=None, max_examples=20)
-@given(st.integers(0, 10 ** 6), st.integers(2, 30))
-def test_n3_ladder_path_matches_brute(seed, Q):
-    at = np.random.default_rng(seed).uniform(-1, 1, size=2)
-    fracs = [Fraction(float(x)) for x in at]
-    got = dio._dirichlet_ladder(fracs, 1 / Fraction(Q), Q * Q)
-    assert got == _brute_smallest_q(at, Q, Q * Q)
+_ENTRIES = st.one_of(st.floats(-1, 1),
+                    st.sampled_from([0.5, 0.0, 1.0, -1.0, 0.25, -0.5]))
+
+
+@settings(deadline=None, max_examples=60)
+@example([0.25, 0.5], 0.5, False)
+@example([0.25], 0.125, True)         # ||1 * 0.25|| = 1/Q at Q = 4
+@example([0.0, 0.0, 0.0], 1.0, False)
+@example([1.0], 1.0, True)
+@example([-1.0, 0.5], 0.7, False)
+@given(st.lists(_ENTRIES, min_size=1, max_size=3), st.floats(0, 1),
+       st.booleans())
+def test_dirichlet_matches_exact_brute_force(at, t, whole):
+    # n = 2, 3, 4 with Q^(n-1) = qmax <= 1e5, exact rationals included;
+    # a whole Q puts rational inputs on the boundary ||q x|| = 1/Q
+    n = len(at) + 1
+    Q = 10.0 ** (5 * t / (n - 1))
+    if whole:
+        Q = float(math.floor(Q))
+    qmax = math.floor(Fraction(Q) ** (n - 1))
+    got = dio.dirichlet_approx(_freq(at, tau=0.1), Q).q
+    assert got == _brute_smallest_q(at, Q, qmax)
 
 
 def test_large_Q_n3_is_feasible(plastic_freq):
     a = dio.dirichlet_approx(plastic_freq, 1e7)
-    assert 1 <= a.q <= 1e14
+    assert a.q == 14147040199919
     assert float(np.abs(a.varpi).max()) <= 1e-7 / a.q * (1 + 1e-9)
+    cube = _freq([2 ** (1 / 3) - 1, 2 ** (2 / 3) - 1], tau=0.1)
+    assert dio.dirichlet_approx(cube, 1e7).q == 7054562917496
+    quartic = _freq([2 ** (1 / 4) - 1, 2 ** (1 / 2) - 1, 2 ** (3 / 4) - 1],
+                    tau=0.1)
+    a = dio.dirichlet_approx(quartic, 1e4)
+    assert 1 <= a.q <= 10 ** 12
+    dio._verify_dirichlet(quartic, a, 1e4)
 
 
 def test_rounding_ties_to_even():
