@@ -27,13 +27,16 @@ from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax, resonance_bound)
-from .embedding import apply_displacement
+from .embedding import apply_displacement, real_torus_view
 from .errors import KamError, ParameterError, ParseError
 from .generate import random_field
 
 # Oracle thresholds of the acceptance gate for run and verify.
 MAX_RESIDUAL = 1e-10
 MAX_ORBIT_DEVIATION = 1e-7
+# Oracle work caps: grid^n lattice points, max(16, int(orbit-T)) samples.
+MAX_GRID_POINTS = 1 << 20
+MAX_ORBIT_SAMPLES = 1 << 16
 
 
 def _load_freq(path: str) -> FrequencyVector:
@@ -159,10 +162,18 @@ def _finite(name: str, value):
     return value
 
 
-def _grid(value: int) -> int:
-    if value < 1:
-        raise ParameterError(f"grid must be >= 1, got {value}")
-    return value
+def _oracle_samples(grid: int, orbit_t: float, n: int) -> int:
+    """The orbit check's sample count, once both oracles fit their caps."""
+    if grid < 1:
+        raise ParameterError(f"grid must be >= 1, got {grid}")
+    if grid ** n > MAX_GRID_POINTS:
+        raise ParameterError(f"grid^n = {grid}^{n} exceeds the "
+                             f"{MAX_GRID_POINTS}-point budget")
+    samples = max(16, int(orbit_t))
+    if samples > MAX_ORBIT_SAMPLES:
+        raise ParameterError(f"orbit-T {orbit_t:g} needs {samples} sample "
+                             f"times, above the budget {MAX_ORBIT_SAMPLES}")
+    return samples
 
 
 def _load_beta(path: str, n: int) -> np.ndarray:
@@ -196,9 +207,10 @@ def _cmd_run(args) -> int:
     if not freq or not pert or s is None:
         raise KamError("run requires --freq, --pert and --s "
                        "(flags or config)")
-    grid = _grid(int(pick(args.grid, "grid", 32)))
+    grid = int(pick(args.grid, "grid", 32))
     orbit_t = _finite("orbit-T", float(pick(args.orbit_T, "orbit-T", 100.0)))
     alpha = _load_freq(freq)
+    samples = _oracle_samples(grid, orbit_t, alpha.n)
     P = _load_field(pert)
     opts = sch.RunOptions(
         tol=_finite("tol", pick(args.tol, "tol")),
@@ -224,7 +236,7 @@ def _cmd_run(args) -> int:
     report = orc.conjugacy_report(alpha, P, result.Phi, result.beta, grid)
     report["orbit_deviation"] = (
         orc.orbit_shadowing_check(alpha, P, result.Phi, result.beta,
-                                  orbit_t, max(16, int(orbit_t)))
+                                  orbit_t, samples)
         if orbit_t > 0 else None)
     _dump_json(outdir / "residual.json", report)
     print(json.dumps({"steps": len(result.trace), "beta": list(
@@ -234,16 +246,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     _finite("orbit-T", args.orbit_T)
-    _grid(args.grid)
     alpha = _load_freq(args.freq)
+    samples = _oracle_samples(args.grid, args.orbit_T, alpha.n)
     P = _load_field(args.pert)
-    disp = _load_field(args.phi)
+    phi = partial(apply_displacement, real_torus_view(_load_field(args.phi)))
     beta = _load_beta(args.beta, alpha.n)
-    phi = partial(apply_displacement, disp)
     report = orc.conjugacy_report(alpha, P, phi, beta, args.grid)
     report["orbit_deviation"] = (
         orc.orbit_shadowing_check(alpha, P, phi, beta, args.orbit_T,
-                                  max(16, int(args.orbit_T)))
+                                  samples)
         if args.orbit_T > 0 else None)
     _dump_json(Path(args.out) / "residual.json"
                if args.out else Path("residual.json"), report)

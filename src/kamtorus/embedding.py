@@ -10,7 +10,8 @@ L_V u = Du.V,
     u_L         = sum_{m>=1} L_V^{m-1} V / m!,
     u_{Phi o L} = u_L + exp(L_V) u_Phi,
 
-so no ODE is integrated and nothing is resampled on a grid.
+so no ODE is integrated and nothing is resampled on a grid.  Phi is
+evaluated through real_torus_view(u); u itself is what gets stored.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def apply_displacement(u: FourierVectorField, thetas) -> np.ndarray:
     return y + fld.eval_many(u, y)
 
 
+def real_torus_view(u: FourierVectorField) -> FourierVectorField:
+    """u without the modes below 2^-53 S / M, where S = sum_k max_j |c_{j,k}|
+    over its M modes: the dropped modes sum to at most 2^-53 S, below the
+    roundoff of evaluating u on the real torus.  Mode 0 is kept."""
+    if not len(u.modes):
+        return u
+    mass = np.abs(u.coef).max(axis=1)
+    view, _ = fld.prune(u, 0.0, 2.0 ** -53 * mass.sum() / len(mass))
+    return view
+
+
 @dataclass(frozen=True)
 class NearIdentityEmbedding:
     """Composition Phi = L_1 o L_2 o ... o L_m of time-1 flows."""
@@ -79,8 +91,12 @@ class NearIdentityEmbedding:
             u = _compose(u, layer)
         return u
 
+    @cached_property
+    def real_view(self) -> FourierVectorField:
+        return real_torus_view(self.displacement)
+
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        return apply_displacement(self.displacement, thetas)
+        return apply_displacement(self.real_view, thetas)
 
     def extended(self, layer: Layer) -> "NearIdentityEmbedding":
         return NearIdentityEmbedding(n=self.n, layers=self.layers + (layer,))

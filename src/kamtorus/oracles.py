@@ -213,10 +213,12 @@ def orbit_shadowing_check(alpha, P: FourierVectorField, phi, beta,
     if theta0 is None:
         theta0 = (np.sqrt(np.arange(2, 2 + n)) % 1.0)
     theta0 = np.asarray(theta0, dtype=float)
-    yfun = _total_field_eval(alpha, P, beta)
+    # _total_field_eval's operations in its order, flat for one-point calls
+    ab = alpha.alpha + np.asarray(beta, dtype=float)
+    kT = P.modes.T.astype(float)
 
     def rhs(y):
-        return yfun(y)
+        return ab + (np.exp(2j * np.pi * (y @ kT)) @ P.coef).real
 
     times = np.linspace(0.0, T, samples + 1)
     start = phi(theta0[None, :])[0]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from kamtorus import FrequencyVector, estimate_constants
+from kamtorus import scheduler as sch
+from kamtorus.generate import random_field
 
 warnings.filterwarnings(
     "ignore", message="Diophantine constants estimated over a finite range")
@@ -37,3 +39,24 @@ def plastic_freq() -> FrequencyVector:
     gamma, gamma_bar = estimate_constants(at, 0.1, 200, 4096)
     return FrequencyVector(n=3, alpha_tilde=at, tau=0.1, gamma=gamma,
                            gamma_bar=gamma_bar)
+
+
+# ROADMAP workloads: random_field(n, s, eps, modes, seed, k_max), solved at s
+WORKLOADS = {"W1": (2, 1.0, 1e-6, 6, 0, 4), "W2": (2, 1.0, 3e-6, 30, 3, 8),
+             "W4": (3, 1.0, 1e-12, 20, 7, 4)}
+
+
+@pytest.fixture(scope="session")
+def solved(golden_freq, plastic_freq):
+    """name -> (alpha, P, run result) of a ROADMAP workload, solved once."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            n, s, eps, modes, seed, k_max = WORKLOADS[name]
+            alpha = golden_freq if n == 2 else plastic_freq
+            P = random_field(n, s, eps, modes, seed, k_max=k_max)
+            cache[name] = alpha, P, sch.run(alpha, P, s)
+        return cache[name]
+
+    return get

@@ -1,11 +1,16 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kamtorus import field as fld
-from kamtorus.cli import main
+from kamtorus import oracles as orc
+from kamtorus import scheduler as sch
+from kamtorus.cli import (MAX_GRID_POINTS, MAX_ORBIT_SAMPLES,
+                          _oracle_samples, main)
+from kamtorus.embedding import apply_displacement, real_torus_view
 from kamtorus.errors import KamError
 from kamtorus.diophantine import serialize_frequency
 
@@ -271,3 +276,84 @@ def test_read_config_fuzz_raises_only_kam_errors(tmp_path_factory, lines):
         _read_config(str(cfg))
     except KamError:
         pass
+
+
+def test_oracle_budgets_at_the_boundary():
+    assert MAX_GRID_POINTS == 1024 ** 2 and MAX_ORBIT_SAMPLES == 2 ** 16
+    assert _oracle_samples(1024, 65536.9, 2) == 65536
+    assert _oracle_samples(101, 0.0, 3) == 16
+    with pytest.raises(KamError, match="budget"):
+        _oracle_samples(1025, 0.0, 2)
+    with pytest.raises(KamError, match="budget"):
+        _oracle_samples(8, 65537.0, 2)
+
+
+@pytest.mark.parametrize("how", ["verify", "run"])
+@pytest.mark.parametrize("grid,orbit_t", [("200000", "0"), ("8", "1e13")])
+def test_oracle_work_above_budget_exits_2(tmp_path, golden_file, pert_file,
+                                          capsys, monkeypatch, how, grid,
+                                          orbit_t):
+    def no_solve(*args):
+        raise AssertionError("solved before checking the oracle budgets")
+
+    monkeypatch.setattr(sch, "run", no_solve)
+    out = tmp_path / "o"
+    if how == "verify":
+        beta = tmp_path / "beta.txt"
+        beta.write_text("0\n0\n")
+        argv = ["verify", "--phi", pert_file, "--beta", str(beta)]
+    else:
+        argv = ["run", "--s", "1.0"]
+    assert main(argv + ["--freq", golden_file, "--pert", pert_file,
+                        "--grid", grid, "--orbit-T", orbit_t,
+                        "--out", str(out)]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def w6_run(tmp_path_factory, golden_file):
+    """ROADMAP W6, the oracle-visible control, run at s = 0.1."""
+    out = tmp_path_factory.mktemp("w6")
+    pert = out / "p.field"
+    assert main(["gen", "--n", "2", "--s", "0.1", "--eps", "2.98e-8",
+                 "--modes", "6", "--seed", "0", "--kmax", "4",
+                 "--out", str(pert)]) == 0
+    assert main(["run", "--freq", golden_file, "--pert", str(pert),
+                 "--s", "0.1", "--grid", "32", "--orbit-T", "20",
+                 "--out", str(out / "run")]) == 0
+    return pert, out / "run"
+
+
+def _verify_w6(golden_file, pert, phi, beta, out):
+    code = main(["verify", "--freq", golden_file, "--pert", str(pert),
+                 "--phi", str(phi), "--beta", str(beta), "--grid", "32",
+                 "--out", str(out)])
+    return code, json.loads((out / "residual.json").read_text())
+
+
+def test_verify_sees_w6_phi_through_the_view(tmp_path, golden_file, w6_run,
+                                             golden_freq):
+    pert, run = w6_run
+    code, res = _verify_w6(golden_file, pert, run / "phi.field",
+                           run / "beta.txt", tmp_path)
+    assert code == 0
+    u = fld.deserialize((run / "phi.field").read_text())
+    assert len(real_torus_view(u).modes) < len(u.modes)
+    full = partial(apply_displacement, u)
+    expect = orc.conjugacy_report(
+        golden_freq, fld.deserialize(pert.read_text()), full,
+        np.loadtxt(run / "beta.txt"), 32)
+    assert res["sup_residual"] == expect["sup_residual"]
+
+
+def test_verify_rejects_identity_phi_on_w6(tmp_path, golden_file, w6_run,
+                                           capsys):
+    pert, run = w6_run
+    ident = tmp_path / "id.field"
+    ident.write_text("torusfield v1 n=2 s=1 kmax=0\n")
+    code, res = _verify_w6(golden_file, pert, ident, run / "beta.txt",
+                           tmp_path)
+    assert code == 1
+    assert res["sup_residual"] == pytest.approx(1.36e-9, rel=0.01)
+    assert "sup_residual" in capsys.readouterr().err

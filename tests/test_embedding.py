@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kamtorus import field as fld
-from kamtorus.embedding import Layer, NearIdentityEmbedding, apply_displacement
+from kamtorus.embedding import (Layer, NearIdentityEmbedding,
+                                apply_displacement, real_torus_view)
 from kamtorus.errors import StepSizeError
 from kamtorus.generate import random_field
 from kamtorus.oracles import ode_flow
@@ -95,3 +96,27 @@ def test_fit_displacement_identity_is_zero():
     assert fld.norm(disp, 0.5) <= 1e-14
     pts = np.random.default_rng(6).uniform(0, 1, size=(8, 2))
     np.testing.assert_array_equal(phi(pts), pts)
+
+
+@pytest.mark.parametrize("name", ["W2", "W4"])
+def test_real_torus_view_drops_below_roundoff(solved, name):
+    u = solved(name)[2].Phi.displacement
+    view = real_torus_view(u)
+    assert 0 < len(view.modes) < len(u.modes)
+    mass = dict(zip(map(tuple, u.modes.tolist()),
+                    np.abs(u.coef).max(axis=1)))
+    total = sum(mass.values())
+    dropped = sum(mass[k] for k in set(mass) - set(view.coeffs))
+    assert dropped <= 2.0 ** -53 * total
+    for k in view.coeffs:
+        np.testing.assert_array_equal(view.coeffs[k], u.coeffs[k])
+    pts = np.random.default_rng(53).uniform(0, 1, size=(10_000, u.n))
+    np.testing.assert_array_equal(apply_displacement(view, pts),
+                                  apply_displacement(u, pts))
+
+
+def test_real_torus_view_keeps_empty_field_and_mode_zero():
+    empty = fld.zero_field(2, 1.0)
+    assert real_torus_view(empty) is empty
+    u = fld.make_field(2, 1.0, {(0, 0): [1e-30, 0.0], (1, 0): [1.0, 0.0]})
+    assert set(real_torus_view(u).coeffs) == {(0, 0), (1, 0), (-1, 0)}

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.diophantine import dirichlet_approx
-from kamtorus.embedding import Layer, NearIdentityEmbedding
+from kamtorus.embedding import (Layer, NearIdentityEmbedding,
+                                apply_displacement)
 from kamtorus.generate import random_field
 
 
@@ -173,3 +176,47 @@ def test_full_run_passes_oracles(golden_freq):
     dev = orc.orbit_shadowing_check(golden_freq, P, res.Phi, res.beta,
                                     T=20.0, samples=10)
     assert dev <= 1e-8
+
+
+def _reference_orbit_deviation(alpha, P, phi, beta, T, samples):
+    """orbit_shadowing_check with its right-hand side as the closure chain
+    _rk4 -> alpha + beta + eval_many(P, y) and Phi through the full u."""
+    theta0 = np.sqrt(np.arange(2, 2 + alpha.n)) % 1.0
+    a, b = alpha.alpha, np.asarray(beta, dtype=float)
+
+    def rhs(y):
+        return a[None, :] + b[None, :] + fld.eval_many(P, y)
+
+    times = np.linspace(0.0, T, samples + 1)
+    start = phi(theta0[None, :])[0]
+
+    def trajectory(substeps):
+        out, y = [start], start[None, :]
+        for i in range(samples):
+            y = orc._rk4(rhs, y, times[i + 1] - times[i], substeps)
+            out.append(y[0])
+        return np.array(out)
+
+    substeps = max(4, int(np.ceil(8 * (times[1] - times[0]))) * 4)
+    prev = trajectory(substeps)
+    for _ in range(12):
+        substeps *= 2
+        cur = trajectory(substeps)
+        if np.abs(cur - prev).max() <= 1e-10:
+            break
+        prev = cur
+    else:
+        pytest.fail("reference orbit integration did not converge")
+    ref_args = (theta0[None, :] + times[:, None] * alpha.alpha[None, :]) % 1.0
+    diff = cur - phi(ref_args)
+    diff -= np.round(diff)
+    return float(np.abs(diff).max())
+
+
+@pytest.mark.parametrize("name", ["W1", "W4"])
+def test_orbit_shadowing_matches_reference_bit_for_bit(solved, name):
+    alpha, P, res = solved(name)
+    full = partial(apply_displacement, res.Phi.displacement)
+    expect = _reference_orbit_deviation(alpha, P, full, res.beta, 20.0, 20)
+    assert orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta,
+                                     T=20.0, samples=20) == expect
