@@ -6,7 +6,8 @@ summary on stdout, machine-readable JSON/field files on disk.  Exit code
 run and verify, the oracles measured a conjugacy residual of at most
 MAX_RESIDUAL and an orbit deviation of at most MAX_ORBIT_DEVIATION; 1
 when an oracle threshold or an approximation bound failed; 2 on any
-error.
+error.  run and verify also report both oracles on Phi = Id with the same
+beta (null_residual, null_orbit; the exit code ignores them).
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax, resonance_bound)
-from .embedding import apply_displacement, real_torus_view
+from .embedding import (NearIdentityEmbedding, apply_displacement,
+                        real_torus_view)
 from .errors import KamError, ParameterError, ParseError
 from .generate import random_field
 
@@ -61,6 +63,24 @@ def _oracle_verdict(report: dict) -> int:
     for line in failed:
         print(f"error: {line}", file=sys.stderr)
     return 1 if failed else 0
+
+
+def _oracle_report(alpha, P, phi, beta, grid, orbit_t, samples):
+    """Both oracles on phi and, as the null control, on Phi = Id with the
+    same beta; also the null-to-measured ratios, for printing."""
+    def measure(emb):
+        rep = orc.conjugacy_report(alpha, P, emb, beta, grid)
+        rep["orbit_deviation"] = (orc.orbit_shadowing_check(
+            alpha, P, emb, beta, orbit_t, samples) if orbit_t > 0 else None)
+        return rep
+
+    report, null = measure(phi), measure(NearIdentityEmbedding(alpha.n, ()))
+    report["null_residual"] = null["sup_residual"]
+    report["null_orbit"] = null["orbit_deviation"]
+    pairs = (("null_residual", "sup_residual"),
+             ("null_orbit", "orbit_deviation"))
+    return report, {f"{key}_ratio": report[key] / report[of] if report[of]
+                    else None for key, of in pairs}
 
 
 def _cmd_approx(args) -> int:
@@ -233,14 +253,11 @@ def _cmd_run(args) -> int:
     (outdir / "beta.txt").write_text(
         "\n".join(format(float(v), ".17g") for v in result.beta) + "\n")
 
-    report = orc.conjugacy_report(alpha, P, result.Phi, result.beta, grid)
-    report["orbit_deviation"] = (
-        orc.orbit_shadowing_check(alpha, P, result.Phi, result.beta,
-                                  orbit_t, samples)
-        if orbit_t > 0 else None)
+    report, ratios = _oracle_report(alpha, P, result.Phi, result.beta, grid,
+                                    orbit_t, samples)
     _dump_json(outdir / "residual.json", report)
     print(json.dumps({"steps": len(result.trace), "beta": list(
-        map(float, result.beta)), **report}, indent=2))
+        map(float, result.beta)), **report, **ratios}, indent=2))
     return _oracle_verdict(report)
 
 
@@ -251,14 +268,11 @@ def _cmd_verify(args) -> int:
     P = _load_field(args.pert)
     phi = partial(apply_displacement, real_torus_view(_load_field(args.phi)))
     beta = _load_beta(args.beta, alpha.n)
-    report = orc.conjugacy_report(alpha, P, phi, beta, args.grid)
-    report["orbit_deviation"] = (
-        orc.orbit_shadowing_check(alpha, P, phi, beta, args.orbit_T,
-                                  samples)
-        if args.orbit_T > 0 else None)
+    report, ratios = _oracle_report(alpha, P, phi, beta, args.grid,
+                                    args.orbit_T, samples)
     _dump_json(Path(args.out) / "residual.json"
                if args.out else Path("residual.json"), report)
-    print(json.dumps(report, indent=2))
+    print(json.dumps({**report, **ratios}, indent=2))
     return _oracle_verdict(report)
 
 

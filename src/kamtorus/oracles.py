@@ -2,8 +2,10 @@
 
 Nothing here reuses the averaging or scheduler code paths: time averages
 are quadrature, flows are a locally written fixed-step integrator, and
-Jacobians are finite differences (or the variational equation).  Only the
-plain spectral evaluation of fields is shared.
+Jacobians are finite differences (or the variational equation).  Orbit
+shadowing integrates in co-moving form by windowed Picard iteration on
+Lobatto IIIA-3 (Simpson) collocation nodes.  Only the plain spectral
+evaluation of fields is shared.
 """
 
 from __future__ import annotations
@@ -166,21 +168,6 @@ def grid_pullback_oracle(Y: FourierVectorField, V: FourierVectorField,
 _FD_H_EMBEDDING = 4e-5
 
 
-def _embedding_jacobian_fd(phi, thetas: np.ndarray,
-                           h: float = _FD_H_EMBEDDING) -> np.ndarray:
-    return _fd_jacobians(phi, thetas, h)
-
-
-def _total_field_eval(alpha, P: FourierVectorField, beta):
-    a = alpha.alpha
-    b = np.asarray(beta, dtype=float)
-
-    def y(points):
-        return a[None, :] + b[None, :] + fld.eval_many(P, points)
-
-    return y
-
-
 def conjugacy_report(alpha, P: FourierVectorField, phi, beta,
                      grid: int) -> dict:
     """Sup-norm conjugacy defect of Phi^*(X_alpha + P + X_beta) = X_alpha
@@ -190,45 +177,76 @@ def conjugacy_report(alpha, P: FourierVectorField, phi, beta,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     images = phi(pts)
-    jacs = _embedding_jacobian_fd(phi, pts)
+    jacs = _fd_jacobians(phi, pts, _FD_H_EMBEDDING)
     dets = np.linalg.det(jacs)
     if np.any(np.abs(dets) < 1e-12):
         raise EmbeddingFailureError(
             f"singular embedding Jacobian (min |det| = "
             f"{np.abs(dets).min():.3g})")
-    yvals = _total_field_eval(alpha, P, beta)(images)
+    yvals = (alpha.alpha + np.asarray(beta, dtype=float)
+             + fld.eval_many(P, images))
     pulled = np.linalg.solve(jacs, yvals[:, :, None])[:, :, 0]
     residual = float(np.abs(pulled - alpha.alpha[None, :]).max())
     return {"sup_residual": residual, "grid": grid,
             "jacobian_min_det": float(np.abs(dets).min())}
 
 
+# Orbit check: windows per lip * sample interval (lip >= sup|DP|, so a sweep
+# contracts ~1/8), the relative Picard stop, and sweeps allowed per sample.
+_ORBIT_WINDOWS_PER_LIP = 8
+_PICARD_TOL = 1e-15
+_ORBIT_SWEEPS_PER_SAMPLE = 512
+
+
 def orbit_shadowing_check(alpha, P: FourierVectorField, phi, beta,
                           T: float, samples: int,
                           theta0=None) -> float:
-    """Integrate X_alpha + P + X_beta from Phi(theta0) over [0, T] and
-    compare with Phi(theta0 + t*alpha) at sample times; returns the max
-    torus distance."""
+    """Max torus distance of the orbit of X_alpha + P + X_beta from
+    Phi(theta0) to Phi(theta0 + t*alpha) at sample times t in [0, T].  The
+    orbit is Phi(theta0) + t*alpha + z, z' = beta + P(orbit); Picard sweeps
+    solve a window's Lobatto IIIA-3 nodes at once, one eval_many a sweep."""
     n = alpha.n
-    if theta0 is None:
-        theta0 = (np.sqrt(np.arange(2, 2 + n)) % 1.0)
-    theta0 = np.asarray(theta0, dtype=float)
-    # _total_field_eval's operations in its order, flat for one-point calls
-    ab = alpha.alpha + np.asarray(beta, dtype=float)
-    kT = P.modes.T.astype(float)
-
-    def rhs(y):
-        return ab + (np.exp(2j * np.pi * (y @ kT)) @ P.coef).real
-
+    theta0 = np.asarray(np.sqrt(np.arange(2, 2 + n)) % 1.0
+                        if theta0 is None else theta0, dtype=float)
+    a, b = alpha.alpha, np.asarray(beta, dtype=float)
     times = np.linspace(0.0, T, samples + 1)
     start = phi(theta0[None, :])[0]
+    lip = 2 * np.pi * (np.abs(P.modes).sum(1) @ np.abs(P.coef)).max(initial=0)
+    wins = max(1.0, np.ceil(_ORBIT_WINDOWS_PER_LIP * lip * T / samples))
+    budget = _ORBIT_SWEEPS_PER_SAMPLE * samples
+    too_large = StiffnessError(
+        f"orbit check needs over {budget} Picard sweeps (sup|DP| <= "
+        f"{lip:.3g}, {wins:.3g} windows a sample): too large for this oracle")
+    if wins > _ORBIT_SWEEPS_PER_SAMPLE:
+        raise too_large
+    wins, sweeps = int(wins), 0
 
     def trajectory(substeps):
-        out = [start]
-        y = start[None, :]
+        nonlocal sweeps
+        steps = -(-substeps // wins)         # per window
+        frac = np.arange(2 * steps * wins + 1) / (2 * steps * wins)
+        z = np.zeros(n)
+        out = [z]
         for i in range(samples):
-            y = _rk4(rhs, y, times[i + 1] - times[i], substeps)
-            out.append(y[0])
+            dt = times[i + 1] - times[i]
+            h = dt / (wins * steps)
+            base = (start + (times[i] + dt * frac)[:, None] * a) % 1.0
+            for w in range(0, 2 * steps * wins, 2 * steps):
+                node = base[w:w + 2 * steps + 1]
+                zs, update = np.broadcast_to(z, node.shape), np.inf
+                while update > _PICARD_TOL * (1.0 + np.abs(zs).max()):
+                    sweeps += 1
+                    if sweeps > budget:
+                        raise too_large
+                    f = b + fld.eval_many(P, node + zs)
+                    f0, fm, f1 = f[0:-1:2], f[1::2], f[2::2]
+                    new = np.empty_like(node)
+                    new[0] = z
+                    new[2::2] = z + np.cumsum((h / 6) * (f0 + 4 * fm + f1), 0)
+                    new[1::2] = new[:-1:2] + (h / 24) * (5 * f0 + 8 * fm - f1)
+                    update, zs = np.abs(new - zs).max(), new
+                z = zs[-1]
+            out.append(z)
         return np.array(out)
 
     substeps = max(4, int(np.ceil(8 * (times[1] - times[0]))) * 4)
@@ -242,11 +260,9 @@ def orbit_shadowing_check(alpha, P: FourierVectorField, phi, beta,
     else:
         raise StiffnessError("orbit integration did not converge")
 
-    # Phi(theta + k) = Phi(theta) + k for integer k, so the argument can be
-    # wrapped; unwrapped points of size ~T would drown the flow's absolute
-    # convergence tolerance in roundoff.
-    ref_args = (theta0[None, :] + times[:, None] * alpha.alpha[None, :]) % 1.0
-    reference = phi(ref_args)
-    diff = cur - reference
+    # Displacements only: y - Phi(w) = z + (start - theta0) - (Phi(w) - w)
+    # up to an integer vector, with w = theta0 + t*alpha wrapped to [0, 1).
+    w = (theta0[None, :] + times[:, None] * a[None, :]) % 1.0
+    diff = cur + (start - theta0) - (phi(w) - w)
     diff -= np.round(diff)
     return float(np.abs(diff).max())

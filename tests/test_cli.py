@@ -1,4 +1,5 @@
 import json
+import time
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
-from kamtorus.cli import (MAX_GRID_POINTS, MAX_ORBIT_SAMPLES,
+from kamtorus.cli import (MAX_GRID_POINTS, MAX_ORBIT_SAMPLES, MAX_RESIDUAL,
                           _oracle_samples, main)
 from kamtorus.embedding import apply_displacement, real_torus_view
 from kamtorus.errors import KamError
@@ -357,3 +358,44 @@ def test_verify_rejects_identity_phi_on_w6(tmp_path, golden_file, w6_run,
     assert code == 1
     assert res["sup_residual"] == pytest.approx(1.36e-9, rel=0.01)
     assert "sup_residual" in capsys.readouterr().err
+
+
+def test_run_reports_the_null_control_on_w6(w6_run):
+    _, run = w6_run
+    res = json.loads((run / "residual.json").read_text())
+    assert set(res) == {"sup_residual", "grid", "jacobian_min_det",
+                        "orbit_deviation", "null_residual", "null_orbit"}
+    assert res["null_residual"] > MAX_RESIDUAL
+    assert res["null_residual"] > 100 * res["sup_residual"]
+    assert res["null_orbit"] > 1e4 * res["orbit_deviation"]
+
+
+def test_verify_prints_null_ratios(tmp_path, golden_file, w6_run, capsys):
+    pert, run = w6_run
+    assert main(["verify", "--freq", golden_file, "--pert", str(pert),
+                 "--phi", str(run / "phi.field"), "--beta",
+                 str(run / "beta.txt"), "--grid", "32",
+                 "--out", str(tmp_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    res = json.loads((tmp_path / "residual.json").read_text())
+    assert res["null_orbit"] is None and out["null_orbit_ratio"] is None
+    assert out["null_residual_ratio"] == pytest.approx(
+        res["null_residual"] / res["sup_residual"])
+    assert out["null_residual_ratio"] > 100
+
+
+def test_verify_large_field_exits_2_within_seconds(tmp_path, golden_file,
+                                                    capsys):
+    # an O(1) coefficient exhausts the orbit check's Picard sweep budget
+    pert, phi, beta = (tmp_path / name for name in
+                       ("big.field", "phi.field", "beta.txt"))
+    pert.write_text(fld.serialize(fld.make_field(2, 1.0,
+                                                 {(1, 0): [1.0, 0.5]})))
+    phi.write_text(fld.serialize(fld.zero_field(2, 1.0)))
+    beta.write_text("0\n0\n")
+    t0 = time.perf_counter()
+    assert main(["verify", "--freq", golden_file, "--pert", str(pert),
+                 "--phi", str(phi), "--beta", str(beta), "--grid", "8",
+                 "--orbit-T", "100", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - t0 < 30.0
+    assert "sup|DP|" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from kamtorus import scheduler as sch
 from kamtorus.diophantine import dirichlet_approx
 from kamtorus.embedding import (Layer, NearIdentityEmbedding,
                                 apply_displacement)
+from kamtorus.errors import StiffnessError
 from kamtorus.generate import random_field
 
 
@@ -179,22 +180,26 @@ def test_full_run_passes_oracles(golden_freq):
 
 
 def _reference_orbit_deviation(alpha, P, phi, beta, T, samples):
-    """orbit_shadowing_check with its right-hand side as the closure chain
-    _rk4 -> alpha + beta + eval_many(P, y) and Phi through the full u."""
-    theta0 = np.sqrt(np.arange(2, 2 + alpha.n)) % 1.0
+    """orbit_shadowing_check by a closure chain instead: _rk4 on the
+    co-moving state (z, t), z' = beta + eval_many(P, start + t*alpha + z),
+    with the same step rule and doubling, and Phi through the full u."""
+    n = alpha.n
+    theta0 = np.sqrt(np.arange(2, 2 + n)) % 1.0
     a, b = alpha.alpha, np.asarray(beta, dtype=float)
-
-    def rhs(y):
-        return a[None, :] + b[None, :] + fld.eval_many(P, y)
-
     times = np.linspace(0.0, T, samples + 1)
     start = phi(theta0[None, :])[0]
 
+    def rhs(state):
+        z, t = state[:, :n], state[:, n:]
+        dz = b[None, :] + fld.eval_many(P, (start + t * a) % 1.0 + z)
+        return np.concatenate([dz, np.ones_like(t)], axis=1)
+
     def trajectory(substeps):
-        out, y = [start], start[None, :]
+        out, state = [np.zeros(n)], np.zeros((1, n + 1))
         for i in range(samples):
-            y = orc._rk4(rhs, y, times[i + 1] - times[i], substeps)
-            out.append(y[0])
+            state[0, n] = times[i]
+            state = orc._rk4(rhs, state, times[i + 1] - times[i], substeps)
+            out.append(state[0, :n])
         return np.array(out)
 
     substeps = max(4, int(np.ceil(8 * (times[1] - times[0]))) * 4)
@@ -207,16 +212,64 @@ def _reference_orbit_deviation(alpha, P, phi, beta, T, samples):
         prev = cur
     else:
         pytest.fail("reference orbit integration did not converge")
-    ref_args = (theta0[None, :] + times[:, None] * alpha.alpha[None, :]) % 1.0
-    diff = cur - phi(ref_args)
+    w = (theta0[None, :] + times[:, None] * a[None, :]) % 1.0
+    diff = cur + (start - theta0) - (phi(w) - w)
     diff -= np.round(diff)
     return float(np.abs(diff).max())
 
 
-@pytest.mark.parametrize("name", ["W1", "W4"])
-def test_orbit_shadowing_matches_reference_bit_for_bit(solved, name):
+@pytest.mark.parametrize("name", ["W1", "W4", "W6"])
+def test_orbit_shadowing_matches_reference_rk4(solved, name):
+    # two 4th-order integrators, Picard collocation and closure-chain RK4,
+    # agree far below the oracle's own floor
     alpha, P, res = solved(name)
     full = partial(apply_displacement, res.Phi.displacement)
     expect = _reference_orbit_deviation(alpha, P, full, res.beta, 20.0, 20)
-    assert orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta,
-                                     T=20.0, samples=20) == expect
+    got = orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta,
+                                    T=20.0, samples=20)
+    assert abs(got - expect) <= 1e-18
+
+
+@pytest.mark.parametrize("name", ["W1", "W2", "W4"])
+def test_orbit_shadowing_floor(solved, name):
+    alpha, P, res = solved(name)
+    assert orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta, T=100.0,
+                                     samples=100) <= 1e-13
+
+
+@pytest.mark.parametrize("T", [20.0, 100.0])
+@pytest.mark.parametrize("name", ["W1", "W4", "W6"])
+def test_orbit_shadowing_sees_a_beta_error(solved, name, T):
+    # beta off by 1e-12 drifts the orbit by t * 1e-12
+    alpha, P, res = solved(name)
+    dev = orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta + 1e-12,
+                                    T=T, samples=int(T))
+    assert dev == pytest.approx(T * 1e-12, rel=0.01)
+
+
+def test_orbit_shadowing_null_control_w6(solved):
+    alpha, P, res = solved("W6")
+    dev = orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta, T=100.0,
+                                    samples=100)
+    null = orc.orbit_shadowing_check(alpha, P, NearIdentityEmbedding(2, ()),
+                                     res.beta, T=100.0, samples=100)
+    assert null >= 1e-10 and null >= 1e4 * dev
+
+
+def test_orbit_shadowing_moderate_field(golden_freq):
+    # sup|DP| ~ 0.4 takes four Picard windows per sample interval; the
+    # value is that of the previous one-point RK4 integration
+    P = fld.make_field(2, 1.0, {(1, 0): [1e-2, 3e-3], (2, -1): [5e-3, 1e-2]})
+    dev = orc.orbit_shadowing_check(golden_freq, P,
+                                    NearIdentityEmbedding(2, ()),
+                                    np.zeros(2), T=100.0, samples=100)
+    assert dev == pytest.approx(0.02101798239287689, rel=1e-8)
+
+
+def test_orbit_shadowing_refuses_a_huge_field_up_front(golden_freq):
+    # more windows a sample than Picard sweeps allowed a sample: refused
+    # before integrating (the CLI tests cover a refusal mid-integration)
+    P = fld.make_field(2, 1.0, {(1, 0): [1e3, 5e2]})
+    with pytest.raises(StiffnessError, match=r"sup\|DP\| <= 1.26e\+04"):
+        orc.orbit_shadowing_check(golden_freq, P, NearIdentityEmbedding(2, ()),
+                                  np.zeros(2), T=100.0, samples=100)
