@@ -18,9 +18,8 @@ from .field import (FourierVectorField, add, bracket_bound,
                     eval_at, eval_many, lie_bracket, lie_derivative,
                     lie_series, make_field, norm, prune, scale, serialize,
                     sub, tail_bound, tail_split, zero_field)
-from .averaging import (HomologicalSolution, StepBudget, StepResult,
-                        averaging_step, counter_term_step, lie_pullback,
-                        omega_average, solve_homological, space_average)
+from .averaging import (HomologicalSolution, StepResult, averaging_step,
+                        lie_pullback, omega_average, solve_homological)
 from .embedding import Layer, NearIdentityEmbedding, apply_displacement
 from .generate import random_field
 from .ledger import ErrorLedger

@@ -1,4 +1,4 @@
-"""One quasi-periodic averaging step.
+"""A single certified quasi-periodic averaging step.
 
 Along a rational frequency omega = (1, p/q) the homological equation
 [V, X_omega] = P - [P]_omega is diagonal on Fourier modes with divisors
@@ -28,7 +28,7 @@ from . import field as fld
 from .diophantine import FrequencyVector, RationalApprox, dirichlet_approx
 from .errors import (ContractionError, DomainError, ParameterError,
                      StepConditionError)
-from .embedding import Layer, NearIdentityEmbedding
+from .embedding import _PRUNE_REL, Layer
 from .field import FourierVectorField
 from .ledger import ErrorLedger
 
@@ -36,37 +36,45 @@ from .ledger import ErrorLedger
 @dataclass(frozen=True)
 class HomologicalSolution:
     V: FourierVectorField
-    omega: RationalApprox
+    v_norm: float          # norm(V) at the width of P
     residual: float        # relative coefficientwise identity defect
 
 
 @dataclass(frozen=True)
-class StepBudget:
+class StepResult:
+    """P_plus, the homological solution V and the step's budget."""
+
+    P_plus: FourierVectorField
+    P_avg: np.ndarray
+    V: FourierVectorField
+    v_norm: float
+    approx: RationalApprox
     q_eps: float
     tail_term: float       # measured norm of [P]_omega - [P] at target width
     bracket_term: float    # measured norm of the Lie series at target width
-    conditions_ok: tuple
-    report: dict
+    report: dict           # step_conditions' report, "ok" included
 
-
-@dataclass(frozen=True)
-class StepResult:
-    Phi1: NearIdentityEmbedding
-    P_plus: FourierVectorField
-    P_avg: np.ndarray
-    budget: StepBudget
-    V: FourierVectorField
-    approx: RationalApprox
+    @property
+    def layer(self) -> Layer:
+        """The time-1 flow of V, from the width of P_plus to that of V."""
+        return Layer(V=self.V, source_width=self.P_plus.width_s,
+                     target_width=self.V.width_s)
 
     def record(self) -> dict:
         """The step's Dirichlet certificate and budget, ready for JSON."""
-        b = self.budget
         return {"q": self.approx.q, "p": [int(v) for v in self.approx.p],
-                "P_avg": [float(v) for v in self.P_avg], "q_eps": b.q_eps,
-                "tail_term": b.tail_term, "bracket_term": b.bracket_term,
-                "conditions_ok": list(b.conditions_ok),
+                "P_avg": [float(v) for v in self.P_avg],
+                "q_eps": self.q_eps, "tail_term": self.tail_term,
+                "bracket_term": self.bracket_term,
+                "conditions_ok": list(self.report["ok"]),
                 "conditions": {k: (list(v) if isinstance(v, tuple) else v)
-                               for k, v in b.report.items()}}
+                               for k, v in self.report.items()}}
+
+
+def _ulp_floor(x: np.ndarray) -> float:
+    """Eight ulps of a frequency vector x ~ O(1): a radius measured around
+    x cannot resolve below this, however small eps is."""
+    return 8.0 * np.finfo(float).eps * max(1.0, float(np.abs(x).max()))
 
 
 def _divisors(P: FourierVectorField, approx: RationalApprox) -> np.ndarray:
@@ -86,10 +94,6 @@ def omega_average(P: FourierVectorField,
     return replace(P, modes=P.modes[keep], coef=P.coef[keep])
 
 
-def space_average(P: FourierVectorField) -> np.ndarray:
-    return P.constant_part()
-
-
 def solve_homological(P: FourierVectorField,
                       approx: RationalApprox) -> HomologicalSolution:
     """V with [V, X_omega] = P - [P]_omega, V zero on resonant modes.
@@ -98,26 +102,23 @@ def solve_homological(P: FourierVectorField,
     nonzero on every retained mode, and |k.omega| >= 1/q gives
     norm(V) <= q * norm(P - [P]_omega).
     """
-    q = approx.q
+    q, s = approx.q, P.width_s
     rhs = fld.sub(P, omega_average(P, approx))
     # q / (2 pi i d) = -i q/(2 pi d), rounded as that one real division
     factor = -1j * (q / (fld.TWO_PI * _divisors(rhs, approx)))
     V = replace(rhs, coef=rhs.coef * factor[:, None])
-    x_omega = fld.constant_field(approx.omega, P.width_s)
-    s = P.width_s
-    rhs_norm = fld.norm(rhs, s)
-    if rhs_norm == 0.0:
-        residual = 0.0
-    else:
+    rhs_norm, v_norm = fld.norm(rhs, s), fld.norm(V, s)
+    if v_norm > q * rhs_norm * (1 + 1e-12):
+        raise ContractionError(
+            "divisor bound violated: "
+            f"norm(V)={v_norm:.6g} > q*norm(P-[P]_w)={q * rhs_norm:.6g}",
+            measured_ratio=v_norm / (q * rhs_norm))
+    residual = 0.0
+    if rhs_norm:
+        x_omega = fld.constant_field(approx.omega, s)
         residual = fld.norm(fld.sub(fld.lie_bracket(V, x_omega), rhs),
                             s) / rhs_norm
-        v_norm = fld.norm(V, s)
-        if v_norm > q * rhs_norm * (1 + 1e-12):
-            raise ContractionError(
-                "divisor bound violated: "
-                f"norm(V)={v_norm:.6g} > q*norm(P-[P]_w)={q * rhs_norm:.6g}",
-                measured_ratio=v_norm / (q * rhs_norm))
-    return HomologicalSolution(V=V, omega=approx, residual=residual)
+    return HomologicalSolution(V=V, v_norm=v_norm, residual=residual)
 
 
 def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
@@ -166,14 +167,13 @@ def step_conditions(consts, Q: float, sigma: float, eps: float) -> tuple:
 def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
                    P: FourierVectorField, Q: float, sigma: float, consts, *,
                    ledger: ErrorLedger | None = None, enforce: bool = True,
-                   eps_ref: float | None = None,
-                   prune_rel: float = 1e-16) -> StepResult:
+                   eps_ref: float | None = None) -> StepResult:
     """One step: P of size eps becomes P_plus of size <= eps/b.
 
     Pulls Y = X_alpha + S + P back by the time-1 flow of the homological
-    solution V, so that Phi1^* Y = X_alpha + S + [P] + P_plus.  S must be
+    solution V, so that (V^1)^* Y = X_alpha + S + [P] + P_plus.  S must be
     a constant field with |S| <= d*eps.  With enforce=True the smallness
-    conditions and the contraction bound are hard errors; enforce=False
+    conditions and the contraction bounds are hard errors; enforce=False
     computes the same quantities and only records them (used by outer
     fixed-point passes whose early iterates are off-budget).
     """
@@ -182,7 +182,7 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
         raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
     if not S.is_constant:
         raise ParameterError("S must be a constant field")
-    eps = fld.norm(P, s) if P.coeffs else 0.0
+    eps = fld.norm(P, s)
     eps_ref = eps if eps_ref is None else max(eps_ref, eps)
     w = s - sigma
     ok, report = step_conditions(consts, Q, sigma, eps)
@@ -194,35 +194,29 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
             "step conditions failed: " +
             ", ".join(f"{f}={report[f]:.6g}" for f in failed), failed=failed)
     approx = dirichlet_approx(alpha, Q)
-    p_avg = space_average(P)
+    p_avg = P.constant_part()
+    budget = dict(approx=approx, q_eps=approx.q * eps, report=report)
 
-    if not P.coeffs or P.is_constant:
-        phi1 = NearIdentityEmbedding(n=P.n, layers=())
-        budget = StepBudget(q_eps=approx.q * eps, tail_term=0.0,
-                            bracket_term=0.0, conditions_ok=report["ok"],
-                            report=report)
-        return StepResult(Phi1=phi1, P_plus=fld.zero_field(P.n, w),
-                          P_avg=p_avg, budget=budget,
-                          V=fld.zero_field(P.n, s), approx=approx)
+    if P.is_constant:
+        return StepResult(P_plus=fld.zero_field(P.n, w), P_avg=p_avg,
+                          V=fld.zero_field(P.n, s), v_norm=0.0,
+                          tail_term=0.0, bracket_term=0.0, **budget)
 
-    if enforce and S.coeffs:
+    if enforce:
         s_norm = fld.norm(S, s)
-        ulp_floor = 8.0 * np.finfo(float).eps * max(
-            1.0, float(np.abs(alpha.alpha).max()))
-        if s_norm > consts.d * eps * (1 + 1e-9) + ulp_floor:
+        if s_norm > consts.d * eps * (1 + 1e-9) + _ulp_floor(alpha.alpha):
             raise DomainError(
                 f"|S| = {s_norm:.6g} exceeds d*eps = {consts.d * eps:.6g}")
 
     p_omega = omega_average(P, approx)
     sol = solve_homological(P, approx)
-    V = sol.V
-    v_norm = fld.norm(V, s) if V.coeffs else 0.0
+    V, v_norm = sol.V, sol.v_norm
 
     head = fld.sub(p_omega, fld.constant_field(p_avg, s))
     A = fld.add(fld.constant_field(approx.varpi, s), fld.add(S, P))
     B = fld.sub(p_omega, P)
 
-    floor = prune_rel * eps_ref
+    floor = _PRUNE_REL * eps_ref
     # the series ends once a term's norm is at most 1e-18*eps_ref, so the
     # tolerance on its remainder bound is that threshold times rho/(1-rho)
     rho = fld.series_ratio(V, s, sigma)
@@ -234,7 +228,7 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     p_plus, lost = fld.prune(acc, w, floor)
     if ledger is not None and lost:
         ledger.charge("averaging_step.result_prune", lost)
-    pp_norm = fld.norm(p_plus, w) if p_plus.coeffs else 0.0
+    pp_norm = fld.norm(p_plus, w)
 
     if enforce:
         if pp_norm > eps / consts.b:
@@ -247,39 +241,6 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
                 f"{Q ** (P.n - 1) * eps:.6g}",
                 measured_ratio=v_norm / (Q ** (P.n - 1) * eps))
 
-    phi1 = NearIdentityEmbedding(
-        n=P.n, layers=(Layer(V=V, source_width=w, target_width=s),))
-    budget = StepBudget(q_eps=approx.q * eps,
-                        tail_term=fld.norm(head, w) if head.coeffs else 0.0,
-                        bracket_term=bracket_norm,
-                        conditions_ok=report["ok"], report=report)
-    return StepResult(Phi1=phi1, P_plus=p_plus, P_avg=p_avg, budget=budget,
-                      V=V, approx=approx)
-
-
-def counter_term_step(alpha: FrequencyVector, P: FourierVectorField,
-                      x: np.ndarray, Q: float, sigma: float, consts, *,
-                      ledger: ErrorLedger | None = None,
-                      enforce: bool = True,
-                      eps_ref: float | None = None):
-    """Parametrized step: for |x - alpha| <= c*eps returns the shifted
-    frequency phi1(x) = x - [P] and the step with S = X_{phi1(x) - alpha},
-    so that Phi1^* (X_{phi1(x)} + P) = X_x + P_plus."""
-    x = np.asarray(x, dtype=float)
-    s = P.width_s
-    eps = fld.norm(P, s) if P.coeffs else 0.0
-    dist = float(np.abs(x - alpha.alpha).max())
-    # x is stored near alpha ~ O(1); the domain radius c*eps can sit far
-    # below one ulp of x, so allow the representation floor on top of it
-    ulp_floor = 8.0 * np.finfo(float).eps * max(1.0,
-                                                float(np.abs(x).max()))
-    if enforce and eps > 0 and dist > consts.c * eps * (1 + 1e-9) + ulp_floor:
-        raise DomainError(
-            f"|x - alpha| = {dist:.6g} outside the domain c*eps = "
-            f"{consts.c * eps:.6g}")
-    p_avg = space_average(P)
-    phi1_x = x - p_avg
-    S = fld.constant_field(phi1_x - alpha.alpha, s)
-    result = averaging_step(alpha, S, P, Q, sigma, consts, ledger=ledger,
-                            enforce=enforce, eps_ref=eps_ref)
-    return phi1_x, result
+    return StepResult(P_plus=p_plus, P_avg=p_avg, V=V, v_norm=v_norm,
+                      tail_term=fld.norm(head, w), bracket_term=bracket_norm,
+                      **budget)

@@ -27,7 +27,7 @@ from . import oracles as orc
 from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
-                          psi_argmax, resonance_bound)
+                          psi_argmax)
 from .embedding import (NearIdentityEmbedding, apply_displacement,
                         real_torus_view)
 from .errors import KamError, ParameterError, ParseError
@@ -132,17 +132,18 @@ def _cmd_step(args) -> int:
     sigma = args.sigma if args.sigma is not None else s / 4.0
     S = fld.zero_field(alpha.n, s)
     res = avg.averaging_step(alpha, S, P, q0, sigma, consts)
+    phi1 = NearIdentityEmbedding(
+        alpha.n, () if P.is_constant else (res.layer,))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "p_plus.field").write_text(fld.serialize(res.P_plus))
-    (outdir / "phi1.field").write_text(fld.serialize(res.Phi1.displacement))
+    (outdir / "phi1.field").write_text(fld.serialize(phi1.displacement))
     budget = {
         "Q": q0,
         "sigma": sigma,
         "norm_P": fld.norm(P, s),
-        "norm_P_plus": (fld.norm(res.P_plus, s - sigma)
-                        if res.P_plus.coeffs else 0.0),
-        "norm_V": fld.norm(res.V, s) if res.V.coeffs else 0.0,
+        "norm_P_plus": fld.norm(res.P_plus, s - sigma),
+        "norm_V": res.v_norm,
         **res.record(),
     }
     _dump_json(outdir / "budget.json", budget)

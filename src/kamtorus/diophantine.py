@@ -346,12 +346,17 @@ def resonance_bound(alpha: FrequencyVector, Q: float) -> ResonanceBound:
     a = 1 + (n-1)tau and
     gamma_star = (gamma * gamma_bar^{(n-1)/(1+(n-1)tau)} / n)^{1/(n+(n-1)tau)}.
     """
-    n, tau = alpha.n, alpha.tau
-    a = 1.0 + (n - 1) * tau
-    gs = (alpha.gamma * alpha.gamma_bar ** ((n - 1) / a) / n) \
-        ** (1.0 / (n + (n - 1) * tau))
+    a = 1.0 + (alpha.n - 1) * alpha.tau
+    gs = _gamma_star(alpha.n, alpha.tau, alpha.gamma, alpha.gamma_bar)
     return ResonanceBound(gamma_star=gs, a=a, Q=float(Q),
                           cutoff=gs * float(Q) ** (1.0 / a))
+
+
+def _gamma_star(n: int, tau: float, gamma: float, gamma_bar: float) -> float:
+    """(gamma * gamma_bar^{(n-1)/a} / n)^{1/(n+(n-1)tau)}, a = 1+(n-1)tau."""
+    a = 1.0 + (n - 1) * tau
+    return (gamma * gamma_bar ** ((n - 1) / a) / n) \
+        ** (1.0 / (n + (n - 1) * tau))
 
 
 def lower_denominator_bound(alpha: FrequencyVector,
@@ -372,20 +377,6 @@ def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
     q = approx.q
     p = [int(v) for v in approx.p]
     n = approx.n
-    if n == 2:
-        g = math.gcd(q, abs(p[0])) if p[0] != 0 else q
-        step_k1 = q // g
-        out = []
-        j = 1
-        while True:
-            k1 = j * step_k1
-            k0 = -j * (p[0] // g)
-            if max(abs(k0), k1) > box:
-                break
-            out.append((k0, k1))
-            out.append((-k0, -k1))
-            j += 1
-        return np.array(sorted(out), dtype=np.int64).reshape(-1, 2)
     _check_cells((2 * box + 1) ** (n - 1), "enumerate_resonant")
     rng = np.arange(-box, box + 1)
     grids = np.meshgrid(*([rng] * (n - 1)), indexing="ij")

@@ -25,7 +25,7 @@ from . import field as fld
 from .field import FourierVectorField
 
 # Relative to the norm of V + u: the remainder tolerance of a layer's
-# series, and its pruning floor (the averaging step's default prune_rel).
+# series, and its pruning floor (also the averaging step's, relative to eps).
 _SERIES_TOL_REL = 1e-18
 _PRUNE_REL = 1e-16
 
@@ -40,8 +40,6 @@ class Layer:
 
     def displacement_bound(self) -> float:
         """|Phi - Id| <= norm(V) on the source strip (flow displacement)."""
-        if not self.V.coeffs:
-            return 0.0
         return fld.norm(self.V, self.V.width_s)
 
 
@@ -49,7 +47,7 @@ def _compose(u: FourierVectorField, layer: Layer) -> FourierVectorField:
     """Displacement of Phi o L from the displacement u of Phi."""
     s = layer.target_width
     head = fld.add(layer.V, u)
-    ref = fld.norm(head, s) if head.coeffs else 0.0
+    ref = fld.norm(head, s)
     out, _ = fld.lie_series(fld.lie_derivative, layer.V, head, u, layer.V,
                             s, s - layer.source_width, _SERIES_TOL_REL * ref,
                             floor=_PRUNE_REL * ref)

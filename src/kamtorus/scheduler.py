@@ -4,9 +4,10 @@ the outer loop producing the conjugacy Phi and counter-term beta.
 The counter-term is found as a fixed point: a forward pass of averaging
 steps starting from frequency alpha + beta measures the endpoint defect
 (how far the final frequency drifts from alpha), and beta is corrected by
-that defect.  Early passes run with assertions relaxed, since their
-iterates are off the certified budget; the final pass re-runs the whole
-chain with every bound enforced.
+that defect.  Step m checks the counter-term domain |x_m - alpha| <= c*eps
+and averages at S = X_{x_m - [P_m]} - X_alpha.  Early passes run with
+assertions relaxed, since their iterates are off the certified budget;
+the final pass re-runs the whole chain with every bound enforced.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from . import averaging as avg
 from . import field as fld
-from .diophantine import FrequencyVector
+from .diophantine import FrequencyVector, _gamma_star
 from .embedding import NearIdentityEmbedding
-from .errors import (ContractionError, InfeasibleError, ParameterError,
-                     ThresholdError)
+from .errors import (ContractionError, DomainError, InfeasibleError,
+                     ParameterError, ThresholdError)
 from .field import FourierVectorField
 from .ledger import ErrorLedger
 
@@ -58,8 +59,8 @@ def constants(n: int, tau: float, gamma: float,
     binv = 1.0 / b
     c = binv / (1.0 - binv)
     d = c + 1.0
-    gs = (gamma * gamma_bar ** ((n - 1) / a) / n) ** (1.0 / (n + (n - 1) * tau))
-    return KamConstants(n=n, tau=tau, a=a, b=b, c=c, d=d, gamma_star=gs)
+    return KamConstants(n=n, tau=tau, a=a, b=b, c=c, d=d,
+                        gamma_star=_gamma_star(n, tau, gamma, gamma_bar))
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,6 @@ class RunOptions:
     tol: float | None = None        # default 1e-14 * norm(P, s)
     max_steps: int = 64
     force: bool = False
-    prune_rel: float = 1e-16
 
 
 @dataclass
@@ -117,35 +117,32 @@ class RunResult:
     Phi: NearIdentityEmbedding
     beta: np.ndarray
     trace: list
-    consts: KamConstants
     schedule: Schedule
     eps: float
     eps_star: float
     final_norm: float
     passes: int
     ledger: ErrorLedger
-    alpha: FrequencyVector
-    P: FourierVectorField
 
 
 def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
-                  sched: Schedule, consts: KamConstants, tol: float,
-                  max_steps: int, enforce: bool, ledger: ErrorLedger):
+                  sched: Schedule, tol: float, max_steps: int, enforce: bool,
+                  ledger: ErrorLedger):
     """One pass of averaging steps starting at frequency alpha + beta.
 
     Returns (phi, trace, defect, final_norm) where defect is how far the
     endpoint frequency misses alpha; beta is a fixed point when the
     defect vanishes.
     """
-    n = alpha.n
-    phi = NearIdentityEmbedding(n=n, layers=())
+    consts = sched.consts
+    phi = NearIdentityEmbedding(n=alpha.n, layers=())
     trace = []
     u = alpha.alpha + beta
     Pm = P
     m = 0
     while m < max_steps:
-        width_m = sched.width(m)
-        norm_m = fld.norm(Pm, width_m) if Pm.coeffs else 0.0
+        # the closed-form width may exceed the stepped one by an ulp
+        norm_m = fld.norm(Pm, min(sched.width(m), Pm.width_s))
         if norm_m <= tol:
             break
         if enforce and norm_m > sched.eps(m) * (1 + 1e-9):
@@ -153,22 +150,28 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
                 f"step {m}: norm(P_m) = {norm_m:.6g} exceeds the envelope "
                 f"b^-m*eps = {sched.eps(m):.6g}",
                 measured_ratio=norm_m / sched.eps(m))
-        x_m = u + avg.space_average(Pm)
-        _, res = avg.counter_term_step(
-            alpha, Pm, x_m, sched.Q(m), sched.sigma(m), consts,
+        p_avg = Pm.constant_part()
+        x_m = u + p_avg
+        dist = float(np.abs(x_m - alpha.alpha).max())
+        if enforce and dist > (consts.c * norm_m * (1 + 1e-9)
+                               + avg._ulp_floor(x_m)):
+            raise DomainError(
+                f"|x - alpha| = {dist:.6g} outside the domain c*eps = "
+                f"{consts.c * norm_m:.6g}")
+        S = fld.constant_field((x_m - p_avg) - alpha.alpha, Pm.width_s)
+        res = avg.averaging_step(
+            alpha, S, Pm, sched.Q(m), sched.sigma(m), consts,
             ledger=ledger, enforce=enforce, eps_ref=sched.eps(m))
-        if res.Phi1.layers:
-            phi = phi.extended(res.Phi1.layers[0])
-        v_norm = fld.norm(res.V, res.V.width_s) if res.V.coeffs else 0.0
+        if not Pm.is_constant:
+            phi = phi.extended(res.layer)
         trace.append({"m": m, "Q_m": sched.Q(m), "sigma_m": sched.sigma(m),
-                      "norm_P": norm_m, "norm_V": v_norm,
-                      "norm_phi1_defect": v_norm, **res.record()})
+                      "norm_P": norm_m, "norm_V": res.v_norm,
+                      "norm_phi1_defect": res.v_norm, **res.record()})
         u = x_m
         Pm = res.P_plus
         m += 1
-    final_norm = fld.norm(Pm, sched.width(m)) if Pm.coeffs else 0.0
-    tail_avg = avg.space_average(Pm) if Pm.coeffs else np.zeros(n)
-    defect = (u + tail_avg) - alpha.alpha
+    final_norm = fld.norm(Pm, min(sched.width(m), Pm.width_s))
+    defect = (u + Pm.constant_part()) - alpha.alpha
     return phi, trace, defect, final_norm
 
 
@@ -187,7 +190,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     P = replace(P, width_s=s)
     consts = constants(alpha.n, alpha.tau, alpha.gamma, alpha.gamma_bar)
     Q0, eps_star = select_Q(consts, s)
-    eps = fld.norm(P, s) if P.coeffs else 0.0
+    eps = fld.norm(P, s)
     if eps > eps_star:
         msg = (f"norm(P, s) = {eps:.6g} exceeds the certified threshold "
                f"eps_star = {eps_star:.6g} (Q0 = {Q0:g})")
@@ -201,22 +204,20 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
 
     if eps == 0.0:
         return RunResult(Phi=NearIdentityEmbedding(n=alpha.n, layers=()),
-                         beta=np.zeros(alpha.n), trace=[], consts=consts,
-                         schedule=sched, eps=0.0, eps_star=eps_star,
-                         final_norm=0.0, passes=0, ledger=ledger,
-                         alpha=alpha, P=P)
+                         beta=np.zeros(alpha.n), trace=[], schedule=sched,
+                         eps=0.0, eps_star=eps_star, final_norm=0.0,
+                         passes=0, ledger=ledger)
 
     beta = np.zeros(alpha.n)
     # the endpoint frequency lives near alpha ~ O(1), so the defect cannot
     # resolve below a few ulps of alpha regardless of eps
-    defect_tol = max(tol, 1e-15 * eps,
-                     8.0 * np.finfo(float).eps * float(np.abs(alpha.alpha).max()))
+    defect_tol = max(tol, 1e-15 * eps, avg._ulp_floor(alpha.alpha))
     passes = 0
     for _ in range(_BETA_PASS_LIMIT):
         passes += 1
         _, _, defect, _ = _forward_pass(
-            alpha, P, beta, sched, consts, tol, opts.max_steps,
-            enforce=False, ledger=ErrorLedger())
+            alpha, P, beta, sched, tol, opts.max_steps, enforce=False,
+            ledger=ErrorLedger())
         beta = beta - defect
         if np.abs(defect).max() <= defect_tol:
             break
@@ -229,8 +230,8 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
 
     enforce = not opts.force
     phi, trace, defect, final_norm = _forward_pass(
-        alpha, P, beta, sched, consts, tol, opts.max_steps,
-        enforce=enforce, ledger=ledger)
+        alpha, P, beta, sched, tol, opts.max_steps, enforce=enforce,
+        ledger=ledger)
     beta = beta - defect     # absorb the sub-tolerance remainder exactly
     passes += 1
 
@@ -249,8 +250,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
             measured_ratio=float(np.abs(beta).max() / (consts.d * eps)))
     ledger.charge("run.stopping_truncation",
                   final_norm * consts.b / (consts.b - 1.0))
-    return RunResult(Phi=phi, beta=beta, trace=trace, consts=consts,
-                     schedule=sched, eps=eps, eps_star=eps_star,
-                     final_norm=final_norm, passes=passes, ledger=ledger,
-                     alpha=alpha, P=P)
+    return RunResult(Phi=phi, beta=beta, trace=trace, schedule=sched,
+                     eps=eps, eps_star=eps_star, final_norm=final_norm,
+                     passes=passes, ledger=ledger)
 

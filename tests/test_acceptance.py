@@ -170,7 +170,7 @@ def test_criterion_6_single_step_contraction(golden_freq):
     S = fld.zero_field(2, 1.0)
     res = avg.averaging_step(golden_freq, S, P, Q0, 0.25, consts)
     pp = fld.norm(res.P_plus, 0.75)
-    disp = res.Phi1.displacement_bound()
+    disp = res.layer.displacement_bound()
     dt = time.time() - t0
     _report("6 single-step contraction",
             pp <= eps / 16.0 and disp <= Q0 * eps and dt < 30.0,

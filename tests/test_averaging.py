@@ -9,6 +9,7 @@ from kamtorus.diophantine import RationalApprox, dirichlet_approx
 from kamtorus.errors import (ContractionError, DomainError, ParameterError,
                              StepConditionError, StepSizeError)
 from kamtorus.generate import random_field
+from kamtorus.ledger import ErrorLedger
 from kamtorus.oracles import quadrature_time_average
 
 
@@ -23,7 +24,7 @@ def _rand(seed, n=2, eps=1.0, modes=5, k_max=3, s=1.0):
 
 
 # ---------------------------------------------------------------------------
-# omega_average / space_average
+# omega_average / constant_part
 # ---------------------------------------------------------------------------
 
 def test_omega_average_kills_nonresonant_modes():
@@ -51,8 +52,7 @@ def test_omega_average_is_projection(seed, Q, golden_freq):
     twice = avg.omega_average(once, ap)
     assert fld.norm(fld.sub(once, twice), 1.0) == 0.0
     # composed with space average equals space average
-    np.testing.assert_array_equal(avg.space_average(once),
-                                  avg.space_average(P))
+    np.testing.assert_array_equal(once.constant_part(), P.constant_part())
 
 
 def test_omega_average_matches_quadrature(golden_freq):
@@ -66,9 +66,9 @@ def test_omega_average_matches_quadrature(golden_freq):
 
 def test_space_average():
     c = fld.constant_field([1.0, -2.5], 1.0)
-    np.testing.assert_allclose(avg.space_average(c), [1.0, -2.5])
+    np.testing.assert_allclose(c.constant_part(), [1.0, -2.5])
     zero_mean = fld.make_field(2, 1.0, {(1, 0): [1.0, 1.0j]})
-    np.testing.assert_allclose(avg.space_average(zero_mean), [0.0, 0.0])
+    np.testing.assert_allclose(zero_mean.constant_part(), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def test_step_zero_perturbation(golden_freq, golden_consts):
     P = fld.zero_field(2, 1.0)
     res = avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
     assert res.P_plus.coeffs == {}
-    assert res.Phi1.layers == ()
+    assert res.V.coeffs == {}
     np.testing.assert_array_equal(res.P_avg, [0.0, 0.0])
 
 
@@ -162,7 +162,7 @@ def test_step_constant_perturbation(golden_freq, golden_consts):
     P = fld.constant_field([1e-7, -2e-7], 1.0)
     res = avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
     assert res.P_plus.coeffs == {}
-    assert res.Phi1.layers == ()
+    assert res.V.coeffs == {}
     np.testing.assert_allclose(res.P_avg, [1e-7, -2e-7])
 
 
@@ -173,7 +173,8 @@ def test_step_contraction(golden_freq, golden_consts):
     eps = fld.norm(P, 1.0)
     assert fld.norm(res.P_plus, 0.75) <= eps / 16.0
     assert fld.norm(res.V, 1.0) <= 512.0 * eps
-    assert all(res.budget.conditions_ok)
+    assert res.v_norm == fld.norm(res.V, 1.0)
+    assert all(res.report["ok"])
 
 
 def test_step_conditions_failure(golden_freq, golden_consts):
@@ -216,47 +217,76 @@ def test_step_budget_chain(golden_freq, golden_consts):
     eps = fld.norm(P, 1.0)
     b = golden_consts.b
     # recorded terms reproduce the coarse chain: each half below eps/(2b)
-    assert res.budget.tail_term <= eps / (2 * b)
-    assert res.budget.bracket_term <= eps / (2 * b)
-    assert res.budget.q_eps == pytest.approx(res.approx.q * eps)
+    assert res.tail_term <= eps / (2 * b)
+    assert res.bracket_term <= eps / (2 * b)
+    assert res.q_eps == pytest.approx(res.approx.q * eps)
 
 
 # ---------------------------------------------------------------------------
-# counter_term_step
+# the counter-term shift: scheduler._forward_pass runs each step at
+# S = X_{x_m - [P_m]} - X_alpha with x_m = alpha + beta + [P_m]
 # ---------------------------------------------------------------------------
 
-def test_counter_term_translation(golden_freq, golden_consts):
+def _one_step(alpha, consts, P, beta, monkeypatch, enforce=True):
+    """One forward-pass step from alpha + beta; returns the pass's layers,
+    its defect and the constant S the step was called with."""
+    seen, step = [], avg.averaging_step
+
+    def spy(alpha, S, P, *args, **kwargs):
+        seen.append(S.constant_part())
+        return step(alpha, S, P, *args, **kwargs)
+
+    sched = sch.Schedule(consts=consts, s=1.0, Q0=512.0,
+                         eps0=fld.norm(P, 1.0))
+    with monkeypatch.context() as mp:
+        mp.setattr(avg, "averaging_step", spy)
+        phi, trace, defect, _ = sch._forward_pass(
+            alpha, P, np.asarray(beta, dtype=float), sched, 0.0, 1, enforce,
+            ErrorLedger())
+    assert len(trace) == len(seen) == 1
+    return phi, defect, seen[0]
+
+
+def test_counter_term_translation(golden_freq, golden_consts, monkeypatch):
     P = fld.constant_field([1e-7, 0.0], 1.0)
-    x = golden_freq.alpha
-    phi1_x, res = avg.counter_term_step(golden_freq, P, x, 512.0, 0.25,
-                                        golden_consts)
-    np.testing.assert_allclose(phi1_x, x - np.array([1e-7, 0.0]))
-    assert res.P_plus.coeffs == {}
+    # x_0 = alpha: the step runs at the shifted frequency alpha - [P]
+    phi, defect, S = _one_step(golden_freq, golden_consts, P, [-1e-7, 0.0],
+                               monkeypatch)
+    np.testing.assert_allclose(S, [-1e-7, 0.0])
+    # and leaves no P_plus, so the pass ends at x_0 = alpha, with no layer
+    np.testing.assert_allclose(defect, [0.0, 0.0], atol=1e-16)
+    assert phi.layers == ()
 
 
-def test_counter_term_zero_average(golden_freq, golden_consts):
+def test_counter_term_zero_average(golden_freq, golden_consts, monkeypatch):
     P = fld.make_field(2, 1.0, {(1, 0): [1e-11, 1e-11j]})
-    x = golden_freq.alpha
-    phi1_x, _ = avg.counter_term_step(golden_freq, P, x, 512.0, 0.25,
-                                      golden_consts)
-    np.testing.assert_array_equal(phi1_x, x)
+    _, _, S = _one_step(golden_freq, golden_consts, P, [0.0, 0.0],
+                        monkeypatch)
+    np.testing.assert_array_equal(S, [0.0, 0.0])
 
 
-def test_counter_term_domain_error(golden_freq, golden_consts):
+def test_counter_term_domain_error(golden_freq, golden_consts, monkeypatch):
     P = _rand(1, eps=1e-6)
-    x = golden_freq.alpha + 1e-3
-    with pytest.raises(DomainError):
-        avg.counter_term_step(golden_freq, P, x, 512.0, 0.25, golden_consts)
+    with pytest.raises(DomainError, match="outside the domain"):
+        _one_step(golden_freq, golden_consts, P, [1e-3, 1e-3], monkeypatch)
+    # relaxed passes run off the domain
+    _, _, S = _one_step(golden_freq, golden_consts, P, [1e-3, 1e-3],
+                        monkeypatch, enforce=False)
+    np.testing.assert_allclose(S, [1e-3, 1e-3])
 
 
-def test_counter_term_shift_stays_in_budget(golden_freq, golden_consts):
+def test_counter_term_shift_stays_in_budget(golden_freq, golden_consts,
+                                            monkeypatch):
     P = _rand(12, eps=1e-6)
     eps = fld.norm(P, 1.0)
-    x = golden_freq.alpha + golden_consts.c * eps * 0.5
-    phi1_x, _ = avg.counter_term_step(golden_freq, P, x, 512.0, 0.25,
-                                      golden_consts)
-    assert np.abs(phi1_x - golden_freq.alpha).max() <= \
-        golden_consts.d * eps * (1 + 1e-9)
+    # x_0 = alpha + c*eps/2, the middle of the domain
+    beta = golden_consts.c * eps * 0.5 - P.constant_part()
+    _, _, S = _one_step(golden_freq, golden_consts, P, beta, monkeypatch)
+    assert np.abs(S).max() <= golden_consts.d * eps * (1 + 1e-9)
+    # S is rounded as (x_0 - [P]) - alpha, the frequency the step reaches
+    x0 = (golden_freq.alpha + beta) + P.constant_part()
+    np.testing.assert_array_equal(
+        S, (x0 - P.constant_part()) - golden_freq.alpha)
 
 
 def test_divisor_overflow_raises_instead_of_wrapping():

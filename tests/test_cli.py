@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kamtorus import averaging as avg
 from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
@@ -69,7 +70,8 @@ def test_constants_output(capsys):
         out["Q0"] ** -2.0)
 
 
-def test_step_writes_artifacts(tmp_path, golden_file, pert_file):
+def test_step_writes_artifacts(tmp_path, golden_file, pert_file,
+                               golden_freq):
     assert main(["step", "--freq", golden_file, "--pert", pert_file,
                  "--out", str(tmp_path)]) == 0
     budget = json.loads((tmp_path / "budget.json").read_text())
@@ -77,7 +79,27 @@ def test_step_writes_artifacts(tmp_path, golden_file, pert_file):
     pp = fld.deserialize((tmp_path / "p_plus.field").read_text())
     P = fld.deserialize(open(pert_file).read())
     assert fld.norm(pp, pp.width_s) <= fld.norm(P, 1.0) / 16.0
-    assert (tmp_path / "phi1.field").exists()
+    # phi1.field is the displacement of the time-1 flow of the step's V
+    consts = sch.constants(2, 0.0, golden_freq.gamma, golden_freq.gamma_bar)
+    V = avg.averaging_step(golden_freq, fld.zero_field(2, 1.0), P,
+                           budget["Q"], budget["sigma"], consts).V
+    assert budget["norm_V"] == fld.norm(V, 1.0)
+    u = fld.deserialize((tmp_path / "phi1.field").read_text())
+    assert u.width_s == 1.0 - budget["sigma"]
+    pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(32, 2))
+    np.testing.assert_allclose(apply_displacement(u, pts),
+                               orc.ode_flow(V, pts, 1.0), rtol=0, atol=1e-13)
+
+
+def test_step_constant_perturbation_writes_identity(tmp_path, golden_file):
+    pert = tmp_path / "const.field"
+    pert.write_text(fld.serialize(fld.constant_field([1e-7, -2e-7], 1.0)))
+    assert main(["step", "--freq", golden_file, "--pert", str(pert),
+                 "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "phi1.field").read_text()
+    assert text.splitlines()[0] == "torusfield v1 n=2 s=1 kmax=0"
+    u = fld.deserialize(text)
+    assert u.coeffs == {} and u.width_s == 1.0
 
 
 def test_run_and_verify_roundtrip(tmp_path, golden_file, pert_file):

@@ -276,6 +276,15 @@ def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
             dio.dirichlet_approx(golden_freq, Q)
 
 
+def test_enumerate_resonant_n2_budget(golden_freq):
+    # n = 2 enumerates 2*box + 1 cells of k_1 under the same budget
+    a = dio.dirichlet_approx(golden_freq, 5)
+    with pytest.raises(ParameterError, match="budget"):
+        dio.enumerate_resonant(a, 1 << 19)      # 2^20 + 1 cells
+    with pytest.raises(ParameterError, match="budget"):
+        dio.enumerate_resonant(a, 10 ** 6)
+
+
 def test_approx_cache_is_bounded_lru(golden_freq, monkeypatch):
     from collections import OrderedDict
     monkeypatch.setattr(dio, "_approx_cache", OrderedDict())

@@ -152,12 +152,50 @@ def test_run_small_field(golden_freq):
     # envelope on every recorded step
     for m, entry in enumerate(res.trace):
         assert entry["norm_P"] <= res.schedule.eps(m) * (1 + 1e-9)
-    assert np.abs(res.beta).max() <= res.consts.d * eps
+    consts = res.schedule.consts
+    assert np.abs(res.beta).max() <= consts.d * eps
     assert res.Phi.displacement_bound() <= \
-        res.schedule.Q0 * eps / (1 - res.consts.b ** (-0.5)) * (1 + 1e-9)
+        res.schedule.Q0 * eps / (1 - consts.b ** (-0.5)) * (1 + 1e-9)
     assert res.final_norm <= 1e-20
     # ledger records the truncation charge
     assert res.ledger.total >= res.final_norm
+
+
+# Answers of the solver on ROADMAP workloads, bit for bit: a refactor of the
+# step or the pass must leave every one of them unchanged.
+PINNED = {
+    "W1": ([233, 987], 3, ["6.87517549557981e-08",
+                           "5.1099861231307386e-08"]),
+    "W4": ([35676949, 593775046], 3, ["-5.10702591327572e-14",
+                                      "-2.7977620220553945e-14",
+                                      "1.3322676295501878e-14"]),
+    "W6": ([2584, 10946, 46368], 3, ["2.048802461018795e-09",
+                                     "1.5227759053715317e-09"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_run_pinned_answers(solved, name):
+    _, _, res = solved(name)
+    qs, passes, beta = PINNED[name]
+    assert [entry["q"] for entry in res.trace] == qs
+    assert len(res.trace) == len(qs)
+    assert res.passes == passes
+    assert sorted(res.ledger.by_tag()) == [
+        "averaging_step.result_prune", "averaging_step.series_prune",
+        "averaging_step.series_tail", "run.stopping_truncation"]
+    assert [repr(float(v)) for v in res.beta] == beta
+
+
+@pytest.mark.parametrize("s", [0.3, 0.37, 0.7])
+def test_run_width_off_the_dyadic_grid(golden_freq, s):
+    # s - sigma_0 - ... - sigma_{m-1} rounds below the closed-form width
+    # s/2 + s*2^-(m+1) at some m for these s; the pass measures P_m on the
+    # strip it lives on
+    P = random_field(2, s, 1e-9 * s, 6, 0, k_max=4)
+    res = sch.run(golden_freq, P, s)
+    assert len(res.trace) >= 2
+    assert res.final_norm <= 1e-14 * res.eps
 
 
 def test_run_threshold_error(golden_freq):
