@@ -102,84 +102,99 @@ def _as_fracs(alpha_tilde) -> list[Fraction]:
     return [Fraction(float(x)) for x in alpha_tilde]
 
 
-def _lll(basis: list[list[int]]) -> list[list[int]]:
-    """LLL-reduce integer rows (Lovasz constant 3/4) in exact arithmetic.
+def _lll(b: list[list[int]], u: list[list[int]]) -> None:
+    """LLL-reduce the integer rows b in place (Lovasz constant 3/4).
 
-    Row k's Gram-Schmidt data are computed from the Gram matrix, in
-    Fractions, each time the reduction reaches row k: the rows below it
-    are then current.
+    Cohen's integral LLL (A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i rows
+    and lam[k][j] = d[j+1]*mu_kj, both integers, and every division is
+    exact.  Row k is size-reduced in full (mu rounded to the nearest
+    integer, ties to even) before its Lovasz test.  With b = U b_in, u
+    holds the columns of U^-1 and follows each row operation:
+    b[k] -= r*b[l] adds r*u[k] to u[l], and a row swap swaps u's columns.
     """
-    b = [list(row) for row in basis]
     n = len(b)
-    mu = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    B = [Fraction(0)] * n
-    k = 0
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    k = kmax = 0
     while k < n:
-        for j in range(k):
-            mu[k][j] = (_dot(b[k], b[j]) - sum(
-                mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
-        B[k] = Fraction(_dot(b[k], b[k])) - sum(
-            mu[k][j] ** 2 * B[j] for j in range(k))
+        if k >= kmax:
+            kmax = k
+            for j in range(k + 1):
+                x = _dot(b[k], b[j])
+                for i in range(j):
+                    x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+                lam[k][j] = x
+            d[k + 1] = lam[k][k]
         for l in range(k - 1, -1, -1):
-            r = round(mu[k][l])
+            r, rem = divmod(lam[k][l], d[l + 1])
+            r += 2 * rem > d[l + 1] or (2 * rem == d[l + 1] and r % 2)
             if r:
                 b[k] = [x - r * y for x, y in zip(b[k], b[l])]
-                for i in range(l + 1):
-                    mu[k][i] -= r * mu[l][i]
-        if k and B[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
+                u[l] = [x + r * y for x, y in zip(u[l], u[k])]
+                for i in range(l):
+                    lam[k][i] -= r * lam[l][i]
+                lam[k][l] -= r * d[l + 1]
+        t = lam[k][k - 1] if k else 0
+        if k and 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * t * t:
             b[k - 1], b[k] = b[k], b[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            lam[k - 1][:k - 1], lam[k][:k - 1] = (lam[k][:k - 1],
+                                                  lam[k - 1][:k - 1])
+            dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+            for i in range(k + 1, kmax + 1):
+                x = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * x) // d[k]
+                lam[i][k - 1] = (dk * x + t * lam[i][k]) // d[k + 1]
+            d[k] = dk
             k -= 1
         else:
             k += 1
-    return b
 
 
 def _dot(u, v) -> int:
     return sum(x * y for x, y in zip(u, v))
 
 
-def _inverse(rows: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular integer matrix (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if a[r][c])
-        a[c], a[piv] = a[piv], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+def _box_bounds(uinv, w, lead: int, Dd: int, c: int) -> list[int]:
+    """floor(half * sum_i |(B0^-1 U^-1)_ij|) for each j, in integers (see
+    _smallest_dirichlet_q); uinv holds the columns of U^-1."""
+    return [(c * abs(Dd * u[0] + _dot(w, u[1:]))
+             + lead * sum(abs(y) for y in u[1:])) // Dd for u in uinv]
 
 
-def _smallest_dirichlet_q(fracs: list[Fraction], delta: Fraction,
-                          qmax: int):
+def _smallest_dirichlet_q(fracs, delta, qmax: int):
     """Smallest q >= 1 with ||q x||_Z <= delta for every x, or None.
 
+    Only the numerators and denominators of the exact rationals x and
+    delta are read: all arithmetic is on Python integers.
     With x_i = a_i/D and delta = dn/dd, the vectors
     v = q*b_0 + sum_i p_i*b_i of the lattice with rows
     b_0 = (dn*D, a_1*c*dd, ..., a_m*c*dd) and b_i = -D*c*dd e_i satisfy
     |v|_inf <= half = dn*D*c exactly when q <= c and |q x_i - p_i| <= delta,
     and then v_0 = q*dn*D.  After LLL, the integer coefficients of those
-    v, bounded through the exact inverse of the reduced basis, form a box
-    that is enumerated in full.  The cap c grows 16-fold from 1 until a q
-    is found (None once c passes qmax), so the last box holds few
-    admissible q even where many lie below qmax (a rational x, say).
+    v lie in a box that is enumerated in full.  The reduced basis is
+    U B0 for the basis B0 above, so |coefficient j| <= half * sum_i
+    |(B0^-1 U^-1)_ij|, and half * B0^-1 = [[E, c*w], [0, -lead*I]] / (D*dd)
+    with E = D*dd*c and w = b_0[1:] at c = 1: one integer division per
+    bound.  The cap c grows 16-fold from 1 until a q is found (None once
+    c passes qmax), so the last box holds few admissible q even where
+    many lie below qmax (a rational x, say).  Rescaling the basis
+    columns leaves U unchanged, so U^-1 carries over to the next cap.
     """
     D = math.lcm(*(x.denominator for x in fracs))
     dn, dd = delta.numerator, delta.denominator
     m = len(fracs)
     lead = dn * D
-    basis = [[lead] + [x.numerator * (D // x.denominator) * dd for x in fracs]]
+    w = [x.numerator * (D // x.denominator) * dd for x in fracs]
+    basis = [[lead] + w]
     basis += [[0] * (i + 1) + [-D * dd] + [0] * (m - 1 - i) for i in range(m)]
+    uinv = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
     c = 1
     while True:
-        basis = _lll(basis)
+        _lll(basis, uinv)
         half = lead * c
-        inv = _inverse(basis)
-        bounds = [math.floor(half * sum(abs(row[j]) for row in inv))
-                  for j in range(m + 1)]
+        bounds = _box_bounds(uinv, w, lead, D * dd, c)
         _check_cells(math.prod(2 * b + 1 for b in bounds), "dirichlet_approx")
         cols = list(zip(*basis))
         best = None

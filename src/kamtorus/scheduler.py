@@ -184,6 +184,10 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     all certified bounds enforced.
     """
     opts = opts or RunOptions()
+    if opts.tol is not None and not opts.tol >= 0:
+        raise ParameterError(f"tol must be >= 0, got {opts.tol}")
+    if opts.max_steps < 1:
+        raise ParameterError(f"max_steps must be >= 1, got {opts.max_steps}")
     if not 0 < s <= P.width_s:
         raise ParameterError(
             f"requested width s={s} exceeds the field width {P.width_s}")

@@ -231,6 +231,26 @@ def test_non_finite_run_options_exit_2(tmp_path, golden_file, pert_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value,msg", [("tol", "-1", "tol must be >= 0"),
+                                           ("max-steps", "0",
+                                            "max_steps must be >= 1"),
+                                           ("max-steps", "-3",
+                                            "max_steps must be >= 1")])
+def test_negative_tol_or_no_steps_exits_2(tmp_path, golden_file, pert_file,
+                                          capsys, key, value, msg):
+    base = {"freq": golden_file, "pert": pert_file, "s": "1.0",
+            "grid": "4", "orbit-T": "0", key: value}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in base.items()))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    flags = [arg for k, v in base.items() for arg in (f"--{k}", v)]
+    assert main(["run", *flags, "--out", str(out)]) == 2
+    assert msg in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_non_finite_orbit_time_exits_2(tmp_path, golden_file,
                                               pert_file, capsys):
     assert main(["verify", "--freq", golden_file, "--pert", pert_file,

@@ -1,9 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kamtorus import diophantine as dio
 from kamtorus.errors import (ConstantsInconsistencyError, KamError,
@@ -28,6 +29,101 @@ def _brute_smallest_q(at, Q, qmax):
                for r in [q * x.numerator % x.denominator]):
             return q
     return None
+
+
+# Reference search in Fractions: LLL on Gram-Schmidt data (Lovasz 3/4)
+# and the coefficient box from a Gauss-Jordan inverse of the reduced
+# basis.  The integer search must give the same bases, boxes and q.
+
+def _ref_gram_schmidt(b):
+    """mu and the squared Gram-Schmidt norms B of the rows b."""
+    n = len(b)
+    mu = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    B = []
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (dio._dot(b[k], b[j]) - sum(
+                mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+        B.append(Fraction(dio._dot(b[k], b[k]))
+                 - sum(mu[k][j] ** 2 * B[j] for j in range(k)))
+    return mu, B
+
+
+def _ref_lll(basis):
+    b = [list(row) for row in basis]
+    n = len(b)
+    mu = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    B = [Fraction(0)] * n
+    k = 0
+    while k < n:
+        for j in range(k):
+            mu[k][j] = (dio._dot(b[k], b[j]) - sum(
+                mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+        B[k] = Fraction(dio._dot(b[k], b[k])) - sum(
+            mu[k][j] ** 2 * B[j] for j in range(k))
+        for l in range(k - 1, -1, -1):
+            r = round(mu[k][l])
+            if r:
+                b[k] = [x - r * y for x, y in zip(b[k], b[l])]
+                for i in range(l + 1):
+                    mu[k][i] -= r * mu[l][i]
+        if k and B[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            k -= 1
+        else:
+            k += 1
+    return b
+
+
+def _ref_inverse(rows):
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if a[r][c])
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def _ref_bounds(basis, half):
+    inv = _ref_inverse(basis)
+    return [math.floor(half * sum(abs(row[j]) for row in inv))
+            for j in range(len(basis))]
+
+
+def _ref_smallest_q(at, Q):
+    """q of the Fraction search, or "budget" where its box is too large."""
+    fracs = [Fraction(float(x)) for x in at]
+    delta = 1 / Fraction(float(Q))
+    qmax = math.floor(Fraction(float(Q)) ** len(fracs))
+    D = math.lcm(*(x.denominator for x in fracs))
+    dn, dd = delta.numerator, delta.denominator
+    m = len(fracs)
+    lead = dn * D
+    basis = [[lead] + [x.numerator * (D // x.denominator) * dd for x in fracs]]
+    basis += [[0] * (i + 1) + [-D * dd] + [0] * (m - 1 - i) for i in range(m)]
+    c = 1
+    while True:
+        basis = _ref_lll(basis)
+        half = lead * c
+        bounds = _ref_bounds(basis, half)
+        if math.prod(2 * b + 1 for b in bounds) > dio._GRID_CELL_BUDGET:
+            return "budget"
+        cols = list(zip(*basis))
+        best = None
+        for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            v0 = dio._dot(x, cols[0])
+            if 0 < v0 and (best is None or v0 < best) and all(
+                    abs(dio._dot(x, col)) <= half for col in cols[1:]):
+                best = v0
+        if best is not None or c >= qmax:
+            return None if best is None else best // lead
+        c *= 16
+        basis = [[row[0]] + [16 * y for y in row[1:]] for row in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +199,110 @@ def test_large_Q_n3_is_feasible(plastic_freq):
     a = dio.dirichlet_approx(quartic, 1e4)
     assert 1 <= a.q <= 10 ** 12
     dio._verify_dirichlet(quartic, a, 1e4)
+
+
+# q of the current search, pinned: plastic and the cube-root pair
+# (2^(1/3) - 1, 2^(2/3) - 1) at Q = 10^(3 + i/2), i = 0..8, and golden
+# at Q = 1e6, 1e9, 1e12, 1e15.  The last golden q is 2^49: the input
+# float is read as an exact dyadic rational.
+_PLASTIC_Q = [396655, 2839729, 35676949, 448227521, 2422362079,
+              22973462017, 260616205365, 845137693522, 14147040199919]
+_CUBE_Q = [149203, 4991004, 32689761, 125768040, 2345474521, 34717449655,
+           80804169795, 80804169795, 7054562917496]
+_GOLDEN_Q = {1e6: 514229, 1e9: 755427254, 1e12: 639311569775,
+             1e15: 562949953421312}
+
+
+def test_pinned_denominators(golden_freq, plastic_freq):
+    cube = _freq([2 ** (1 / 3) - 1, 2 ** (2 / 3) - 1], tau=0.1)
+    for i, (qp, qc) in enumerate(zip(_PLASTIC_Q, _CUBE_Q)):
+        Q = 10 ** (3 + i / 2)
+        assert dio.dirichlet_approx(plastic_freq, Q).q == qp
+        assert dio.dirichlet_approx(cube, Q).q == qc
+    for Q, q in _GOLDEN_Q.items():
+        assert dio.dirichlet_approx(golden_freq, Q).q == q
+    assert _GOLDEN_Q[1e15] == 2 ** 49
+
+
+@settings(deadline=None, max_examples=200)
+@example([0.375], 1.0)                # a rational x at Q = 1e15
+@example([0.25, -0.5], 1.0)
+@example([GOLDEN, 0.5, 1 / 3], 1.0)
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.lists(_ENTRIES, min_size=m, max_size=m)), st.floats(0, 1))
+def test_search_matches_fraction_reference(at, t):
+    # beyond brute force: Q up to 1e15 at n = 2, 1e7 at n = 3, 1e4 at n = 4
+    n = len(at) + 1
+    Q = {2: 1e15, 3: 1e7, 4: 1e4}[n] ** t
+    try:
+        got = dio.dirichlet_approx(_freq(at, tau=0.1), Q).q
+    except ParameterError as exc:
+        assert "budget" in str(exc)
+        got = "budget"
+    assert got == _ref_smallest_q(at, Q)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5), st.integers(0, 12), st.integers(0, 10 ** 6))
+def test_integral_lll_invariants(n, digits, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-10 ** digits, 10 ** digits + 1, size=(n, n)).tolist()
+    try:
+        _ref_inverse(rows)
+    except StopIteration:             # singular
+        assume(False)
+    b = [list(row) for row in rows]
+    u = [[int(i == j) for i in range(n)] for j in range(n)]
+    dio._lll(b, u)
+    mu, B = _ref_gram_schmidt(b)
+    assert all(abs(mu[k][j]) <= Fraction(1, 2)
+               for k in range(n) for j in range(k))
+    assert all(B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+               for k in range(1, n))
+    # u holds the columns of U^-1, and U^-1 b gives back the input rows
+    assert [[sum(u[l][i] * b[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)] == rows
+    assert math.prod(B) == math.prod(_ref_gram_schmidt(rows)[1])  # det^2
+    assert b == _ref_lll(rows)
+
+
+def test_box_bounds_match_fraction_inverse(golden_freq, plastic_freq,
+                                           monkeypatch):
+    # at every cap of real searches: the tracked U^-1 maps the reduced
+    # basis back to the unreduced one, and the integer bounds equal the
+    # floors of half * sum_i |inv[i][j]| from the Fraction inverse
+    reduced, checked = [], []
+    lll, box = dio._lll, dio._box_bounds
+
+    def recording_lll(b, u):
+        lll(b, u)
+        reduced.append([list(row) for row in b])
+
+    def checked_box(uinv, w, lead, Dd, c):
+        b, m = reduced[-1], len(w)
+        start = [[lead] + [c * x for x in w]] + [
+            [0] * (i + 1) + [-c * Dd] + [0] * (m - 1 - i) for i in range(m)]
+        assert [[sum(u[l] * b[l][j] for l in range(m + 1))
+                 for j in range(m + 1)] for u in zip(*uinv)] == start
+        bounds = box(uinv, w, lead, Dd, c)
+        assert bounds == _ref_bounds(b, lead * c)
+        checked.append(c)
+        return bounds
+
+    monkeypatch.setattr(dio, "_lll", recording_lll)
+    monkeypatch.setattr(dio, "_box_bounds", checked_box)
+    cube = [2 ** (1 / 3) - 1, 2 ** (2 / 3) - 1]
+    cases = [(plastic_freq.alpha_tilde, 10 ** (3 + i / 2)) for i in range(9)]
+    cases += [(cube, 10 ** (3 + i / 2)) for i in range(0, 9, 2)]
+    cases += [([GOLDEN], Q) for Q in (1e6, 1e15)]
+    cases += [([0.375, -0.5], 1e5), ([2 ** (1 / 4) - 1, 2 ** (1 / 2) - 1,
+                                      2 ** (3 / 4) - 1], 1e4)]
+    for at, Q in cases:
+        fracs = dio._as_fracs(at)
+        delta = 1 / Fraction(float(Q))
+        dio._smallest_dirichlet_q(
+            fracs, delta, math.floor(Fraction(float(Q)) ** len(fracs)))
+    assert len(checked) == len(reduced) > len(cases)
 
 
 def test_rounding_ties_to_even():

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from kamtorus import averaging as avg
 from kamtorus import field as fld
 from kamtorus import scheduler as sch
-from kamtorus.errors import InfeasibleError, ThresholdError
+from kamtorus.errors import InfeasibleError, ParameterError, ThresholdError
 from kamtorus.generate import random_field
 from kamtorus.oracles import ode_flow
 
@@ -216,6 +218,22 @@ def test_run_max_steps(golden_freq):
     P = random_field(2, 1.0, 1e-6, 5, 3)
     res = sch.run(golden_freq, P, 1.0, sch.RunOptions(tol=0.0, max_steps=3))
     assert len(res.trace) == 3
+
+
+@pytest.mark.parametrize("opts", [sch.RunOptions(tol=-1.0),
+                                  sch.RunOptions(tol=-5e-324),
+                                  sch.RunOptions(tol=math.nan),
+                                  sch.RunOptions(max_steps=0),
+                                  sch.RunOptions(tol=0.0, max_steps=-2)])
+def test_run_rejects_negative_tol_and_no_steps(golden_freq, monkeypatch,
+                                                opts):
+    def search(*args, **kwargs):
+        raise AssertionError("searched before checking the options")
+
+    monkeypatch.setattr(sch, "select_Q", search)
+    monkeypatch.setattr(sch.avg, "averaging_step", search)
+    with pytest.raises(ParameterError, match="tol|max_steps"):
+        sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 3), 1.0, opts)
 
 
 # ---------------------------------------------------------------------------
