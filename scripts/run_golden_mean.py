@@ -52,10 +52,11 @@ def main():
               f"(envelope {res.schedule.eps(entry['m']):.3e})")
 
     print("\nindependent verification:")
-    rep = conjugacy_report(alpha, P, res.Phi, res.beta, args.grid)
+    rep = conjugacy_report(alpha, P, res.Phi.displacement, res.beta,
+                           args.grid)
     print(f"  conjugacy residual on {args.grid}^2 grid: "
           f"{rep['sup_residual']:.3e}")
-    dev = orbit_shadowing_check(alpha, P, res.Phi, res.beta,
+    dev = orbit_shadowing_check(alpha, P, res.Phi.displacement, res.beta,
                                 T=args.orbit_T, samples=25)
     print(f"  orbit shadowing over T={args.orbit_T:g}: {dev:.3e}")
     ok = rep["sup_residual"] <= 1e-10 and dev <= 1e-7

@@ -178,6 +178,8 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     fixed-point passes whose early iterates are off-budget).
     """
     s = P.width_s
+    if not 1 <= Q < math.inf:
+        raise ParameterError(f"Q must be finite and >= 1, got {Q}")
     if not 0 < sigma < s:
         raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
     if not S.is_constant:

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,7 @@ from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax)
-from .embedding import (NearIdentityEmbedding, apply_displacement,
-                        real_torus_view)
+from .embedding import NearIdentityEmbedding
 from .errors import KamError, ParameterError, ParseError
 from .generate import random_field
 
@@ -54,8 +52,27 @@ def _dump_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _oracle_verdict(report: dict) -> int:
-    """1 when an oracle measured a value above its threshold, else 0."""
+def _verify(alpha, P, u, beta, grid, orbit_t, samples, outdir: Path,
+            summary: dict) -> int:
+    """Both oracles on Phi = Id + u and, as the null control, on u = 0 with
+    the same beta.  Writes residual.json to outdir, prints it after
+    summary with the null-to-measured ratios, and returns the exit code:
+    1 when an oracle measured a value above its threshold, else 0."""
+    def measure(field):
+        rep = orc.conjugacy_report(alpha, P, field, beta, grid)
+        rep["orbit_deviation"] = (orc.orbit_shadowing_check(
+            alpha, P, field, beta, orbit_t, samples) if orbit_t > 0 else None)
+        return rep
+
+    report, null = measure(u), measure(fld.zero_field(alpha.n, 1.0))
+    report["null_residual"] = null["sup_residual"]
+    report["null_orbit"] = null["orbit_deviation"]
+    _dump_json(outdir / "residual.json", report)
+    pairs = (("null_residual", "sup_residual"),
+             ("null_orbit", "orbit_deviation"))
+    ratios = {f"{key}_ratio": report[key] / report[of] if report[of]
+              else None for key, of in pairs}
+    print(json.dumps({**summary, **report, **ratios}, indent=2))
     failed = [f"{key} = {report[key]:.3g} exceeds {bound:g}"
               for key, bound in (("sup_residual", MAX_RESIDUAL),
                                  ("orbit_deviation", MAX_ORBIT_DEVIATION))
@@ -63,24 +80,6 @@ def _oracle_verdict(report: dict) -> int:
     for line in failed:
         print(f"error: {line}", file=sys.stderr)
     return 1 if failed else 0
-
-
-def _oracle_report(alpha, P, phi, beta, grid, orbit_t, samples):
-    """Both oracles on phi and, as the null control, on Phi = Id with the
-    same beta; also the null-to-measured ratios, for printing."""
-    def measure(emb):
-        rep = orc.conjugacy_report(alpha, P, emb, beta, grid)
-        rep["orbit_deviation"] = (orc.orbit_shadowing_check(
-            alpha, P, emb, beta, orbit_t, samples) if orbit_t > 0 else None)
-        return rep
-
-    report, null = measure(phi), measure(NearIdentityEmbedding(alpha.n, ()))
-    report["null_residual"] = null["sup_residual"]
-    report["null_orbit"] = null["orbit_deviation"]
-    pairs = (("null_residual", "sup_residual"),
-             ("null_orbit", "orbit_deviation"))
-    return report, {f"{key}_ratio": report[key] / report[of] if report[of]
-                    else None for key, of in pairs}
 
 
 def _cmd_approx(args) -> int:
@@ -254,12 +253,10 @@ def _cmd_run(args) -> int:
     (outdir / "beta.txt").write_text(
         "\n".join(format(float(v), ".17g") for v in result.beta) + "\n")
 
-    report, ratios = _oracle_report(alpha, P, result.Phi, result.beta, grid,
-                                    orbit_t, samples)
-    _dump_json(outdir / "residual.json", report)
-    print(json.dumps({"steps": len(result.trace), "beta": list(
-        map(float, result.beta)), **report, **ratios}, indent=2))
-    return _oracle_verdict(report)
+    summary = {"steps": len(result.trace),
+               "beta": list(map(float, result.beta))}
+    return _verify(alpha, P, result.Phi.displacement, result.beta, grid,
+                   orbit_t, samples, outdir, summary)
 
 
 def _cmd_verify(args) -> int:
@@ -267,14 +264,10 @@ def _cmd_verify(args) -> int:
     alpha = _load_freq(args.freq)
     samples = _oracle_samples(args.grid, args.orbit_T, alpha.n)
     P = _load_field(args.pert)
-    phi = partial(apply_displacement, real_torus_view(_load_field(args.phi)))
+    u = _load_field(args.phi)
     beta = _load_beta(args.beta, alpha.n)
-    report, ratios = _oracle_report(alpha, P, phi, beta, args.grid,
-                                    args.orbit_T, samples)
-    _dump_json(Path(args.out) / "residual.json"
-               if args.out else Path("residual.json"), report)
-    print(json.dumps({**report, **ratios}, indent=2))
-    return _oracle_verdict(report)
+    return _verify(alpha, P, u, beta, args.grid, args.orbit_T, samples,
+                   Path(args.out or "."), {})
 
 
 def _cmd_gen(args) -> int:

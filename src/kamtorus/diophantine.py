@@ -231,6 +231,16 @@ def _check_cells(cells: int, what: str) -> None:
             f"budget of {_GRID_CELL_BUDGET}")
 
 
+def _nonzero_box(n: int, K: int, what: str) -> np.ndarray:
+    """The nonzero integer vectors with |k|_inf <= K, as an (M, n) int
+    array in lexicographic order, within the lattice-point budget."""
+    _check_cells((2 * K + 1) ** n, what)
+    rng = np.arange(-K, K + 1)
+    grids = np.meshgrid(*([rng] * n), indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=1)
+    return ks[np.any(ks != 0, axis=1)]
+
+
 def _verify_dirichlet(alpha: FrequencyVector, approx: RationalApprox, Q: float):
     fracs = _as_fracs(alpha.alpha_tilde)
     delta = 1 / Fraction(float(Q))
@@ -276,12 +286,7 @@ def psi_argmax(alpha: FrequencyVector, Q: float):
     """max |k . alpha|^{-1} over 0 < |k|_inf <= Q, with the arg-max k."""
     if not 1 <= Q < math.inf:
         raise ParameterError(f"Q must be finite and >= 1, got {Q}")
-    kf = math.floor(Q)
-    _check_cells((2 * kf + 1) ** alpha.n, "psi")
-    rng = np.arange(-kf, kf + 1)
-    grids = np.meshgrid(*([rng] * alpha.n), indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)
-    ks = ks[np.any(ks != 0, axis=1)]
+    ks = _nonzero_box(alpha.n, math.floor(Q), "psi")
     vals = np.abs(ks @ alpha.alpha)
     imin = int(np.argmin(vals))
     if vals[imin] == 0.0:
@@ -311,32 +316,15 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
     exp_lin = (1.0 + tau) * (n - 1)
     exp_sim = (1.0 + (n - 1) * tau) / (n - 1)
 
-    gamma = np.inf
-    if m == 1:
-        ks = np.arange(1, k_range + 1, dtype=float)
-        dist = np.abs(ks * at[0] - np.round(ks * at[0]))
-        if np.any(dist == 0):
-            bad = int(np.nonzero(dist == 0)[0][0]) + 1
-            raise ResonanceError(
-                f"exact resonance ||k.alpha_tilde|| = 0 at k={bad}",
-                witness=(bad,))
-        gamma = float(np.min(dist * ks ** exp_lin))
-    else:
-        _check_cells((2 * k_range + 1) ** m, "estimate_constants")
-        rng = np.arange(-k_range, k_range + 1)
-        grids = np.meshgrid(*([rng] * m), indexing="ij")
-        ks = np.stack([g.ravel() for g in grids], axis=1)
-        ks = ks[np.any(ks != 0, axis=1)]
-        prod = ks.astype(float) @ at
-        dist = np.abs(prod - np.round(prod))
-        if np.any(dist == 0):
-            w = ks[int(np.nonzero(dist == 0)[0][0])]
-            raise ResonanceError(
-                f"exact resonance at k={tuple(w)}",
-                witness=tuple(int(v) for v in w))
-        knorm = np.abs(ks).max(axis=1).astype(float)
-        gamma = float(np.min(dist * knorm ** exp_lin))
-    gamma = min(gamma, 1.0)
+    ks = _nonzero_box(m, k_range, "estimate_constants")
+    prod = ks.astype(float) @ at
+    dist = np.abs(prod - np.round(prod))
+    if np.any(dist == 0):
+        w = ks[int(np.nonzero(dist == 0)[0][0])]
+        raise ResonanceError(f"exact resonance at k={tuple(w)}",
+                             witness=tuple(int(v) for v in w))
+    knorm = np.abs(ks).max(axis=1).astype(float)
+    gamma = min(float(np.min(dist * knorm ** exp_lin)), 1.0)
 
     qs = np.arange(1, q_range + 1, dtype=float)
     prod = qs[:, None] * at[None, :]
@@ -391,11 +379,7 @@ def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
     identity q*k_0 + k_tilde . p = 0.  Returns an (M, n) int array."""
     q = approx.q
     p = [int(v) for v in approx.p]
-    n = approx.n
-    _check_cells((2 * box + 1) ** (n - 1), "enumerate_resonant")
-    rng = np.arange(-box, box + 1)
-    grids = np.meshgrid(*([rng] * (n - 1)), indexing="ij")
-    kt = np.stack([g.ravel() for g in grids], axis=1).astype(object)
+    kt = _nonzero_box(approx.n - 1, box, "enumerate_resonant").astype(object)
     dots = kt @ np.array(p, dtype=object)
     mask = (dots % q == 0)
     kt = kt[mask]
@@ -403,9 +387,7 @@ def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
     keep = np.abs(k0.astype(np.int64)) <= box
     kt = kt[keep]
     k0 = k0[keep]
-    ks = np.concatenate([k0[:, None], kt], axis=1).astype(np.int64)
-    ks = ks[np.any(ks != 0, axis=1)]
-    return ks
+    return np.concatenate([k0[:, None], kt], axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,24 +2,21 @@
 
 Each elementary map is the time-1 flow of a small vector field V.  The
 composed embedding Phi = L_1 o ... o L_m keeps its ordered layers, for
-the displacement bound, and evaluates as theta + u(theta), where the
-displacement u = Phi - Id is a Fourier field built once, on first use,
-by Lie series (Lie transforms): for a layer L, the flow of V, and with
-L_V u = Du.V,
+the displacement bound, and builds its displacement u = Phi - Id as one
+Fourier field, once, on first use, by Lie series (Lie transforms): for a
+layer L, the flow of V, and with L_V u = Du.V,
 
     u_L         = sum_{m>=1} L_V^{m-1} V / m!,
     u_{Phi o L} = u_L + exp(L_V) u_Phi,
 
-so no ODE is integrated and nothing is resampled on a grid.  Phi is
-evaluated through real_torus_view(u); u itself is what gets stored.
+so no ODE is integrated and nothing is resampled on a grid.  u is what
+gets stored and what the oracles take; only they evaluate Phi.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import field as fld
 from .field import FourierVectorField
@@ -54,25 +51,6 @@ def _compose(u: FourierVectorField, layer: Layer) -> FourierVectorField:
     return out
 
 
-def apply_displacement(u: FourierVectorField, thetas) -> np.ndarray:
-    """theta + u(theta) at one point (n,) or at real points (N, n)."""
-    y = np.asarray(thetas, dtype=float)
-    if y.ndim == 1:
-        return y + fld.eval_many(u, y[None, :])[0]
-    return y + fld.eval_many(u, y)
-
-
-def real_torus_view(u: FourierVectorField) -> FourierVectorField:
-    """u without the modes below 2^-53 S / M, where S = sum_k max_j |c_{j,k}|
-    over its M modes: the dropped modes sum to at most 2^-53 S, below the
-    roundoff of evaluating u on the real torus.  Mode 0 is kept."""
-    if not len(u.modes):
-        return u
-    mass = np.abs(u.coef).max(axis=1)
-    view, _ = fld.prune(u, 0.0, 2.0 ** -53 * mass.sum() / len(mass))
-    return view
-
-
 @dataclass(frozen=True)
 class NearIdentityEmbedding:
     """Composition Phi = L_1 o L_2 o ... o L_m of time-1 flows."""
@@ -88,13 +66,6 @@ class NearIdentityEmbedding:
         for layer in self.layers:
             u = _compose(u, layer)
         return u
-
-    @cached_property
-    def real_view(self) -> FourierVectorField:
-        return real_torus_view(self.displacement)
-
-    def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        return apply_displacement(self.real_view, thetas)
 
     def extended(self, layer: Layer) -> "NearIdentityEmbedding":
         return NearIdentityEmbedding(n=self.n, layers=self.layers + (layer,))

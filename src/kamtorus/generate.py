@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import field as fld
@@ -18,10 +20,15 @@ def random_field(n: int, s: float, eps: float, modes: int, seed: int,
     Coefficients decay like exp(-2*pi*s*|k|_1) so every mode contributes
     comparably to the majorant norm at width s.
     """
-    if modes < 1:
-        raise ParameterError(f"modes must be >= 1, got {modes}")
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
+    if n < 1 or k_max < 1:
+        raise ParameterError(f"need n >= 1 and k_max >= 1, got n={n}, "
+                             f"k_max={k_max}")
+    if not 1 <= modes <= (2 * k_max + 1) ** n - 1:
+        raise ParameterError(
+            f"modes must be in [1, {(2 * k_max + 1) ** n - 1}], the nonzero "
+            f"modes with |k|_inf <= {k_max}; got {modes}")
+    if not 0 < eps < math.inf:
+        raise ParameterError(f"eps must be finite and > 0, got {eps}")
     rng = np.random.default_rng(seed)
     coeffs = {}
     chosen = set()

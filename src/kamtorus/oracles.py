@@ -6,6 +6,10 @@ Jacobians are finite differences (or the variational equation).  Orbit
 shadowing integrates in co-moving form by windowed Picard iteration on
 Lobatto IIIA-3 (Simpson) collocation nodes.  Only the plain spectral
 evaluation of fields is shared.
+
+conjugacy_report and orbit_shadowing_check take the stored displacement
+u = Phi - Id and are the only code that evaluates Phi = Id + u, through
+real_torus_view(u); the null control is u = 0.
 """
 
 from __future__ import annotations
@@ -161,6 +165,23 @@ def grid_pullback_oracle(Y: FourierVectorField, V: FourierVectorField,
         raise EmbeddingFailureError("singular flow Jacobian") from None
 
 
+def real_torus_view(u: FourierVectorField) -> FourierVectorField:
+    """u without the modes below 2^-53 S / M, where S = sum_k max_j |c_{j,k}|
+    over its M modes: the dropped modes sum to at most 2^-53 S, below the
+    roundoff of evaluating u on the real torus.  Mode 0 is kept."""
+    if not len(u.modes):
+        return u
+    mass = np.abs(u.coef).max(axis=1)
+    view, _ = fld.prune(u, 0.0, 2.0 ** -53 * mass.sum() / len(mass))
+    return view
+
+
+def _embedding(u: FourierVectorField):
+    """Phi = Id + u at real points (N, n), through real_torus_view(u)."""
+    view = real_torus_view(u)
+    return lambda thetas: thetas + fld.eval_many(view, thetas)
+
+
 # The embedding is evaluated to ~1e-13, so its FD Jacobian is roundoff
 # limited: error ~ eps_mach/h + h^4 |Phi^(5)|.  For near-identity maps the
 # fifth derivative term stays tiny, so a larger h than the flow default
@@ -168,11 +189,13 @@ def grid_pullback_oracle(Y: FourierVectorField, V: FourierVectorField,
 _FD_H_EMBEDDING = 4e-5
 
 
-def conjugacy_report(alpha, P: FourierVectorField, phi, beta,
-                     grid: int) -> dict:
-    """Sup-norm conjugacy defect of Phi^*(X_alpha + P + X_beta) = X_alpha
-    over a grid^n lattice, plus the smallest Jacobian determinant seen."""
+def conjugacy_report(alpha, P: FourierVectorField, u: FourierVectorField,
+                     beta, grid: int) -> dict:
+    """Sup-norm conjugacy defect of Phi^*(X_alpha + P + X_beta) = X_alpha,
+    with Phi = Id + u, over a grid^n lattice, plus the smallest Jacobian
+    determinant seen."""
     n = alpha.n
+    phi = _embedding(u)
     axes = [np.arange(grid) / grid] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
@@ -198,14 +221,16 @@ _PICARD_TOL = 1e-15
 _ORBIT_SWEEPS_PER_SAMPLE = 512
 
 
-def orbit_shadowing_check(alpha, P: FourierVectorField, phi, beta,
-                          T: float, samples: int,
-                          theta0=None) -> float:
+def orbit_shadowing_check(alpha, P: FourierVectorField,
+                          u: FourierVectorField, beta, T: float,
+                          samples: int, theta0=None) -> float:
     """Max torus distance of the orbit of X_alpha + P + X_beta from
-    Phi(theta0) to Phi(theta0 + t*alpha) at sample times t in [0, T].  The
-    orbit is Phi(theta0) + t*alpha + z, z' = beta + P(orbit); Picard sweeps
-    solve a window's Lobatto IIIA-3 nodes at once, one eval_many a sweep."""
+    Phi(theta0) to Phi(theta0 + t*alpha) at sample times t in [0, T], with
+    Phi = Id + u.  The orbit is Phi(theta0) + t*alpha + z,
+    z' = beta + P(orbit); Picard sweeps solve a window's Lobatto IIIA-3
+    nodes at once, one eval_many a sweep."""
     n = alpha.n
+    phi = _embedding(u)
     theta0 = np.asarray(np.sqrt(np.arange(2, 2 + n)) % 1.0
                         if theta0 is None else theta0, dtype=float)
     a, b = alpha.alpha, np.asarray(beta, dtype=float)

@@ -89,6 +89,8 @@ def select_Q(consts: KamConstants, s: float):
     conditions hold at m = 0 (they then improve monotonically in m), plus
     the threshold eps_star = Q0^{-n} below which the first condition holds.
     """
+    if not 0 < s < math.inf:
+        raise ParameterError(f"s must be finite and > 0, got {s}")
     sigma0 = s / 4.0
     last = None
     for j in range(_Q_CAP_EXP + 1):

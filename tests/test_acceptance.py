@@ -212,8 +212,9 @@ def test_criterion_7_geometric_contraction(run_eps6, plastic_freq):
 def test_criterion_8_conjugacy_and_shadowing(golden_freq, run_eps6):
     t0 = time.time()
     P, res = run_eps6
-    rep = orc.conjugacy_report(golden_freq, P, res.Phi, res.beta, 32)
-    dev = orc.orbit_shadowing_check(golden_freq, P, res.Phi, res.beta,
+    u = res.Phi.displacement
+    rep = orc.conjugacy_report(golden_freq, P, u, res.beta, 32)
+    dev = orc.orbit_shadowing_check(golden_freq, P, u, res.beta,
                                     T=100.0, samples=25)
     dt = time.time() - t0
     _report("8 conjugacy residual and orbit shadowing",

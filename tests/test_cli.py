@@ -1,6 +1,5 @@
 import json
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -12,9 +11,11 @@ from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.cli import (MAX_GRID_POINTS, MAX_ORBIT_SAMPLES, MAX_RESIDUAL,
                           _oracle_samples, main)
-from kamtorus.embedding import apply_displacement, real_torus_view
 from kamtorus.errors import KamError
 from kamtorus.diophantine import serialize_frequency
+from kamtorus.generate import random_field
+
+from conftest import WORKLOADS
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,49 @@ def test_gen_deterministic(tmp_path):
     F = fld.deserialize(a.read_text())
     assert F.n == 2
     assert fld.norm(F, 1.0) == pytest.approx(1e-7, rel=1e-9)
+
+
+@pytest.mark.parametrize("args,msg", [
+    (["--modes", "9", "--kmax", "1"], "modes must be in [1, 8]"),
+    (["--modes", "2", "--kmax", "0"], "k_max >= 1"),
+    (["--modes", "2", "--kmax", "-2"], "k_max >= 1"),
+    (["--modes", "2", "--n", "0"], "n >= 1"),
+    (["--modes", "2", "--eps", "inf"], "eps must be finite and > 0"),
+], ids=["modes-9-kmax-1", "kmax-0", "kmax-neg", "n-0", "eps-inf"])
+def test_gen_bad_arguments_exit_2(monkeypatch, capsys, args, msg):
+    # checked before drawing: with more modes than the box holds, or an
+    # empty box, the draw never ends
+    def no_draw(seed):
+        raise AssertionError("drew a field before checking the arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    base = {"--n": "2", "--s": "1", "--eps": "1e-6", "--seed": "0"}
+    base.update(zip(args[::2], args[1::2]))
+    assert main(["gen"] + [x for kv in base.items() for x in kv]) == 2
+    out = capsys.readouterr()
+    assert msg in out.err and not out.out
+
+
+@pytest.mark.parametrize("s", ["0", "-1", "inf", "nan"])
+def test_constants_bad_width_exits_2(capsys, s):
+    assert main(["constants", "--n", "2", "--tau", "0.0", "--gamma", "0.382",
+                 "--gammabar", "0.382", "--s", s]) == 2
+    out = capsys.readouterr()
+    assert "s must be finite and > 0" in out.err and not out.out
+
+
+@pytest.mark.parametrize("Q", ["0", "0.5", "nan", "inf"])
+def test_step_bad_Q_exits_2(tmp_path, golden_file, pert_file, monkeypatch,
+                            capsys, Q):
+    def unreachable(*args):
+        raise AssertionError("step conditions evaluated at a bad Q")
+
+    monkeypatch.setattr(avg, "step_conditions", unreachable)
+    out = tmp_path / "step"
+    assert main(["step", "--freq", golden_file, "--pert", pert_file,
+                 "--Q", Q, "--out", str(out)]) == 2
+    assert "Q must be finite and >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_approx_golden(golden_file, capsys):
@@ -87,7 +131,7 @@ def test_step_writes_artifacts(tmp_path, golden_file, pert_file,
     u = fld.deserialize((tmp_path / "phi1.field").read_text())
     assert u.width_s == 1.0 - budget["sigma"]
     pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(32, 2))
-    np.testing.assert_allclose(apply_displacement(u, pts),
+    np.testing.assert_allclose(pts + fld.eval_many(u, pts),
                                orc.ode_flow(V, pts, 1.0), rtol=0, atol=1e-13)
 
 
@@ -126,6 +170,27 @@ def test_run_and_verify_roundtrip(tmp_path, golden_file, pert_file):
                  "--out", str(vout)]) == 0
     vres = json.loads((vout / "residual.json").read_text())
     assert vres["sup_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["W1", "W4", "W6"])
+def test_run_and_verify_write_the_same_residual(tmp_path, name, golden_freq,
+                                                plastic_freq):
+    # run and verify share one verification of the stored u, so verify
+    # reproduces run's residual.json byte for byte
+    n, s, eps, modes, seed, k_max = WORKLOADS[name]
+    freq, pert = tmp_path / "alpha.freq", tmp_path / "p.field"
+    freq.write_text(serialize_frequency(golden_freq if n == 2
+                                        else plastic_freq))
+    pert.write_text(fld.serialize(
+        random_field(n, s, eps, modes, seed, k_max=k_max)))
+    common = ["--freq", str(freq), "--pert", str(pert),
+              "--grid", "32" if n == 2 else "8", "--orbit-T", "100"]
+    run, vout = tmp_path / "run", tmp_path / "verify"
+    assert main(["run", "--s", str(s), "--out", str(run)] + common) == 0
+    assert main(["verify", "--phi", str(run / "phi.field"), "--beta",
+                 str(run / "beta.txt"), "--out", str(vout)] + common) == 0
+    assert ((vout / "residual.json").read_bytes()
+            == (run / "residual.json").read_bytes())
 
 
 def test_run_config_file_and_override(tmp_path, golden_file, pert_file):
@@ -376,18 +441,17 @@ def _verify_w6(golden_file, pert, phi, beta, out):
 
 
 def test_verify_sees_w6_phi_through_the_view(tmp_path, golden_file, w6_run,
-                                             golden_freq):
+                                             monkeypatch):
     pert, run = w6_run
     code, res = _verify_w6(golden_file, pert, run / "phi.field",
-                           run / "beta.txt", tmp_path)
+                           run / "beta.txt", tmp_path / "view")
     assert code == 0
     u = fld.deserialize((run / "phi.field").read_text())
-    assert len(real_torus_view(u).modes) < len(u.modes)
-    full = partial(apply_displacement, u)
-    expect = orc.conjugacy_report(
-        golden_freq, fld.deserialize(pert.read_text()), full,
-        np.loadtxt(run / "beta.txt"), 32)
-    assert res["sup_residual"] == expect["sup_residual"]
+    assert len(orc.real_torus_view(u).modes) < len(u.modes)
+    # the same verification with Phi = Id + u over all of u's modes
+    monkeypatch.setattr(orc, "real_torus_view", lambda field: field)
+    assert _verify_w6(golden_file, pert, run / "phi.field",
+                      run / "beta.txt", tmp_path / "full") == (0, res)
 
 
 def test_verify_rejects_identity_phi_on_w6(tmp_path, golden_file, w6_run,

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -8,8 +6,6 @@ from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.diophantine import dirichlet_approx
-from kamtorus.embedding import (Layer, NearIdentityEmbedding,
-                                apply_displacement)
 from kamtorus.errors import StiffnessError
 from kamtorus.generate import random_field
 
@@ -113,9 +109,9 @@ def test_grid_pullback_modes_agree():
 
 def test_conjugacy_trivial_identity(golden_freq):
     P = fld.zero_field(2, 1.0)
-    phi = NearIdentityEmbedding(2, ())
+    u = fld.zero_field(2, 1.0)
     grid = 8
-    rep = orc.conjugacy_report(golden_freq, P, phi, np.zeros(2), grid)
+    rep = orc.conjugacy_report(golden_freq, P, u, np.zeros(2), grid)
     assert rep["sup_residual"] <= 1e-11
     assert rep["jacobian_min_det"] == pytest.approx(1.0, abs=1e-10)
 
@@ -123,38 +119,38 @@ def test_conjugacy_trivial_identity(golden_freq):
 def test_conjugacy_constant_counter_term(golden_freq):
     # P constant c, beta = -c, Phi = Id conjugates exactly
     P = fld.constant_field([1e-4, -2e-4], 1.0)
-    phi = NearIdentityEmbedding(2, ())
+    u = fld.zero_field(2, 1.0)
     grid = 8
-    res = orc.conjugacy_report(golden_freq, P, phi, np.array([-1e-4, 2e-4]),
+    res = orc.conjugacy_report(golden_freq, P, u, np.array([-1e-4, 2e-4]),
                                grid)["sup_residual"]
     assert res <= 1e-11
 
 
 def test_conjugacy_detects_missing_counter_term(golden_freq):
     P = fld.constant_field([1e-4, -2e-4], 1.0)
-    phi = NearIdentityEmbedding(2, ())
+    u = fld.zero_field(2, 1.0)
     grid = 8
-    res = orc.conjugacy_report(golden_freq, P, phi, np.zeros(2),
+    res = orc.conjugacy_report(golden_freq, P, u, np.zeros(2),
                                grid)["sup_residual"]
     assert res == pytest.approx(2e-4, rel=1e-6)
 
 
 def test_conjugacy_residual_linearity(golden_freq):
     # doubling an injected defect doubles the measured residual
-    phi = NearIdentityEmbedding(2, ())
+    u = fld.zero_field(2, 1.0)
     grid = 8
     res = []
     for scale in (1.0, 2.0):
         P = fld.make_field(2, 1.0, {(1, 0): [scale * 1e-6, 0.0]})
-        res.append(orc.conjugacy_report(golden_freq, P, phi, np.zeros(2),
+        res.append(orc.conjugacy_report(golden_freq, P, u, np.zeros(2),
                                         grid)["sup_residual"])
     assert res[1] == pytest.approx(2.0 * res[0], rel=1e-5)
 
 
 def test_orbit_shadowing_trivial(golden_freq):
     P = fld.zero_field(2, 1.0)
-    phi = NearIdentityEmbedding(2, ())
-    dev = orc.orbit_shadowing_check(golden_freq, P, phi, np.zeros(2),
+    u = fld.zero_field(2, 1.0)
+    dev = orc.orbit_shadowing_check(golden_freq, P, u, np.zeros(2),
                                     T=10.0, samples=20)
     assert dev <= 1e-10
 
@@ -162,8 +158,8 @@ def test_orbit_shadowing_trivial(golden_freq):
 def test_orbit_shadowing_detects_drift(golden_freq):
     # an uncorrected constant perturbation drifts linearly in T
     P = fld.constant_field([1e-6, 0.0], 1.0)
-    phi = NearIdentityEmbedding(2, ())
-    dev = orc.orbit_shadowing_check(golden_freq, P, phi, np.zeros(2),
+    u = fld.zero_field(2, 1.0)
+    dev = orc.orbit_shadowing_check(golden_freq, P, u, np.zeros(2),
                                     T=10.0, samples=20)
     assert dev == pytest.approx(1e-5, rel=1e-6)
 
@@ -172,14 +168,15 @@ def test_full_run_passes_oracles(golden_freq):
     P = random_field(2, 1.0, 1e-6, 5, 61)
     res = sch.run(golden_freq, P, 1.0)
     grid = 16
-    rep = orc.conjugacy_report(golden_freq, P, res.Phi, res.beta, grid)
+    u = res.Phi.displacement
+    rep = orc.conjugacy_report(golden_freq, P, u, res.beta, grid)
     assert rep["sup_residual"] <= 1e-10
-    dev = orc.orbit_shadowing_check(golden_freq, P, res.Phi, res.beta,
+    dev = orc.orbit_shadowing_check(golden_freq, P, u, res.beta,
                                     T=20.0, samples=10)
     assert dev <= 1e-8
 
 
-def _reference_orbit_deviation(alpha, P, phi, beta, T, samples):
+def _reference_orbit_deviation(alpha, P, u, beta, T, samples):
     """orbit_shadowing_check by a closure chain instead: _rk4 on the
     co-moving state (z, t), z' = beta + eval_many(P, start + t*alpha + z),
     with the same step rule and doubling, and Phi through the full u."""
@@ -187,7 +184,7 @@ def _reference_orbit_deviation(alpha, P, phi, beta, T, samples):
     theta0 = np.sqrt(np.arange(2, 2 + n)) % 1.0
     a, b = alpha.alpha, np.asarray(beta, dtype=float)
     times = np.linspace(0.0, T, samples + 1)
-    start = phi(theta0[None, :])[0]
+    start = theta0 + fld.eval_many(u, theta0[None, :])[0]
 
     def rhs(state):
         z, t = state[:, :n], state[:, n:]
@@ -213,7 +210,7 @@ def _reference_orbit_deviation(alpha, P, phi, beta, T, samples):
     else:
         pytest.fail("reference orbit integration did not converge")
     w = (theta0[None, :] + times[:, None] * a[None, :]) % 1.0
-    diff = cur + (start - theta0) - (phi(w) - w)
+    diff = cur + (start - theta0) - ((w + fld.eval_many(u, w)) - w)
     diff -= np.round(diff)
     return float(np.abs(diff).max())
 
@@ -223,18 +220,37 @@ def test_orbit_shadowing_matches_reference_rk4(solved, name):
     # two 4th-order integrators, Picard collocation and closure-chain RK4,
     # agree far below the oracle's own floor
     alpha, P, res = solved(name)
-    full = partial(apply_displacement, res.Phi.displacement)
-    expect = _reference_orbit_deviation(alpha, P, full, res.beta, 20.0, 20)
-    got = orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta,
-                                    T=20.0, samples=20)
+    u = res.Phi.displacement
+    expect = _reference_orbit_deviation(alpha, P, u, res.beta, 20.0, 20)
+    got = orc.orbit_shadowing_check(alpha, P, u, res.beta, T=20.0,
+                                    samples=20)
     assert abs(got - expect) <= 1e-18
+
+
+@pytest.mark.parametrize("name", ["W2", "W4", "W6"])
+def test_oracles_see_phi_through_the_view(solved, name, monkeypatch):
+    # the view drops only modes below the roundoff of u on the real torus:
+    # both oracles read the same values as with every mode of u
+    alpha, P, res = solved(name)
+    u, grid = res.Phi.displacement, 32 if alpha.n == 2 else 8
+
+    def measure():
+        rep = orc.conjugacy_report(alpha, P, u, res.beta, grid)
+        return (rep["sup_residual"], rep["jacobian_min_det"],
+                orc.orbit_shadowing_check(alpha, P, u, res.beta, T=100.0,
+                                          samples=100))
+
+    assert len(orc.real_torus_view(u).modes) < len(u.modes)
+    view = measure()
+    monkeypatch.setattr(orc, "real_torus_view", lambda field: field)
+    assert measure() == view
 
 
 @pytest.mark.parametrize("name", ["W1", "W2", "W4"])
 def test_orbit_shadowing_floor(solved, name):
     alpha, P, res = solved(name)
-    assert orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta, T=100.0,
-                                     samples=100) <= 1e-13
+    assert orc.orbit_shadowing_check(alpha, P, res.Phi.displacement,
+                                     res.beta, T=100.0, samples=100) <= 1e-13
 
 
 @pytest.mark.parametrize("T", [20.0, 100.0])
@@ -242,16 +258,16 @@ def test_orbit_shadowing_floor(solved, name):
 def test_orbit_shadowing_sees_a_beta_error(solved, name, T):
     # beta off by 1e-12 drifts the orbit by t * 1e-12
     alpha, P, res = solved(name)
-    dev = orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta + 1e-12,
-                                    T=T, samples=int(T))
+    dev = orc.orbit_shadowing_check(alpha, P, res.Phi.displacement,
+                                    res.beta + 1e-12, T=T, samples=int(T))
     assert dev == pytest.approx(T * 1e-12, rel=0.01)
 
 
 def test_orbit_shadowing_null_control_w6(solved):
     alpha, P, res = solved("W6")
-    dev = orc.orbit_shadowing_check(alpha, P, res.Phi, res.beta, T=100.0,
-                                    samples=100)
-    null = orc.orbit_shadowing_check(alpha, P, NearIdentityEmbedding(2, ()),
+    dev = orc.orbit_shadowing_check(alpha, P, res.Phi.displacement,
+                                    res.beta, T=100.0, samples=100)
+    null = orc.orbit_shadowing_check(alpha, P, fld.zero_field(2, 1.0),
                                      res.beta, T=100.0, samples=100)
     assert null >= 1e-10 and null >= 1e4 * dev
 
@@ -260,8 +276,7 @@ def test_orbit_shadowing_moderate_field(golden_freq):
     # sup|DP| ~ 0.4 takes four Picard windows per sample interval; the
     # value is that of the previous one-point RK4 integration
     P = fld.make_field(2, 1.0, {(1, 0): [1e-2, 3e-3], (2, -1): [5e-3, 1e-2]})
-    dev = orc.orbit_shadowing_check(golden_freq, P,
-                                    NearIdentityEmbedding(2, ()),
+    dev = orc.orbit_shadowing_check(golden_freq, P, fld.zero_field(2, 1.0),
                                     np.zeros(2), T=100.0, samples=100)
     assert dev == pytest.approx(0.02101798239287689, rel=1e-8)
 
@@ -271,5 +286,5 @@ def test_orbit_shadowing_refuses_a_huge_field_up_front(golden_freq):
     # before integrating (the CLI tests cover a refusal mid-integration)
     P = fld.make_field(2, 1.0, {(1, 0): [1e3, 5e2]})
     with pytest.raises(StiffnessError, match=r"sup\|DP\| <= 1.26e\+04"):
-        orc.orbit_shadowing_check(golden_freq, P, NearIdentityEmbedding(2, ()),
+        orc.orbit_shadowing_check(golden_freq, P, fld.zero_field(2, 1.0),
                                   np.zeros(2), T=100.0, samples=100)
