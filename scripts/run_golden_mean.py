@@ -44,7 +44,7 @@ def main():
     print(f"\nrun finished in {time.time() - t0:.2f}s, "
           f"{len(res.trace)} averaging steps, {res.passes} passes")
     print(f"beta = {res.beta}")
-    print(f"|Phi - Id| <= {res.Phi.displacement_bound():.3e}")
+    print(f"|Phi - Id| <= {res.displacement_bound:.3e}")
     print(f"final perturbation norm = {res.final_norm:.3e}")
     for entry in res.trace:
         print(f"  m={entry['m']}: q={entry['q']}, "
@@ -52,12 +52,11 @@ def main():
               f"(envelope {res.schedule.eps(entry['m']):.3e})")
 
     print("\nindependent verification:")
-    rep = conjugacy_report(alpha, P, res.Phi.displacement, res.beta,
-                           args.grid)
+    rep = conjugacy_report(alpha, P, res.u, res.beta, args.grid)
     print(f"  conjugacy residual on {args.grid}^2 grid: "
           f"{rep['sup_residual']:.3e}")
-    dev = orbit_shadowing_check(alpha, P, res.Phi.displacement, res.beta,
-                                T=args.orbit_T, samples=25)
+    dev = orbit_shadowing_check(alpha, P, res.u, res.beta, T=args.orbit_T,
+                                samples=25)
     print(f"  orbit shadowing over T={args.orbit_T:g}: {dev:.3e}")
     ok = rep["sup_residual"] <= 1e-10 and dev <= 1e-7
     print("  verdict:", "PASS" if ok else "FAIL")

@@ -20,7 +20,6 @@ from .field import (FourierVectorField, add, bracket_bound,
                     sub, tail_bound, tail_split, zero_field)
 from .averaging import (HomologicalSolution, StepResult, averaging_step,
                         lie_pullback, omega_average, solve_homological)
-from .embedding import Layer, NearIdentityEmbedding
 from .generate import random_field
 from .ledger import ErrorLedger
 from .oracles import (conjugacy_report, grid_pullback_oracle, ode_flow,

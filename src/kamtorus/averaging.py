@@ -28,7 +28,7 @@ from . import field as fld
 from .diophantine import FrequencyVector, RationalApprox, dirichlet_approx
 from .errors import (ContractionError, DomainError, ParameterError,
                      StepConditionError)
-from .embedding import _PRUNE_REL, Layer
+from .embedding import _PRUNE_REL
 from .field import FourierVectorField
 from .ledger import ErrorLedger
 
@@ -53,12 +53,6 @@ class StepResult:
     tail_term: float       # measured norm of [P]_omega - [P] at target width
     bracket_term: float    # measured norm of the Lie series at target width
     report: dict           # step_conditions' report, "ok" included
-
-    @property
-    def layer(self) -> Layer:
-        """The time-1 flow of V, from the width of P_plus to that of V."""
-        return Layer(V=self.V, source_width=self.P_plus.width_s,
-                     target_width=self.V.width_s)
 
     def record(self) -> dict:
         """The step's Dirichlet certificate and budget, ready for JSON."""
@@ -153,7 +147,10 @@ def step_conditions(consts, Q: float, sigma: float, eps: float) -> tuple:
     """
     n = consts.n
     c_mid = 4.0 * consts.b * fld.bracket_norm_const(n) * (consts.d + 2) / np.pi
-    lhs1 = Q ** n * eps
+    try:
+        lhs1 = Q ** n * eps
+    except OverflowError:       # Q^n beyond the float range fails condition 1
+        lhs1 = math.inf
     lhs2 = c_mid / (Q * sigma)
     with np.errstate(under="ignore"):
         lhs3 = 2.0 * consts.b * math.exp(
@@ -178,6 +175,7 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     fixed-point passes whose early iterates are off-budget).
     """
     s = P.width_s
+    fld.check_dimension(alpha.n, P=P, S=S)
     if not 1 <= Q < math.inf:
         raise ParameterError(f"Q must be finite and >= 1, got {Q}")
     if not 0 < sigma < s:

@@ -27,7 +27,7 @@ from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax)
-from .embedding import NearIdentityEmbedding
+from .embedding import displacement
 from .errors import KamError, ParameterError, ParseError
 from .generate import random_field
 
@@ -124,19 +124,16 @@ def _cmd_step(args) -> int:
     P = _load_field(args.pert)
     s = P.width_s
     consts = sch.constants(alpha.n, alpha.tau, alpha.gamma, alpha.gamma_bar)
-    if args.Q is None:
-        q0, _ = sch.select_Q(consts, s)
-    else:
-        q0 = args.Q
+    q0 = args.Q if args.Q is not None else sch.select_Q(consts, s)[0]
     sigma = args.sigma if args.sigma is not None else s / 4.0
     S = fld.zero_field(alpha.n, s)
     res = avg.averaging_step(alpha, S, P, q0, sigma, consts)
-    phi1 = NearIdentityEmbedding(
-        alpha.n, () if P.is_constant else (res.layer,))
+    phi1 = displacement(
+        alpha.n, () if P.is_constant else ((res.V, res.P_plus.width_s),))
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "p_plus.field").write_text(fld.serialize(res.P_plus))
-    (outdir / "phi1.field").write_text(fld.serialize(phi1.displacement))
+    (outdir / "phi1.field").write_text(fld.serialize(phi1))
     budget = {
         "Q": q0,
         "sigma": sigma,
@@ -248,15 +245,14 @@ def _cmd_run(args) -> int:
         "ledger": result.ledger.by_tag(),
         "steps": result.trace,
     })
-    (outdir / "phi.field").write_text(
-        fld.serialize(result.Phi.displacement))
+    (outdir / "phi.field").write_text(fld.serialize(result.u))
     (outdir / "beta.txt").write_text(
         "\n".join(format(float(v), ".17g") for v in result.beta) + "\n")
 
     summary = {"steps": len(result.trace),
                "beta": list(map(float, result.beta))}
-    return _verify(alpha, P, result.Phi.displacement, result.beta, grid,
-                   orbit_t, samples, outdir, summary)
+    return _verify(alpha, P, result.u, result.beta, grid, orbit_t, samples,
+                   outdir, summary)
 
 
 def _cmd_verify(args) -> int:

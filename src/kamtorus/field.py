@@ -213,6 +213,13 @@ def _check_same_dim(x, y):
         raise ParameterError(f"dimension mismatch: {x.n} vs {y.n}")
 
 
+def check_dimension(n: int, **fields: FourierVectorField) -> None:
+    """ParameterError naming both dimensions unless each field is on T^n."""
+    for name, x in fields.items():
+        if x.n != n:
+            raise ParameterError(f"{name} is on T^{x.n}, alpha on T^{n}")
+
+
 def _log_weights(modes: np.ndarray, s: float) -> np.ndarray:
     return TWO_PI * s * np.abs(modes).sum(axis=1)
 

@@ -29,6 +29,8 @@ def random_field(n: int, s: float, eps: float, modes: int, seed: int,
             f"modes with |k|_inf <= {k_max}; got {modes}")
     if not 0 < eps < math.inf:
         raise ParameterError(f"eps must be finite and > 0, got {eps}")
+    if not 0 < s < math.inf:
+        raise ParameterError(f"s must be finite and > 0, got {s}")
     rng = np.random.default_rng(seed)
     coeffs = {}
     chosen = set()
@@ -53,4 +55,7 @@ def random_field(n: int, s: float, eps: float, modes: int, seed: int,
         if current == eps:
             break
         out = fld.scale(out, eps / current)
+    if len(best.modes) < len(chosen) + 1:     # each drawn +-k and mode 0
+        raise ParameterError(f"at width s={s} the damping exp(-2*pi*s*|k|_1) "
+                             "of a drawn mode underflows: it vanished")
     return best

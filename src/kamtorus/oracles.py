@@ -195,6 +195,7 @@ def conjugacy_report(alpha, P: FourierVectorField, u: FourierVectorField,
     with Phi = Id + u, over a grid^n lattice, plus the smallest Jacobian
     determinant seen."""
     n = alpha.n
+    fld.check_dimension(n, P=P, u=u)
     phi = _embedding(u)
     axes = [np.arange(grid) / grid] * n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -230,6 +231,7 @@ def orbit_shadowing_check(alpha, P: FourierVectorField,
     z' = beta + P(orbit); Picard sweeps solve a window's Lobatto IIIA-3
     nodes at once, one eval_many a sweep."""
     n = alpha.n
+    fld.check_dimension(n, P=P, u=u)
     phi = _embedding(u)
     theta0 = np.asarray(np.sqrt(np.arange(2, 2 + n)) % 1.0
                         if theta0 is None else theta0, dtype=float)

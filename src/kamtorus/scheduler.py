@@ -1,5 +1,5 @@
 """The full iteration: constants, geometric schedules, feasibility, and
-the outer loop producing the conjugacy Phi and counter-term beta.
+the outer loop producing the counter-term beta and the conjugacy Phi.
 
 The counter-term is found as a fixed point: a forward pass of averaging
 steps starting from frequency alpha + beta measures the endpoint defect
@@ -8,6 +8,9 @@ that defect.  Step m checks the counter-term domain |x_m - alpha| <= c*eps
 and averages at S = X_{x_m - [P_m]} - X_alpha.  Early passes run with
 assertions relaxed, since their iterates are off the certified budget;
 the final pass re-runs the whole chain with every bound enforced.
+
+Phi is kept as its flows, one (V, width of P_plus) per non-constant step;
+RunResult.u composes the displacement Phi - Id only when first read.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import averaging as avg
 from . import field as fld
 from .diophantine import FrequencyVector, _gamma_star
-from .embedding import NearIdentityEmbedding
+from .embedding import displacement
 from .errors import (ContractionError, DomainError, InfeasibleError,
                      ParameterError, ThresholdError)
 from .field import FourierVectorField
@@ -52,10 +56,17 @@ def constants(n: int, tau: float, gamma: float,
         raise ParameterError(f"tau must be finite and >= 0, got {tau}")
     if not 0 < gamma <= 1:
         raise ParameterError(f"gamma must be in (0, 1], got {gamma}")
-    if not gamma_bar > 0:
-        raise ParameterError(f"gamma_bar must be > 0, got {gamma_bar}")
+    if not 0 < gamma_bar < math.inf:
+        raise ParameterError(
+            f"gamma_bar must be finite and > 0, got {gamma_bar}")
     a = 1.0 + (n - 1) * tau
-    b = 4.0 ** (n * a)
+    try:
+        b = 4.0 ** (n * a)
+    except OverflowError:
+        b = math.inf
+    if b == math.inf:
+        raise ParameterError(
+            f"b = 4^(n*a) overflows at n={n}, tau={tau} (a = {a:g})")
     binv = 1.0 / b
     c = binv / (1.0 - binv)
     d = c + 1.0
@@ -92,16 +103,17 @@ def select_Q(consts: KamConstants, s: float):
     if not 0 < s < math.inf:
         raise ParameterError(f"s must be finite and > 0, got {s}")
     sigma0 = s / 4.0
-    last = None
     for j in range(_Q_CAP_EXP + 1):
         q0 = float(2 ** j)
-        ok, report = avg.step_conditions(consts, q0, sigma0, 0.0)
-        last = report
-        if report["middle"] <= 1.0 and report["tail"] <= 1.0:
+        _, last = avg.step_conditions(consts, q0, sigma0, 0.0)
+        if not last["ok"][0]:
+            break           # Q0^n overflows, and does for every larger Q0
+        if last["middle"] <= 1.0 and last["tail"] <= 1.0:
             # both ratios improve with m: Q_m*sigma_m grows like (4^a/2)^m
             # and Q_m^{1/a}*sigma_m like 2^m
             return q0, q0 ** (-consts.n)
-    binding = "middle" if last["middle"] > last["tail"] else "tail"
+    binding = ("threshold" if not last["ok"][0] else
+               "middle" if last["middle"] > last["tail"] else "tail")
     raise InfeasibleError(
         f"no Q0 <= 2^{_Q_CAP_EXP} satisfies the step conditions; "
         f"binding condition: {binding} (lhs={last[binding]:.6g})")
@@ -116,7 +128,8 @@ class RunOptions:
 
 @dataclass
 class RunResult:
-    Phi: NearIdentityEmbedding
+    flows: tuple                # (V, width of P_plus) per non-constant step
+    displacement_bound: float   # sum of norm(V, V.width_s): |Phi - Id| <= it
     beta: np.ndarray
     trace: list
     schedule: Schedule
@@ -126,18 +139,23 @@ class RunResult:
     passes: int
     ledger: ErrorLedger
 
+    @cached_property
+    def u(self) -> FourierVectorField:
+        """Phi - Id, composed from flows on first use."""
+        return displacement(self.schedule.consts.n, self.flows)
+
 
 def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
                   sched: Schedule, tol: float, max_steps: int, enforce: bool,
                   ledger: ErrorLedger):
     """One pass of averaging steps starting at frequency alpha + beta.
 
-    Returns (phi, trace, defect, final_norm) where defect is how far the
+    Returns (flows, trace, defect, final_norm) where defect is how far the
     endpoint frequency misses alpha; beta is a fixed point when the
     defect vanishes.
     """
     consts = sched.consts
-    phi = NearIdentityEmbedding(n=alpha.n, layers=())
+    flows = []
     trace = []
     u = alpha.alpha + beta
     Pm = P
@@ -165,7 +183,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
             alpha, S, Pm, sched.Q(m), sched.sigma(m), consts,
             ledger=ledger, enforce=enforce, eps_ref=sched.eps(m))
         if not Pm.is_constant:
-            phi = phi.extended(res.layer)
+            flows.append((res.V, res.P_plus.width_s))
         trace.append({"m": m, "Q_m": sched.Q(m), "sigma_m": sched.sigma(m),
                       "norm_P": norm_m, "norm_V": res.v_norm,
                       "norm_phi1_defect": res.v_norm, **res.record()})
@@ -174,7 +192,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         m += 1
     final_norm = fld.norm(Pm, min(sched.width(m), Pm.width_s))
     defect = (u + Pm.constant_part()) - alpha.alpha
-    return phi, trace, defect, final_norm
+    return tuple(flows), trace, defect, final_norm
 
 
 def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
@@ -190,6 +208,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
         raise ParameterError(f"tol must be >= 0, got {opts.tol}")
     if opts.max_steps < 1:
         raise ParameterError(f"max_steps must be >= 1, got {opts.max_steps}")
+    fld.check_dimension(alpha.n, P=P)
     if not 0 < s <= P.width_s:
         raise ParameterError(
             f"requested width s={s} exceeds the field width {P.width_s}")
@@ -209,7 +228,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     ledger = ErrorLedger()
 
     if eps == 0.0:
-        return RunResult(Phi=NearIdentityEmbedding(n=alpha.n, layers=()),
+        return RunResult(flows=(), displacement_bound=0.0,
                          beta=np.zeros(alpha.n), trace=[], schedule=sched,
                          eps=0.0, eps_star=eps_star, final_norm=0.0,
                          passes=0, ledger=ledger)
@@ -235,13 +254,13 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
             measured_ratio=float(np.abs(defect).max() / eps))
 
     enforce = not opts.force
-    phi, trace, defect, final_norm = _forward_pass(
+    flows, trace, defect, final_norm = _forward_pass(
         alpha, P, beta, sched, tol, opts.max_steps, enforce=enforce,
         ledger=ledger)
     beta = beta - defect     # absorb the sub-tolerance remainder exactly
     passes += 1
 
-    disp = phi.displacement_bound()
+    disp = sum(fld.norm(V, V.width_s) for V, _ in flows)
     disp_bound = (1.0 - consts.b ** (-1.0 / consts.n)) ** -1 \
         * Q0 ** (consts.n - 1) * eps
     if enforce and disp > disp_bound * (1 + 1e-9):
@@ -256,7 +275,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
             measured_ratio=float(np.abs(beta).max() / (consts.d * eps)))
     ledger.charge("run.stopping_truncation",
                   final_norm * consts.b / (consts.b - 1.0))
-    return RunResult(Phi=phi, beta=beta, trace=trace, schedule=sched,
-                     eps=eps, eps_star=eps_star, final_norm=final_norm,
-                     passes=passes, ledger=ledger)
+    return RunResult(flows=flows, displacement_bound=disp, beta=beta,
+                     trace=trace, schedule=sched, eps=eps, eps_star=eps_star,
+                     final_norm=final_norm, passes=passes, ledger=ledger)
 

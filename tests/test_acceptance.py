@@ -170,7 +170,7 @@ def test_criterion_6_single_step_contraction(golden_freq):
     S = fld.zero_field(2, 1.0)
     res = avg.averaging_step(golden_freq, S, P, Q0, 0.25, consts)
     pp = fld.norm(res.P_plus, 0.75)
-    disp = res.layer.displacement_bound()
+    disp = fld.norm(res.V, res.V.width_s)
     dt = time.time() - t0
     _report("6 single-step contraction",
             pp <= eps / 16.0 and disp <= Q0 * eps and dt < 30.0,
@@ -212,7 +212,7 @@ def test_criterion_7_geometric_contraction(run_eps6, plastic_freq):
 def test_criterion_8_conjugacy_and_shadowing(golden_freq, run_eps6):
     t0 = time.time()
     P, res = run_eps6
-    u = res.Phi.displacement
+    u = res.u
     rep = orc.conjugacy_report(golden_freq, P, u, res.beta, 32)
     dev = orc.orbit_shadowing_check(golden_freq, P, u, res.beta,
                                     T=100.0, samples=25)
@@ -227,14 +227,14 @@ def test_criterion_9_linear_scaling(run_eps6, run_eps6_quarter):
     _, res = run_eps6
     _, res4 = run_eps6_quarter
     beta_ok = np.abs(res4.beta).max() <= np.abs(res.beta).max() / 2.0
-    disp_ok = (res4.Phi.displacement_bound()
-               <= res.Phi.displacement_bound() / 2.0)
+    disp_ok = (res4.displacement_bound
+               <= res.displacement_bound / 2.0)
     _report("9 linear scaling of beta and displacement in eps",
             beta_ok and disp_ok,
             f"|beta| {np.abs(res.beta).max():.3g} -> "
             f"{np.abs(res4.beta).max():.3g}, disp "
-            f"{res.Phi.displacement_bound():.3g} -> "
-            f"{res4.Phi.displacement_bound():.3g}")
+            f"{res.displacement_bound:.3g} -> "
+            f"{res4.displacement_bound:.3g}")
 
 
 def test_criterion_10_pullback_oracle_equivalence():

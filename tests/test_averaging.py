@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,17 @@ def golden_consts(golden_freq):
     return sch.constants(2, 0.0, golden_freq.gamma, golden_freq.gamma_bar)
 
 
+@pytest.mark.parametrize("which", ["P", "S"])
+def test_step_rejects_a_field_of_another_dimension(golden_freq, golden_consts,
+                                                   which):
+    fields = {"P": _rand(1, eps=1e-6), "S": fld.zero_field(2, 1.0),
+              which: fld.zero_field(3, 1.0)}
+    with pytest.raises(ParameterError,
+                       match=f"{which} is on T\\^3, alpha on T\\^2"):
+        avg.averaging_step(golden_freq, fields["S"], fields["P"], 512.0, 0.25,
+                           golden_consts)
+
+
 def test_step_zero_perturbation(golden_freq, golden_consts):
     S = fld.zero_field(2, 1.0)
     P = fld.zero_field(2, 1.0)
@@ -183,6 +196,12 @@ def test_step_conditions_failure(golden_freq, golden_consts):
     with pytest.raises(StepConditionError) as exc:
         avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
     assert "threshold" in exc.value.failed
+    # 1e200^2 is beyond the float range: condition 1 fails, no OverflowError
+    _, rep = avg.step_conditions(golden_consts, 1e200, 0.25, 0.0)
+    assert rep["ok"] == (False, True, True) and rep["threshold"] == math.inf
+    with pytest.raises(StepConditionError, match="threshold=inf"):
+        avg.averaging_step(golden_freq, S, _rand(1, eps=1e-6), 1e200, 0.25,
+                           golden_consts)
 
 
 def test_step_equivalence_with_direct_pullback(golden_freq, golden_consts):
@@ -240,22 +259,22 @@ def _one_step(alpha, consts, P, beta, monkeypatch, enforce=True):
                          eps0=fld.norm(P, 1.0))
     with monkeypatch.context() as mp:
         mp.setattr(avg, "averaging_step", spy)
-        phi, trace, defect, _ = sch._forward_pass(
+        flows, trace, defect, _ = sch._forward_pass(
             alpha, P, np.asarray(beta, dtype=float), sched, 0.0, 1, enforce,
             ErrorLedger())
     assert len(trace) == len(seen) == 1
-    return phi, defect, seen[0]
+    return flows, defect, seen[0]
 
 
 def test_counter_term_translation(golden_freq, golden_consts, monkeypatch):
     P = fld.constant_field([1e-7, 0.0], 1.0)
     # x_0 = alpha: the step runs at the shifted frequency alpha - [P]
-    phi, defect, S = _one_step(golden_freq, golden_consts, P, [-1e-7, 0.0],
-                               monkeypatch)
+    flows, defect, S = _one_step(golden_freq, golden_consts, P,
+                                 [-1e-7, 0.0], monkeypatch)
     np.testing.assert_allclose(S, [-1e-7, 0.0])
-    # and leaves no P_plus, so the pass ends at x_0 = alpha, with no layer
+    # and leaves no P_plus, so the pass ends at x_0 = alpha, with no flow
     np.testing.assert_allclose(defect, [0.0, 0.0], atol=1e-16)
-    assert phi.layers == ()
+    assert flows == ()
 
 
 def test_counter_term_zero_average(golden_freq, golden_consts, monkeypatch):

@@ -51,7 +51,11 @@ def test_gen_deterministic(tmp_path):
     (["--modes", "2", "--kmax", "-2"], "k_max >= 1"),
     (["--modes", "2", "--n", "0"], "n >= 1"),
     (["--modes", "2", "--eps", "inf"], "eps must be finite and > 0"),
-], ids=["modes-9-kmax-1", "kmax-0", "kmax-neg", "n-0", "eps-inf"])
+    (["--modes", "2", "--s", "0"], "s must be finite and > 0"),
+    (["--modes", "2", "--s", "inf"], "s must be finite and > 0"),
+    (["--modes", "2", "--s", "nan"], "s must be finite and > 0"),
+], ids=["modes-9-kmax-1", "kmax-0", "kmax-neg", "n-0", "eps-inf", "s-0",
+        "s-inf", "s-nan"])
 def test_gen_bad_arguments_exit_2(monkeypatch, capsys, args, msg):
     # checked before drawing: with more modes than the box holds, or an
     # empty box, the draw never ends
@@ -66,12 +70,38 @@ def test_gen_bad_arguments_exit_2(monkeypatch, capsys, args, msg):
     assert msg in out.err and not out.out
 
 
+@pytest.mark.parametrize("s", ["30", "50", "1e300"])
+def test_gen_vanishing_mode_exits_2(capsys, s):
+    # a drawn mode whose damping exp(-2 pi s |k|_1) underflows is refused,
+    # not silently dropped from the field
+    assert main(["gen", "--n", "2", "--s", s, "--eps", "1e-6", "--seed", "0",
+                 "--modes", "3"]) == 2
+    out = capsys.readouterr()
+    assert "vanished" in out.err and not out.out
+
+
 @pytest.mark.parametrize("s", ["0", "-1", "inf", "nan"])
 def test_constants_bad_width_exits_2(capsys, s):
     assert main(["constants", "--n", "2", "--tau", "0.0", "--gamma", "0.382",
                  "--gammabar", "0.382", "--s", s]) == 2
     out = capsys.readouterr()
     assert "s must be finite and > 0" in out.err and not out.out
+
+
+@pytest.mark.parametrize("args,msg", [
+    (["--n", "2", "--tau", "1e3"], "b = 4^(n*a) overflows"),
+    (["--n", "40", "--tau", "0"], "binding condition: threshold (lhs=inf)"),
+    (["--n", "2", "--tau", "0", "--gammabar", "inf"],
+     "gamma_bar must be finite and > 0"),
+], ids=["tau-1e3", "n-40", "gammabar-inf"])
+def test_constants_bad_parameters_exit_2(capsys, args, msg):
+    base = {"--gamma": "0.38", "--gammabar": "0.38"}
+    base.update(zip(args[::2], args[1::2]))
+    t0 = time.perf_counter()
+    assert main(["constants"] + [x for kv in base.items() for x in kv]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    out = capsys.readouterr()
+    assert msg in out.err and not out.out
 
 
 @pytest.mark.parametrize("Q", ["0", "0.5", "nan", "inf"])
@@ -85,6 +115,35 @@ def test_step_bad_Q_exits_2(tmp_path, golden_file, pert_file, monkeypatch,
     assert main(["step", "--freq", golden_file, "--pert", pert_file,
                  "--Q", Q, "--out", str(out)]) == 2
     assert "Q must be finite and >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_step_overflowing_Q_exits_2(tmp_path, golden_file, pert_file,
+                                    capsys):
+    # Q^n overflows the float range: condition 1 fails, no traceback
+    out = tmp_path / "step"
+    assert main(["step", "--freq", golden_file, "--pert", pert_file,
+                 "--Q", "1e200", "--out", str(out)]) == 2
+    assert "step conditions failed: threshold=inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["run", "step", "verify"])
+def test_dimension_mismatch_exits_2(tmp_path, golden_file, pert_file, capsys,
+                                    cmd):
+    # a field on T^3 against the n=2 golden frequency
+    p3 = tmp_path / "p3.field"
+    p3.write_text(fld.serialize(random_field(3, 1.0, 1e-12, 4, 7, k_max=2)))
+    beta = tmp_path / "beta.txt"
+    beta.write_text("0\n0\n")
+    out = tmp_path / "out"
+    args = {"run": ["--pert", str(p3), "--s", "1"],
+            "step": ["--pert", str(p3)],
+            "verify": ["--pert", pert_file, "--phi", str(p3),
+                       "--beta", str(beta)]}[cmd]
+    assert main([cmd, "--freq", golden_file, "--out", str(out)] + args) == 2
+    msg = "P" if cmd != "verify" else "u"
+    assert f"{msg} is on T^3, alpha on T^2" in capsys.readouterr().err
     assert not out.exists()
 
 

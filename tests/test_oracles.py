@@ -6,7 +6,7 @@ from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.diophantine import dirichlet_approx
-from kamtorus.errors import StiffnessError
+from kamtorus.errors import ParameterError, StiffnessError
 from kamtorus.generate import random_field
 
 
@@ -107,6 +107,22 @@ def test_grid_pullback_modes_agree():
 # conjugacy_report / orbit_shadowing_check
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("which", ["P", "u"])
+@pytest.mark.parametrize("oracle", ["conjugacy", "orbit"])
+def test_oracles_reject_a_field_of_another_dimension(golden_freq, which,
+                                                     oracle):
+    fields = {"P": fld.zero_field(2, 1.0), "u": fld.zero_field(2, 1.0),
+              which: fld.zero_field(3, 1.0)}
+    with pytest.raises(ParameterError,
+                       match=f"{which} is on T\\^3, alpha on T\\^2"):
+        if oracle == "conjugacy":
+            orc.conjugacy_report(golden_freq, fields["P"], fields["u"],
+                                 np.zeros(2), 8)
+        else:
+            orc.orbit_shadowing_check(golden_freq, fields["P"], fields["u"],
+                                      np.zeros(2), T=1.0, samples=4)
+
+
 def test_conjugacy_trivial_identity(golden_freq):
     P = fld.zero_field(2, 1.0)
     u = fld.zero_field(2, 1.0)
@@ -168,7 +184,7 @@ def test_full_run_passes_oracles(golden_freq):
     P = random_field(2, 1.0, 1e-6, 5, 61)
     res = sch.run(golden_freq, P, 1.0)
     grid = 16
-    u = res.Phi.displacement
+    u = res.u
     rep = orc.conjugacy_report(golden_freq, P, u, res.beta, grid)
     assert rep["sup_residual"] <= 1e-10
     dev = orc.orbit_shadowing_check(golden_freq, P, u, res.beta,
@@ -220,7 +236,7 @@ def test_orbit_shadowing_matches_reference_rk4(solved, name):
     # two 4th-order integrators, Picard collocation and closure-chain RK4,
     # agree far below the oracle's own floor
     alpha, P, res = solved(name)
-    u = res.Phi.displacement
+    u = res.u
     expect = _reference_orbit_deviation(alpha, P, u, res.beta, 20.0, 20)
     got = orc.orbit_shadowing_check(alpha, P, u, res.beta, T=20.0,
                                     samples=20)
@@ -232,7 +248,7 @@ def test_oracles_see_phi_through_the_view(solved, name, monkeypatch):
     # the view drops only modes below the roundoff of u on the real torus:
     # both oracles read the same values as with every mode of u
     alpha, P, res = solved(name)
-    u, grid = res.Phi.displacement, 32 if alpha.n == 2 else 8
+    u, grid = res.u, 32 if alpha.n == 2 else 8
 
     def measure():
         rep = orc.conjugacy_report(alpha, P, u, res.beta, grid)
@@ -249,7 +265,7 @@ def test_oracles_see_phi_through_the_view(solved, name, monkeypatch):
 @pytest.mark.parametrize("name", ["W1", "W2", "W4"])
 def test_orbit_shadowing_floor(solved, name):
     alpha, P, res = solved(name)
-    assert orc.orbit_shadowing_check(alpha, P, res.Phi.displacement,
+    assert orc.orbit_shadowing_check(alpha, P, res.u,
                                      res.beta, T=100.0, samples=100) <= 1e-13
 
 
@@ -258,14 +274,14 @@ def test_orbit_shadowing_floor(solved, name):
 def test_orbit_shadowing_sees_a_beta_error(solved, name, T):
     # beta off by 1e-12 drifts the orbit by t * 1e-12
     alpha, P, res = solved(name)
-    dev = orc.orbit_shadowing_check(alpha, P, res.Phi.displacement,
+    dev = orc.orbit_shadowing_check(alpha, P, res.u,
                                     res.beta + 1e-12, T=T, samples=int(T))
     assert dev == pytest.approx(T * 1e-12, rel=0.01)
 
 
 def test_orbit_shadowing_null_control_w6(solved):
     alpha, P, res = solved("W6")
-    dev = orc.orbit_shadowing_check(alpha, P, res.Phi.displacement,
+    dev = orc.orbit_shadowing_check(alpha, P, res.u,
                                     res.beta, T=100.0, samples=100)
     null = orc.orbit_shadowing_check(alpha, P, fld.zero_field(2, 1.0),
                                      res.beta, T=100.0, samples=100)

@@ -6,6 +6,7 @@ import pytest
 from kamtorus import averaging as avg
 from kamtorus import field as fld
 from kamtorus import scheduler as sch
+from kamtorus.embedding import displacement
 from kamtorus.errors import InfeasibleError, ParameterError, ThresholdError
 from kamtorus.generate import random_field
 from kamtorus.oracles import ode_flow
@@ -46,6 +47,11 @@ def test_constants_validation():
         sch.constants(2, -0.5, 1.0, 1.0)
     with pytest.raises(Exception):
         sch.constants(2, 0.0, 0.0, 1.0)
+    with pytest.raises(ParameterError, match="gamma_bar must be finite"):
+        sch.constants(2, 0.0, 0.38, math.inf)
+    for n, tau in ((2, 1e3), (3, 1e308)):       # b = 4^(n*a) overflows
+        with pytest.raises(ParameterError, match="overflows"):
+            sch.constants(n, tau, 0.38, 0.38)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +117,9 @@ def test_select_q_infeasible():
     c = sch.constants(2, 0.0, 1e-300, 1e-300)
     with pytest.raises(InfeasibleError):
         sch.select_Q(c, 1e-3)
+    # Q0^40 overflows before the middle condition can hold
+    with pytest.raises(InfeasibleError, match="threshold"):
+        sch.select_Q(sch.constants(40, 0.0, 0.38, 0.38), 1.0)
 
 
 def test_check_conditions_scaling(golden_freq):
@@ -133,7 +142,7 @@ def test_check_conditions_scaling(golden_freq):
 def test_run_zero_perturbation(golden_freq):
     P = fld.zero_field(2, 1.0)
     res = sch.run(golden_freq, P, 1.0)
-    assert res.Phi.layers == ()
+    assert res.flows == ()
     np.testing.assert_array_equal(res.beta, [0.0, 0.0])
     assert res.final_norm == 0.0
     assert res.trace == []
@@ -143,7 +152,7 @@ def test_run_constant_perturbation(golden_freq):
     P = fld.constant_field([1e-7, -3e-8], 1.0)
     res = sch.run(golden_freq, P, 1.0)
     np.testing.assert_allclose(res.beta, [-1e-7, 3e-8], atol=1e-20)
-    assert res.Phi.layers == ()
+    assert res.flows == ()
     assert res.final_norm == 0.0
 
 
@@ -156,8 +165,10 @@ def test_run_small_field(golden_freq):
         assert entry["norm_P"] <= res.schedule.eps(m) * (1 + 1e-9)
     consts = res.schedule.consts
     assert np.abs(res.beta).max() <= consts.d * eps
-    assert res.Phi.displacement_bound() <= \
+    assert res.displacement_bound <= \
         res.schedule.Q0 * eps / (1 - consts.b ** (-0.5)) * (1 + 1e-9)
+    assert res.displacement_bound == sum(fld.norm(V, V.width_s)
+                                         for V, _ in res.flows)
     assert res.final_norm <= 1e-20
     # ledger records the truncation charge
     assert res.ledger.total >= res.final_norm
@@ -236,24 +247,51 @@ def test_run_rejects_negative_tol_and_no_steps(golden_freq, monkeypatch,
         sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 3), 1.0, opts)
 
 
+def test_run_rejects_a_field_of_another_dimension(golden_freq):
+    P = random_field(3, 1.0, 1e-12, 4, 7, k_max=2)
+    with pytest.raises(ParameterError, match="P is on T\\^3, alpha on T\\^2"):
+        sch.run(golden_freq, P, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # materialize: the displacement of Phi as a Fourier field
 # ---------------------------------------------------------------------------
 
 def test_materialize_identity(golden_freq):
-    phi = sch.NearIdentityEmbedding(2, ())
-    assert not phi.displacement.coeffs
+    assert not displacement(2, ()).coeffs
     res = sch.run(golden_freq, fld.constant_field([1e-7, -2e-7], 1.0), 1.0)
-    assert not res.Phi.displacement.coeffs
+    assert not res.u.coeffs
 
 
 def test_materialize_run_output(golden_freq):
     P = random_field(2, 1.0, 1e-6, 5, 2)
     res = sch.run(golden_freq, P, 1.0)
-    assert len(res.Phi.layers) >= 2
+    assert len(res.flows) >= 2
     pts = np.random.default_rng(0).uniform(0, 1, size=(30, 2))
     expect = pts
-    for layer in reversed(res.Phi.layers):
-        expect = ode_flow(layer.V, expect, 1.0)
-    np.testing.assert_allclose(pts + fld.eval_many(res.Phi.displacement, pts),
+    for V, _ in reversed(res.flows):
+        expect = ode_flow(V, expect, 1.0)
+    np.testing.assert_allclose(pts + fld.eval_many(res.u, pts),
                                expect, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["W1", "W4", "W6"])
+def test_run_composes_u_once_on_first_read(solved, name, monkeypatch):
+    alpha, P, _ = solved(name)
+    calls = []
+
+    def spy(n, flows):
+        calls.append(flows)
+        return displacement(n, flows)
+
+    monkeypatch.setattr(sch, "displacement", spy)
+    res = sch.run(alpha, P, P.width_s)
+    assert calls == []
+    u = res.u
+    assert res.u is u
+    assert len(calls) == 1 and calls[0] is res.flows
+    expect = displacement(alpha.n, res.flows)
+    assert (u.n, u.width_s, u.k_max) == (expect.n, expect.width_s,
+                                         expect.k_max)
+    assert u.modes.tobytes() == expect.modes.tobytes()
+    assert u.coef.tobytes() == expect.coef.tobytes()    # bit for bit
