@@ -8,18 +8,17 @@ approximations of alpha so every homological equation is solved with
 divisors bounded below by 1/q.
 """
 
-from .diophantine import (FrequencyVector, RationalApprox, ResonanceBound,
-                          dirichlet_approx, enumerate_resonant,
-                          estimate_constants, lower_denominator_bound, psi,
-                          psi_argmax, resonance_bound)
+from .diophantine import (FrequencyVector, RationalApprox, dirichlet_approx,
+                          enumerate_resonant, estimate_constants,
+                          lower_denominator_bound, psi_argmax)
 from .errors import KamError
-from .field import (FourierVectorField, add, bracket_bound,
-                    bracket_norm_const, constant_field, deserialize,
-                    eval_at, eval_many, lie_bracket, lie_derivative,
-                    lie_series, make_field, norm, prune, scale, serialize,
-                    sub, tail_bound, tail_split, zero_field)
-from .averaging import (HomologicalSolution, StepResult, averaging_step,
-                        lie_pullback, omega_average, solve_homological)
+from .field import (FourierVectorField, add, bracket_norm_const,
+                    constant_field, deserialize, eval_at, eval_many,
+                    lie_bracket, lie_derivative, lie_series, make_field, norm,
+                    prune, scale, serialize, sub, tail_bound, tail_split,
+                    zero_field)
+from .averaging import (StepResult, averaging_step, lie_pullback,
+                        omega_average, solve_homological)
 from .generate import random_field
 from .ledger import ErrorLedger
 from .oracles import (conjugacy_report, grid_pullback_oracle, ode_flow,

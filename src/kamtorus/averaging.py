@@ -15,6 +15,9 @@ algebraically identical to pulling back Y and subtracting the identified
 terms, but the subtraction is performed termwise before any magnitudes
 grow, so the result stays accurate when norm(P) is near the floating
 floor.
+
+A step reads the exact integer divisor q*(k.omega) of each mode of P
+once; [P]_omega, P - [P]_omega, V and B are rows of P selected by it.
 """
 
 from __future__ import annotations
@@ -31,13 +34,6 @@ from .errors import (ContractionError, DomainError, ParameterError,
 from .embedding import _PRUNE_REL
 from .field import FourierVectorField
 from .ledger import ErrorLedger
-
-
-@dataclass(frozen=True)
-class HomologicalSolution:
-    V: FourierVectorField
-    v_norm: float          # norm(V) at the width of P
-    residual: float        # relative coefficientwise identity defect
 
 
 @dataclass(frozen=True)
@@ -81,25 +77,25 @@ def _divisors(P: FourierVectorField, approx: RationalApprox) -> np.ndarray:
     return P.modes @ approx.q_omega()
 
 
+def _rows(P: FourierVectorField, keep: np.ndarray) -> FourierVectorField:
+    return fld._field(P.n, P.width_s, P.modes, P.coef, keep)
+
+
 def omega_average(P: FourierVectorField,
                   approx: RationalApprox) -> FourierVectorField:
     """Projection onto the modes with k . omega = 0 (exact integer test)."""
-    keep = _divisors(P, approx) == 0
-    return replace(P, modes=P.modes[keep], coef=P.coef[keep])
+    return _rows(P, _divisors(P, approx) == 0)
 
 
-def solve_homological(P: FourierVectorField,
-                      approx: RationalApprox) -> HomologicalSolution:
-    """V with [V, X_omega] = P - [P]_omega, V zero on resonant modes.
-
-    V_k = P_k * q / (2*pi*i * q*(k.omega)); the integer q*(k.omega) is
-    nonzero on every retained mode, and |k.omega| >= 1/q gives
-    norm(V) <= q * norm(P - [P]_omega).
-    """
-    q, s = approx.q, P.width_s
-    rhs = fld.sub(P, omega_average(P, approx))
+def solve_homological(P: FourierVectorField, d: np.ndarray, q: int):
+    """(P - [P]_omega, V, norm(V)) with [V, X_omega] = P - [P]_omega, from
+    the divisors d = q*(k.omega) of P's modes (`_divisors(P, approx)`):
+    V_k = P_k * q / (2*pi*i * d_k) where d_k != 0, and |k.omega| >= 1/q
+    gives norm(V) <= q * norm(P - [P]_omega)."""
+    s, live = P.width_s, d != 0
+    rhs = _rows(P, live)
     # q / (2 pi i d) = -i q/(2 pi d), rounded as that one real division
-    factor = -1j * (q / (fld.TWO_PI * _divisors(rhs, approx)))
+    factor = -1j * (q / (fld.TWO_PI * d[live]))
     V = replace(rhs, coef=rhs.coef * factor[:, None])
     rhs_norm, v_norm = fld.norm(rhs, s), fld.norm(V, s)
     if v_norm > q * rhs_norm * (1 + 1e-12):
@@ -107,12 +103,7 @@ def solve_homological(P: FourierVectorField,
             "divisor bound violated: "
             f"norm(V)={v_norm:.6g} > q*norm(P-[P]_w)={q * rhs_norm:.6g}",
             measured_ratio=v_norm / (q * rhs_norm))
-    residual = 0.0
-    if rhs_norm:
-        x_omega = fld.constant_field(approx.omega, s)
-        residual = fld.norm(fld.sub(fld.lie_bracket(V, x_omega), rhs),
-                            s) / rhs_norm
-    return HomologicalSolution(V=V, v_norm=v_norm, residual=residual)
+    return rhs, V, v_norm
 
 
 def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
@@ -208,13 +199,13 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
             raise DomainError(
                 f"|S| = {s_norm:.6g} exceeds d*eps = {consts.d * eps:.6g}")
 
-    p_omega = omega_average(P, approx)
-    sol = solve_homological(P, approx)
-    V, v_norm = sol.V, sol.v_norm
-
-    head = fld.sub(p_omega, fld.constant_field(p_avg, s))
+    # head = [P]_omega - [P] and B = [P]_omega - P (0.0 - c keeps a zero
+    # component +0.0) are rows of P, split once by its divisors d
+    d = _divisors(P, approx)
+    rhs, V, v_norm = solve_homological(P, d, approx.q)
+    head = _rows(P, (d == 0) & P.modes.any(axis=1))
     A = fld.add(fld.constant_field(approx.varpi, s), fld.add(S, P))
-    B = fld.sub(p_omega, P)
+    B = replace(rhs, coef=0.0 - rhs.coef)
 
     floor = _PRUNE_REL * eps_ref
     # the series ends once a term's norm is at most 1e-18*eps_ref, so the

@@ -86,14 +86,6 @@ class RationalApprox:
         return np.concatenate(([self.q], self.p)).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ResonanceBound:
-    gamma_star: float
-    a: float
-    Q: float
-    cutoff: float
-
-
 # ---------------------------------------------------------------------------
 # exact rational helpers
 # ---------------------------------------------------------------------------
@@ -226,9 +218,13 @@ def _build_approx(alpha: FrequencyVector, q: int, Q: float) -> RationalApprox:
 
 def _check_cells(cells: int, what: str) -> None:
     if cells > _GRID_CELL_BUDGET:
+        from decimal import Decimal     # only to word this error
+        # to 3 digits as :.3g prints, but exact: cells may exceed any float
+        mant, exp = f"{Decimal(cells):.2e}".split("e")
         raise ParameterError(
-            f"{what} would enumerate {cells} lattice points, above the "
-            f"budget of {_GRID_CELL_BUDGET}")
+            f"{what} would enumerate {mant.rstrip('0').rstrip('.')}"
+            f"e{int(exp):+03d} lattice points, above the budget of "
+            f"{_GRID_CELL_BUDGET}")
 
 
 def _nonzero_box(n: int, K: int, what: str) -> np.ndarray:
@@ -296,10 +292,6 @@ def psi_argmax(alpha: FrequencyVector, Q: float):
     return 1.0 / float(vals[imin]), tuple(int(v) for v in ks[imin])
 
 
-def psi(alpha: FrequencyVector, Q: float) -> float:
-    return psi_argmax(alpha, Q)[0]
-
-
 def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
     """Finite-range lower estimates of (gamma, gamma_bar).
 
@@ -342,19 +334,6 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
     return gamma, gamma_bar
 
 
-def resonance_bound(alpha: FrequencyVector, Q: float) -> ResonanceBound:
-    """Lower bound |k| >= gamma_star * Q^{1/a} for nonzero resonant modes
-    of the Dirichlet approximation at parameter Q.
-
-    a = 1 + (n-1)tau and
-    gamma_star = (gamma * gamma_bar^{(n-1)/(1+(n-1)tau)} / n)^{1/(n+(n-1)tau)}.
-    """
-    a = 1.0 + (alpha.n - 1) * alpha.tau
-    gs = _gamma_star(alpha.n, alpha.tau, alpha.gamma, alpha.gamma_bar)
-    return ResonanceBound(gamma_star=gs, a=a, Q=float(Q),
-                          cutoff=gs * float(Q) ** (1.0 / a))
-
-
 def _gamma_star(n: int, tau: float, gamma: float, gamma_bar: float) -> float:
     """(gamma * gamma_bar^{(n-1)/a} / n)^{1/(n+(n-1)tau)}, a = 1+(n-1)tau."""
     a = 1.0 + (n - 1) * tau
@@ -366,7 +345,11 @@ def lower_denominator_bound(alpha: FrequencyVector,
                             approx: RationalApprox) -> float:
     """(gamma_bar * Q)^{(n-1)/(1+(n-1)tau)}; approx.q must dominate it."""
     n, tau = alpha.n, alpha.tau
-    bound = (alpha.gamma_bar * approx.Q) ** ((n - 1) / (1.0 + (n - 1) * tau))
+    power = (n - 1) / (1.0 + (n - 1) * tau)
+    try:
+        bound = (alpha.gamma_bar * approx.Q) ** power
+    except OverflowError:       # beyond the float range no q dominates it
+        bound = math.inf
     if approx.q < bound:
         raise ConstantsInconsistencyError(
             f"q={approx.q} below the denominator bound {bound:.6g}; "

@@ -365,14 +365,6 @@ def _convolve(x: FourierVectorField, v: FourierVectorField,
     return dataclasses.replace(out, k_max=k_out if len(out.modes) else 0)
 
 
-def bracket_bound(s: float, sigma: float, nx: float, nv: float, n: int = 2) -> float:
-    """Certified bound: |[X,V]|_{s-sigma} <= bracket_bound(...) for all X, V
-    with |X|_s <= nx, |V|_s <= nv."""
-    if not 0 < sigma < s:
-        raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
-    return bracket_norm_const(n) / sigma * nx * nv
-
-
 def tail_split(x: FourierVectorField, big_k: float):
     """Split into (low, high) with high holding exactly the modes |k| >= K."""
     high = np.abs(x.modes).max(axis=1, initial=0) >= big_k

@@ -44,18 +44,23 @@ def random_field(n: int, s: float, eps: float, modes: int, seed: int,
         c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * decay
         coeffs[k] = c
     coeffs[(0,) * n] = rng.standard_normal(n).astype(np.complex128)
-    out = fld.make_field(n, s, coeffs)
+    drawn = fld.make_field(n, s, coeffs)
+    if len(drawn.modes) < len(chosen) + 1:    # each drawn +-k and mode 0
+        raise ParameterError(f"at width s={s} the damping exp(-2*pi*s*|k|_1) "
+                             "of a drawn mode underflows: it vanished")
     # multiplicative corrections pin the norm to eps up to the last ulp
-    best, best_err = None, np.inf
+    out, best, best_err = drawn, drawn, np.inf
     for _ in range(8):
         current = fld.norm(out, s)
         err = abs(current - eps)
         if err < best_err:
             best, best_err = out, err
-        if current == eps:
+        if current in (0.0, eps):
             break
         out = fld.scale(out, eps / current)
-    if len(best.modes) < len(chosen) + 1:     # each drawn +-k and mode 0
-        raise ParameterError(f"at width s={s} the damping exp(-2*pi*s*|k|_1) "
-                             "of a drawn mode underflows: it vanished")
+    if not best_err <= 1e-12 * eps or len(best.modes) < len(drawn.modes):
+        raise ParameterError(
+            f"eps={eps} underflows: scaled to it, the field has norm "
+            f"{fld.norm(best, s):.6g} and {len(best.modes)} of "
+            f"{len(drawn.modes)} modes")
     return best

@@ -224,17 +224,16 @@ _ORBIT_SWEEPS_PER_SAMPLE = 512
 
 def orbit_shadowing_check(alpha, P: FourierVectorField,
                           u: FourierVectorField, beta, T: float,
-                          samples: int, theta0=None) -> float:
+                          samples: int) -> float:
     """Max torus distance of the orbit of X_alpha + P + X_beta from
     Phi(theta0) to Phi(theta0 + t*alpha) at sample times t in [0, T], with
-    Phi = Id + u.  The orbit is Phi(theta0) + t*alpha + z,
-    z' = beta + P(orbit); Picard sweeps solve a window's Lobatto IIIA-3
-    nodes at once, one eval_many a sweep."""
+    Phi = Id + u and theta0 = frac(sqrt(2), ..., sqrt(n+1)).  The orbit is
+    Phi(theta0) + t*alpha + z, z' = beta + P(orbit); Picard sweeps solve a
+    window's Lobatto IIIA-3 nodes at once, one eval_many a sweep."""
     n = alpha.n
     fld.check_dimension(n, P=P, u=u)
     phi = _embedding(u)
-    theta0 = np.asarray(np.sqrt(np.arange(2, 2 + n)) % 1.0
-                        if theta0 is None else theta0, dtype=float)
+    theta0 = np.sqrt(np.arange(2, 2 + n)) % 1.0
     a, b = alpha.alpha, np.asarray(beta, dtype=float)
     times = np.linspace(0.0, T, samples + 1)
     start = phi(theta0[None, :])[0]

@@ -41,10 +41,11 @@ def plastic_freq() -> FrequencyVector:
                            gamma_bar=gamma_bar)
 
 
-# ROADMAP workloads: random_field(n, s, eps, modes, seed, k_max), solved at s
+# ROADMAP workloads: random_field(n, s, eps, modes, seed, k_max), solved at s;
+# W5 is uncertified and runs only with RunOptions(force=True)
 WORKLOADS = {"W1": (2, 1.0, 1e-6, 6, 0, 4), "W2": (2, 1.0, 3e-6, 30, 3, 8),
-             "W4": (3, 1.0, 1e-12, 20, 7, 4),
-             "W6": (2, 0.1, 2.98e-8, 6, 0, 4)}
+             "W3": (3, 1.0, 1e-12, 4, 7, 2), "W4": (3, 1.0, 1e-12, 20, 7, 4),
+             "W5": (2, 1.0, 1e-2, 6, 0, 4), "W6": (2, 0.1, 2.98e-8, 6, 0, 4)}
 
 
 @pytest.fixture(scope="session")

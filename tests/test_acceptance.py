@@ -14,7 +14,7 @@ from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.diophantine import (FrequencyVector, dirichlet_approx,
                                   enumerate_resonant, estimate_constants,
-                                  lower_denominator_bound, resonance_bound)
+                                  lower_denominator_bound)
 from kamtorus.generate import random_field
 
 from conftest import GOLDEN, PLASTIC
@@ -63,8 +63,14 @@ def test_criterion_1_homological_exactness(freqs):
     worst = 0.0
     for F, Q in _corpus():
         ap = dirichlet_approx(freqs[F.n], Q)
-        sol = avg.solve_homological(F, ap)
-        worst = max(worst, sol.residual)
+        V = avg.solve_homological(F, avg._divisors(F, ap), ap.q)[1]
+        # identity defect |[V, X_omega] - (F - [F]_omega)| / |F - [F]_omega|
+        rhs = fld.sub(F, avg.omega_average(F, ap))
+        rhs_norm = fld.norm(rhs, 1.0)
+        if rhs_norm:
+            x_omega = fld.constant_field(ap.omega, 1.0)
+            defect = fld.sub(fld.lie_bracket(V, x_omega), rhs)
+            worst = max(worst, fld.norm(defect, 1.0) / rhs_norm)
     dt = time.time() - t0
     _report("1 homological exactness",
             worst <= 1e-12 and dt < 10.0,
@@ -111,12 +117,15 @@ def test_criterion_3_dirichlet_property(freqs):
 
 
 def test_criterion_4_resonance_bound(golden_freq):
+    # gamma_star and a as step_conditions takes them
+    consts = sch.constants(golden_freq.n, golden_freq.tau, golden_freq.gamma,
+                           golden_freq.gamma_bar)
     violations = []
     for Q in (5.0, 10.0, 20.0, 40.0):
         ap = dirichlet_approx(golden_freq, Q)
-        rb = resonance_bound(golden_freq, Q)
+        cutoff = consts.gamma_star * Q ** (1.0 / consts.a)
         for k in enumerate_resonant(ap, 4096):
-            if np.abs(k).max() < rb.cutoff:
+            if np.abs(k).max() < cutoff:
                 violations.append((Q, k))
     _report("4 resonant modes sit beyond the gamma*Q cutoff",
             not violations, f"{len(violations)} violations")
@@ -137,8 +146,8 @@ def test_criterion_5_inequality_suite():
         X = random_field(n, 1.0, 10.0 ** rng.uniform(-4, -1), 4, seed + 1000)
         sigma = rng.uniform(0.05, 0.5)
         lhs = fld.norm(fld.lie_bracket(X, V), 1.0 - sigma)
-        rhs = fld.bracket_bound(1.0, sigma, fld.norm(X, 1.0),
-                                fld.norm(V, 1.0), n)
+        rhs = (fld.bracket_norm_const(n) / sigma * fld.norm(X, 1.0)
+               * fld.norm(V, 1.0))
         if lhs > rhs * (1 + 1e-9):
             fails["bracket"] += 1
         # pullback doubling bound under the smallness hypothesis

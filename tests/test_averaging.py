@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from kamtorus.generate import random_field
 from kamtorus.ledger import ErrorLedger
 from kamtorus.oracles import quadrature_time_average
 
+from conftest import WORKLOADS
+
 
 def _half_omega() -> RationalApprox:
     # omega = (1, 1/2)
@@ -23,6 +27,23 @@ def _half_omega() -> RationalApprox:
 
 def _rand(seed, n=2, eps=1.0, modes=5, k_max=3, s=1.0):
     return random_field(n, s, eps, modes, seed, k_max=k_max)
+
+
+def _solve(P, ap):
+    """V of the homological equation, from P's divisors."""
+    return avg.solve_homological(P, avg._divisors(P, ap), ap.q)[1]
+
+
+def _identity_defect(P, ap, V) -> float:
+    """norm([V, X_omega] - (P - [P]_omega)) / norm(P - [P]_omega), 0 when
+    P is resonant."""
+    s = P.width_s
+    rhs = fld.sub(P, avg.omega_average(P, ap))
+    rhs_norm = fld.norm(rhs, s)
+    if not rhs_norm:
+        return 0.0
+    x_omega = fld.constant_field(ap.omega, s)
+    return fld.norm(fld.sub(fld.lie_bracket(V, x_omega), rhs), s) / rhs_norm
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +101,16 @@ def test_space_average():
 def test_homological_single_mode():
     # k=(0,1), omega=(1,1/2): divisor 2*pi*i*(1/2) = pi*i
     P = fld.make_field(2, 1.0, {(0, 1): [1.0, 2.0]})
-    sol = avg.solve_homological(P, _half_omega())
-    np.testing.assert_allclose(sol.V.coeffs[(0, 1)],
+    V = _solve(P, _half_omega())
+    np.testing.assert_allclose(V.coeffs[(0, 1)],
                                np.array([1.0, 2.0]) / (np.pi * 1j))
 
 
 def test_homological_fully_resonant():
     P = fld.make_field(2, 1.0, {(-1, 2): [1.0, 0.5], (0, 0): [1.0, 1.0]})
-    sol = avg.solve_homological(P, _half_omega())
-    assert sol.V.coeffs == {}
-    assert sol.residual == 0.0
+    V = _solve(P, _half_omega())
+    assert V.coeffs == {}
+    assert _identity_defect(P, _half_omega(), V) == 0.0
 
 
 @settings(deadline=None, max_examples=30)
@@ -97,12 +118,12 @@ def test_homological_fully_resonant():
 def test_homological_identity_and_norm_bound(seed, Q, golden_freq):
     P = _rand(seed, modes=6)
     ap = dirichlet_approx(golden_freq, Q)
-    sol = avg.solve_homological(P, ap)
-    assert sol.residual <= 1e-12
+    V = _solve(P, ap)
+    assert _identity_defect(P, ap, V) <= 1e-12
     rhs_norm = fld.norm(fld.sub(P, avg.omega_average(P, ap)), 1.0)
-    assert fld.norm(sol.V, 1.0) <= ap.q * rhs_norm * (1 + 1e-12)
+    assert fld.norm(V, 1.0) <= ap.q * rhs_norm * (1 + 1e-12)
     # V vanishes on resonant modes
-    for k in sol.V.coeffs:
+    for k in V.coeffs:
         assert ap.q * k[0] + sum(ki * int(pi) for ki, pi in zip(k[1:], ap.p))
 
 
@@ -316,9 +337,111 @@ def test_divisor_overflow_raises_instead_of_wrapping():
     with pytest.raises(ParameterError, match="overflow"):
         avg.omega_average(P, huge)
     with pytest.raises(ParameterError, match="overflow"):
-        avg.solve_homological(P, huge)
+        avg._divisors(P, huge)
     # at |k| = 1 the bound 2^62 + 1 fits, and the divisors are exact
     Q1 = fld.make_field(2, 1.0, {(1, -1): [1.0, 0.0]})
-    sol = avg.solve_homological(Q1, huge)
-    np.testing.assert_array_equal(avg._divisors(sol.V, huge),
+    V = _solve(Q1, huge)
+    np.testing.assert_array_equal(avg._divisors(V, huge),
                                   [-(2 ** 62 - 1), 2 ** 62 - 1])
+
+
+# ---------------------------------------------------------------------------
+# the step's one divisor split
+# ---------------------------------------------------------------------------
+
+def _workload(name, golden_freq, plastic_freq):
+    n, s, eps, modes, seed, k_max = WORKLOADS[name]
+    alpha = golden_freq if n == 2 else plastic_freq
+    return alpha, random_field(n, s, eps, modes, seed, k_max=k_max), s
+
+
+def _first_step(alpha, P, s, **kwargs):
+    """averaging_step at step 0 of the schedule run() would use."""
+    consts = sch.constants(alpha.n, alpha.tau, alpha.gamma, alpha.gamma_bar)
+    q0, _ = sch.select_Q(consts, s)
+    return avg.averaging_step(alpha, fld.zero_field(P.n, s), P, q0, s / 4.0,
+                              consts, **kwargs)
+
+
+def _counting(monkeypatch, module, name):
+    calls, fn = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["W1", "W4", "W6"])
+def test_step_splits_P_once(name, golden_freq, plastic_freq, monkeypatch):
+    alpha, P, s = _workload(name, golden_freq, plastic_freq)
+    divisors = _counting(monkeypatch, avg, "_divisors")
+    subs = _counting(monkeypatch, fld, "sub")
+    # the division runs through the module binding, where a tracer sees it
+    solves = _counting(monkeypatch, avg, "solve_homological")
+    res = _first_step(alpha, P, s)
+    assert len(res.V.modes) and len(res.P_plus.modes)
+    assert (len(divisors), len(subs), len(solves)) == (1, 0, 1)
+
+
+def _old_split(P, ap):
+    """head, B and V as the step formed them with sub: the reference."""
+    s, keep = P.width_s, avg._divisors(P, ap) == 0
+    p_omega = dataclasses.replace(P, modes=P.modes[keep], coef=P.coef[keep])
+    rhs = fld.sub(P, p_omega)
+    factor = -1j * (ap.q / (fld.TWO_PI * avg._divisors(rhs, ap)))
+    V = dataclasses.replace(rhs, coef=rhs.coef * factor[:, None])
+    head = fld.sub(p_omega, fld.constant_field(P.constant_part(), s))
+    return head, fld.sub(p_omega, P), V
+
+
+def _assert_same_bits(x, y):
+    assert (x.n, x.width_s, x.k_max) == (y.n, y.width_s, y.k_max)
+    np.testing.assert_array_equal(x.modes, y.modes)
+    assert x.coef.tobytes() == y.coef.tobytes()     # +0.0 is not -0.0
+
+
+def _split_cases(golden_freq, plastic_freq):
+    """(alpha, Q, P, head, B, V) of every averaging step a run of W1-W6
+    makes, every pass included, and of one step on a field with zero
+    coefficient components, in mode 0 and in a non-resonant mode."""
+    cases, steps = [], []
+    step, series = avg.averaging_step, fld.lie_series
+
+    def step_spy(alpha, S, P, Q, *args, **kwargs):
+        steps.append((alpha, Q, P))
+        return step(alpha, S, P, Q, *args, **kwargs)
+
+    def series_spy(op, V, head, a, b, *args, **kwargs):
+        if kwargs.get("tag") == "averaging_step":
+            cases.append((*steps[-1], head, b, V))
+        return series(op, V, head, a, b, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(avg, "averaging_step", step_spy)
+        mp.setattr(fld, "lie_series", series_spy)
+        for name in WORKLOADS:
+            alpha, P, s = _workload(name, golden_freq, plastic_freq)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # W5 is uncertified
+                sch.run(alpha, P, s, sch.RunOptions(force=name == "W5"))
+        P = fld.make_field(2, 1.0, {(0, 0): [1e-7, 0.0],
+                                    (0, 1): [2e-10, 0.0],
+                                    (1, 2): [0.0, 3e-15 - 1e-15j]})
+        _first_step(golden_freq, P, 1.0, enforce=False)
+    return cases
+
+
+def test_step_split_matches_the_sub_formulas(golden_freq, plastic_freq):
+    cases = _split_cases(golden_freq, plastic_freq)
+    assert len(cases) > 6 * 3
+    zero_parts = 0
+    for alpha, Q, P, head, B, V in cases:
+        for new, old in zip((head, B, V),
+                            _old_split(P, dirichlet_approx(alpha, Q))):
+            _assert_same_bits(new, old)
+        zero_parts += int((B.coef.real == 0).sum() + (B.coef.imag == 0).sum())
+    # the zero components of the last field reach B, as +0.0
+    assert zero_parts

@@ -80,6 +80,17 @@ def test_gen_vanishing_mode_exits_2(capsys, s):
     assert "vanished" in out.err and not out.out
 
 
+@pytest.mark.parametrize("eps", ["5e-324", "1e-312", "1e-315"])
+def test_gen_underflowing_eps_exits_2(capsys, eps):
+    # scaled to a subnormal eps the field loses modes or misses eps: the
+    # error names eps, not the width
+    assert main(["gen", "--n", "2", "--s", "1", "--eps", eps, "--seed", "0",
+                 "--modes", "3"]) == 2
+    out = capsys.readouterr()
+    assert f"eps={float(eps)} underflows" in out.err and not out.out
+    assert "width" not in out.err and len(out.err) < 300
+
+
 @pytest.mark.parametrize("s", ["0", "-1", "inf", "nan"])
 def test_constants_bad_width_exits_2(capsys, s):
     assert main(["constants", "--n", "2", "--tau", "0.0", "--gamma", "0.382",
@@ -153,6 +164,19 @@ def test_approx_golden(golden_file, capsys):
     assert out["q"] == 5
     assert out["p"] == [3]
     assert out["upper_ok"] and out["lower_ok"]
+
+
+def test_approx_overflowing_denominator_bound_exits_2(tmp_path, plastic_freq,
+                                                      capsys):
+    # (gamma_bar*Q)^((n-1)/a) overflows at n=3: the bound counts as infinite
+    freq = tmp_path / "plastic.freq"
+    freq.write_text(serialize_frequency(plastic_freq))
+    t0 = time.perf_counter()
+    assert main(["approx", "--freq", str(freq), "--Q", "1e300"]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    out = capsys.readouterr()
+    assert "below the denominator bound inf" in out.err and not out.out
+    assert len(out.err) < 300
 
 
 def test_psi_golden(golden_file, capsys):
@@ -422,6 +446,15 @@ def test_bad_beta_file_exits_2(tmp_path, golden_file, pert_file, capsys,
 def test_psi_above_cell_budget_exits_2(golden_file, capsys):
     assert main(["psi", "--freq", golden_file, "--Q", "1e5"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("Q,cells", [("1e5", "4e+10"), ("1e300", "4e+600"),
+                                     ("1e308", "4e+616")])
+def test_psi_cell_count_is_printed_to_3_digits(golden_file, capsys, Q, cells):
+    # the count (2Q + 1)^2 may lie far beyond the float range
+    assert main(["psi", "--freq", golden_file, "--Q", Q]) == 2
+    err = capsys.readouterr().err
+    assert f"enumerate {cells} lattice points" in err and len(err) < 300
 
 
 _CONFIG_LINES = st.one_of(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kamtorus import diophantine as dio
+from kamtorus import scheduler as sch
 from kamtorus.errors import (ConstantsInconsistencyError, KamError,
                              ParameterError, ParseError, ResonanceError)
 from conftest import GOLDEN
@@ -339,12 +340,12 @@ def test_psi_golden(golden_freq):
 
 def test_psi_resonant_raises():
     with pytest.raises(ResonanceError) as exc:
-        dio.psi(_freq([0.5]), 5)
+        dio.psi_argmax(_freq([0.5]), 5)
     assert exc.value.witness is not None
 
 
 def test_psi_monotone_in_Q(golden_freq):
-    vals = [dio.psi(golden_freq, Q) for Q in (2, 5, 10, 20)]
+    vals = [dio.psi_argmax(golden_freq, Q)[0] for Q in (2, 5, 10, 20)]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
@@ -377,11 +378,14 @@ def test_estimate_constants_gamma_capped():
 
 
 def test_resonance_bound_formula(golden_freq):
-    rb = dio.resonance_bound(golden_freq, 20.0)
-    assert rb.a == 1.0
+    # the constants step_conditions uses for the resonant-mode cutoff
+    consts = sch.constants(golden_freq.n, golden_freq.tau, golden_freq.gamma,
+                           golden_freq.gamma_bar)
+    assert consts.a == 1.0
     expect = (golden_freq.gamma * golden_freq.gamma_bar / 2.0) ** 0.5
-    assert rb.gamma_star == pytest.approx(expect, rel=1e-12)
-    assert rb.cutoff == pytest.approx(rb.gamma_star * 20.0, rel=1e-12)
+    assert consts.gamma_star == pytest.approx(expect, rel=1e-12)
+    cutoff = consts.gamma_star * 20.0 ** (1.0 / consts.a)
+    assert cutoff == pytest.approx(consts.gamma_star * 20.0, rel=1e-12)
 
 
 def test_lower_denominator_bound(golden_freq):
@@ -463,7 +467,7 @@ def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
     with pytest.raises(ParameterError, match="budget"):
         dio.psi_argmax(golden_freq, 1e5)
     with pytest.raises(ParameterError, match="budget"):
-        dio.psi(plastic_freq, 60)
+        dio.psi_argmax(plastic_freq, 60)
     with pytest.raises(ParameterError, match="budget"):
         dio.estimate_constants(plastic_freq.alpha_tilde, 0.1, 10 ** 4, 10)
     a = dio.dirichlet_approx(plastic_freq, 5)
@@ -471,7 +475,7 @@ def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
         dio.enumerate_resonant(a, 10 ** 4)
     for Q in (math.inf, math.nan):
         with pytest.raises(ParameterError):
-            dio.psi(golden_freq, Q)
+            dio.psi_argmax(golden_freq, Q)
         with pytest.raises(ParameterError):
             dio.dirichlet_approx(golden_freq, Q)
 

@@ -190,8 +190,8 @@ def test_bracket_bound_inequality(seed, sigma):
     x = _rand_field(seed)
     v = _rand_field(seed + 31)
     br = fld.lie_bracket(x, v)
-    bound = fld.bracket_bound(1.0, sigma, fld.norm(x, 1.0),
-                              fld.norm(v, 1.0), n=2)
+    bound = (fld.bracket_norm_const(2) / sigma * fld.norm(x, 1.0)
+             * fld.norm(v, 1.0))
     assert fld.norm(br, 1.0 - sigma) <= bound * (1 + 1e-12)
 
 
@@ -358,7 +358,8 @@ def test_every_operation_keeps_the_storage_invariant(pair, q, data):
             fld.lie_bracket(x, y), fld.lie_derivative(x, y),
             fld.prune(x, 1.0, 0.1 * fld.norm(x, 1.0))[0],
             *fld.tail_split(x, 2), avg.omega_average(x, approx),
-            avg.solve_homological(x, approx).V,
+            *avg.solve_homological(x, avg._divisors(x, approx),
+                                   approx.q)[:2],
             fld.lie_series(fld.lie_bracket, V, x, x, y, 1.0, 0.5, 1e-14,
                            floor=1e-16)[0],
             fld.lie_series(fld.lie_derivative, V, x, y, V, 1.0, 0.5,
