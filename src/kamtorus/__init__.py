@@ -9,20 +9,17 @@ divisors bounded below by 1/q.
 """
 
 from .diophantine import (FrequencyVector, RationalApprox, dirichlet_approx,
-                          enumerate_resonant, estimate_constants,
-                          lower_denominator_bound, psi_argmax)
+                          estimate_constants, lower_denominator_bound,
+                          psi_argmax)
 from .errors import KamError
 from .field import (FourierVectorField, add, bracket_norm_const,
-                    constant_field, deserialize, eval_at, eval_many,
-                    lie_bracket, lie_derivative, lie_series, make_field, norm,
-                    prune, scale, serialize, sub, tail_bound, tail_split,
-                    zero_field)
-from .averaging import (StepResult, averaging_step, lie_pullback,
-                        omega_average, solve_homological)
+                    constant_field, deserialize, eval_many, lie_bracket,
+                    lie_derivative, lie_series, make_field, norm, prune, scale,
+                    serialize, sub, zero_field)
+from .averaging import StepResult, averaging_step, solve_homological
 from .generate import random_field
 from .ledger import ErrorLedger
-from .oracles import (conjugacy_report, grid_pullback_oracle, ode_flow,
-                      orbit_shadowing_check, quadrature_time_average)
+from .oracles import conjugacy_report, orbit_shadowing_check
 from .scheduler import (KamConstants, RunOptions, RunResult, Schedule,
                         constants, run, select_Q)
 

@@ -81,12 +81,6 @@ def _rows(P: FourierVectorField, keep: np.ndarray) -> FourierVectorField:
     return fld._field(P.n, P.width_s, P.modes, P.coef, keep)
 
 
-def omega_average(P: FourierVectorField,
-                  approx: RationalApprox) -> FourierVectorField:
-    """Projection onto the modes with k . omega = 0 (exact integer test)."""
-    return _rows(P, _divisors(P, approx) == 0)
-
-
 def solve_homological(P: FourierVectorField, d: np.ndarray, q: int):
     """(P - [P]_omega, V, norm(V)) with [V, X_omega] = P - [P]_omega, from
     the divisors d = q*(k.omega) of P's modes (`_divisors(P, approx)`):
@@ -104,25 +98,6 @@ def solve_homological(P: FourierVectorField, d: np.ndarray, q: int):
             f"norm(V)={v_norm:.6g} > q*norm(P-[P]_w)={q * rhs_norm:.6g}",
             measured_ratio=v_norm / (q * rhs_norm))
     return rhs, V, v_norm
-
-
-def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
-                 sigma: float, tol: float,
-                 ledger: ErrorLedger | None = None) -> FourierVectorField:
-    """Exact-coefficient evaluation of (V^1)^* Y = sum_m ad_V^m Y / m!.
-
-    Truncated when the majorized remainder at width s - sigma is below
-    tol; the remainder bound is charged to the ledger.  Requires the
-    majorant ratio fld.series_ratio(V, s, sigma) < 1.
-    """
-    if s > min(Y.width_s, V.width_s):
-        raise ParameterError(
-            f"s={s} exceeds the width of the inputs "
-            f"({min(Y.width_s, V.width_s)})")
-    pulled, _ = fld.lie_series(fld.lie_bracket, V, Y, Y,
-                               fld.zero_field(Y.n, s), s, sigma, tol,
-                               ledger=ledger, tag="lie_pullback")
-    return pulled
 
 
 def step_conditions(consts, Q: float, sigma: float, eps: float) -> tuple:

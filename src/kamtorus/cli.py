@@ -150,6 +150,8 @@ def _cmd_step(args) -> int:
 _RUN_KEYS = {"freq": str, "pert": str, "s": float, "tol": float,
              "max-steps": int, "out": str, "force": bool, "grid": int,
              "orbit-T": float}
+_BOOLS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
 
 
 def _read_config(path: str) -> dict:
@@ -165,9 +167,8 @@ def _read_config(path: str) -> dict:
             raise ParseError(f"unknown key {key!r}", line=ln)
         conv = _RUN_KEYS[key]
         try:
-            values[key] = (val.lower() in ("1", "true", "yes")
-                           if conv is bool else conv(val))
-        except ValueError:
+            values[key] = _BOOLS[val.lower()] if conv is bool else conv(val)
+        except (KeyError, ValueError):
             raise ParseError(f"bad {conv.__name__} value {val!r} for "
                              f"{key}", line=ln) from None
     return values
@@ -186,6 +187,9 @@ def _oracle_samples(grid: int, orbit_t: float, n: int) -> int:
     if grid ** n > MAX_GRID_POINTS:
         raise ParameterError(f"grid^n = {grid}^{n} exceeds the "
                              f"{MAX_GRID_POINTS}-point budget")
+    if orbit_t < 0:
+        raise ParameterError(f"orbit-T must be >= 0 (0 skips the orbit "
+                             f"check), got {orbit_t:g}")
     samples = max(16, int(orbit_t))
     if samples > MAX_ORBIT_SAMPLES:
         raise ParameterError(f"orbit-T {orbit_t:g} needs {samples} sample "

@@ -74,10 +74,6 @@ class RationalApprox:
     varpi: np.ndarray        # alpha - omega, length n
 
     @property
-    def n(self) -> int:
-        return len(self.p) + 1
-
-    @property
     def omega(self) -> np.ndarray:
         return np.concatenate(([1.0], self.p / self.q))
 
@@ -302,6 +298,7 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
     """
     if k_range < 1 or q_range < 1:
         raise ParameterError("ranges must be >= 1")
+    _check_cells(q_range, "estimate_constants")
     at = np.asarray(alpha_tilde, dtype=float)
     m = len(at)
     n = m + 1
@@ -355,22 +352,6 @@ def lower_denominator_bound(alpha: FrequencyVector,
             f"q={approx.q} below the denominator bound {bound:.6g}; "
             "re-estimate gamma_bar over a wider range")
     return bound
-
-
-def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
-    """All nonzero k with k . omega = 0 and |k|_inf <= box, via the integer
-    identity q*k_0 + k_tilde . p = 0.  Returns an (M, n) int array."""
-    q = approx.q
-    p = [int(v) for v in approx.p]
-    kt = _nonzero_box(approx.n - 1, box, "enumerate_resonant").astype(object)
-    dots = kt @ np.array(p, dtype=object)
-    mask = (dots % q == 0)
-    kt = kt[mask]
-    k0 = -(kt @ np.array(p, dtype=object)) // q
-    keep = np.abs(k0.astype(np.int64)) <= box
-    kt = kt[keep]
-    k0 = k0[keep]
-    return np.concatenate([k0[:, None], kt], axis=1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

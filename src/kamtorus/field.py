@@ -44,11 +44,6 @@ TWO_PI = 2.0 * np.pi
 def bracket_norm_const(n: int) -> float:
     return 2.0 * n / np.e
 
-# Tail estimate guard: the bound exp(-2*pi*sigma*K) is attained exactly by a
-# single mode with |k|_1 = |k|_inf = K, where float rounding can tip either
-# way; the guard keeps the certified factor dominating in floating point.
-ROUNDOFF_GUARD = 1.0 + 1e-12
-
 
 def _check_box(n: int, k_max: int) -> None:
     """Flat int64 keys must count the cells of the box |k|_inf <= k_max."""
@@ -240,18 +235,6 @@ def norm(x: FourierVectorField, s: float) -> float:
     return float(terms.sum(axis=0).max())
 
 
-def eval_at(x: FourierVectorField, theta) -> np.ndarray:
-    """Evaluate the series at one (possibly complex) point inside the strip."""
-    theta = np.asarray(theta, dtype=np.complex128)
-    if theta.shape != (x.n,):
-        raise ParameterError(f"point must have shape ({x.n},)")
-    if np.any(np.abs(theta.imag) >= x.width_s):
-        raise ParameterError(
-            f"point with |Im theta| = {np.abs(theta.imag).max()} outside "
-            f"strip of width {x.width_s}")
-    return np.exp(2j * np.pi * (x.modes @ theta)) @ x.coef
-
-
 # point-modes per block of eval_many's phase matrix (4 MB of complex128)
 _EVAL_CHUNK = 1 << 18
 
@@ -274,16 +257,6 @@ def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
         phases = np.exp(2j * np.pi * (thetas[start:start + rows] @ x.modes.T))
         out[start:start + rows] = (phases @ x.coef).real
     return out
-
-
-def derivative_matrix_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
-    """Spectral Jacobians dX_j/dtheta_l at (N, n) real points -> (N, n, n)."""
-    thetas = np.asarray(thetas, dtype=float)
-    kf = x.modes.astype(float)
-    phases = np.exp(2j * np.pi * (thetas @ kf.T))  # (N, M)
-    grad = (2j * np.pi) * x.coef[:, :, None] * kf[:, None, :]  # (M, n, n)
-    return (phases @ grad.reshape(len(kf), x.n * x.n)).real.reshape(
-        -1, x.n, x.n)
 
 
 # pairs of modes per block of the bracket's product array
@@ -363,28 +336,6 @@ def _convolve(x: FourierVectorField, v: FourierVectorField,
     out = _symmetrized(n, width, modes, coef)
     # keep the exact-convolution support bound even if some sums vanished
     return dataclasses.replace(out, k_max=k_out if len(out.modes) else 0)
-
-
-def tail_split(x: FourierVectorField, big_k: float):
-    """Split into (low, high) with high holding exactly the modes |k| >= K."""
-    high = np.abs(x.modes).max(axis=1, initial=0) >= big_k
-    return (_field(x.n, x.width_s, x.modes, x.coef, ~high),
-            _field(x.n, x.width_s, x.modes, x.coef, high))
-
-
-def tail_bound(n: int, sigma: float, big_k: float) -> float:
-    """Certified factor: |X^K|_{s-sigma} <= tail_bound(n,sigma,K) |X|_s.
-
-    For the majorant norm the tail estimate needs no dimensional constant:
-    every mode with |k|_inf >= K has |k|_1 >= K, so each term loses at
-    least exp(-2*pi*sigma*K) when the width shrinks by sigma.
-    """
-    if not sigma > 0:
-        raise ParameterError(f"sigma must be > 0, got {sigma}")
-    if not big_k >= 1:
-        raise ParameterError(f"K must be >= 1, got {big_k}")
-    with np.errstate(under="ignore"):
-        return float(np.exp(-TWO_PI * sigma * big_k)) * ROUNDOFF_GUARD
 
 
 def prune(x: FourierVectorField, s: float, floor: float):

@@ -1,15 +1,16 @@
-"""Independent brute-force checks of the averaging machinery.
+"""The two oracles that `run` and `verify` check a solution with.
 
-Nothing here reuses the averaging or scheduler code paths: time averages
-are quadrature, flows are a locally written fixed-step integrator, and
-Jacobians are finite differences (or the variational equation).  Orbit
-shadowing integrates in co-moving form by windowed Picard iteration on
-Lobatto IIIA-3 (Simpson) collocation nodes.  Only the plain spectral
-evaluation of fields is shared.
+conjugacy_report measures the sup-norm defect of Phi^*(X_alpha + P +
+X_beta) = X_alpha over a lattice, with Jacobians of Phi by finite
+differences.  orbit_shadowing_check integrates an orbit of the corrected
+field in co-moving form by windowed Picard iteration on Lobatto IIIA-3
+(Simpson) collocation nodes and compares it with the rotated embedding.
+Neither reuses the averaging or scheduler code paths; only the plain
+spectral evaluation of fields is shared.
 
-conjugacy_report and orbit_shadowing_check take the stored displacement
-u = Phi - Id and are the only code that evaluates Phi = Id + u, through
-real_torus_view(u); the null control is u = 0.
+Both take the stored displacement u = Phi - Id and are the only code
+that evaluates Phi = Id + u, through real_torus_view(u); the null control
+is u = 0.
 """
 
 from __future__ import annotations
@@ -17,88 +18,17 @@ from __future__ import annotations
 import numpy as np
 
 from . import field as fld
-from .errors import EmbeddingFailureError, ParameterError, StiffnessError
+from .errors import EmbeddingFailureError, StiffnessError
 from .field import FourierVectorField
 
-_NODE_CAP = 1 << 20
-_FD_H = 1e-5
 
+def _fd_jacobians(evaluate, thetas: np.ndarray, h: float) -> np.ndarray:
+    """Batched central-difference Jacobians of `evaluate` at the rows of
+    thetas, steps h and h/2 combined by Richardson extrapolation.
 
-def quadrature_time_average(P: FourierVectorField, q: int, omega: np.ndarray,
-                            nodes: int = 256):
-    """Sampler for the time average int_0^1 P(theta + t*q*omega) dt.
-
-    Periodic trapezoid quadrature (the plain mean over uniform nodes),
-    spectrally exact once the node count exceeds the largest integer
-    frequency |q * k . omega| of the integrand; the count is auto-raised
-    to n*q*k_max + 1 when that stays reasonable.
-    """
-    if nodes < 16:
-        raise ParameterError(f"need nodes >= 16, got {nodes}")
-    omega = np.asarray(omega, dtype=float)
-    need = P.n * q * P.k_max + 1
-    if need > nodes and need <= _NODE_CAP:
-        nodes = need
-    ts = np.arange(nodes)[:, None] / nodes
-    shifts = ts * (q * omega)[None, :]          # (nodes, n)
-
-    def sampler(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros_like(pts)
-        chunk = max(1, 65536 // max(1, len(pts)))
-        for start in range(0, len(shifts), chunk):
-            sh = shifts[start:start + chunk]
-            grid = (pts[None, :, :] + sh[:, None, :]).reshape(-1, P.n)
-            out += fld.eval_many(P, grid).reshape(
-                len(sh), len(pts), P.n).sum(axis=0)
-        return out / nodes
-
-    return sampler
-
-
-def _rk4(rhs, y0: np.ndarray, t: float, steps: int) -> np.ndarray:
-    h = t / steps
-    y = np.array(y0, dtype=float)
-    for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-def ode_flow(V: FourierVectorField, theta0, t: float, steps: int = 16,
-             tol: float = 1e-12) -> np.ndarray:
-    """Flow of theta' = V(theta) from theta0 for time t, fixed-step
-    4th-order integration with step halving until successive results
-    agree to tol."""
-    theta0 = np.asarray(theta0, dtype=float)
-    single = theta0.ndim == 1
-    y0 = theta0[None, :] if single else theta0
-
-    def rhs(y):
-        return fld.eval_many(V, y)
-
-    prev = _rk4(rhs, y0, t, steps)
-    for _ in range(18):
-        steps *= 2
-        cur = _rk4(rhs, y0, t, steps)
-        if np.abs(cur - prev).max() <= tol:
-            return cur[0] if single else cur
-        prev = cur
-    raise StiffnessError(
-        f"flow integration did not converge to {tol:g} at {steps} steps; "
-        "the field is too large for this oracle")
-
-
-def _fd_jacobians(evaluate, thetas: np.ndarray,
-                  h: float = _FD_H) -> np.ndarray:
-    """Batched central-difference Jacobians with Richardson extrapolation.
-
-    All shifted points go through `evaluate` in a single call: a flow-map
-    integrator must use one step count for every point of the difference
-    stencil, otherwise its convergence tolerance is amplified by 1/h.
+    All shifted points go through `evaluate` in a single call, so a map
+    whose evaluation depends on its batch (a flow-map integrator's step
+    count, say) is differenced consistently across the stencil.
     """
     npts, n = thetas.shape
     shifts = []
@@ -116,53 +46,6 @@ def _fd_jacobians(evaluate, thetas: np.ndarray,
         for l in range(n):
             out[si, :, :, l] = (vals[si, l, 0] - vals[si, l, 1]) / (2 * step)
     return (4.0 * out[1] - out[0]) / 3.0
-
-
-def _flow_jacobians_variational(V: FourierVectorField,
-                                thetas: np.ndarray) -> np.ndarray:
-    """D(time-1 flow) by integrating J' = DV(theta(t)) J along the flow,
-    batched over the rows of thetas."""
-    npts, n = thetas.shape
-
-    def rhs(state):
-        y = state[:, :n]
-        j = state[:, n:].reshape(-1, n, n)
-        dy = fld.eval_many(V, y)
-        dj = fld.derivative_matrix_many(V, y) @ j
-        return np.concatenate([dy, dj.reshape(-1, n * n)], axis=1)
-
-    eye = np.broadcast_to(np.eye(n).ravel(), (npts, n * n))
-    state0 = np.concatenate([thetas, eye], axis=1)
-    steps = 16
-    prev = _rk4(rhs, state0, 1.0, steps)
-    for _ in range(14):
-        steps *= 2
-        cur = _rk4(rhs, state0, 1.0, steps)
-        if np.abs(cur - prev).max() <= 1e-12:
-            return cur[:, n:].reshape(npts, n, n)
-        prev = cur
-    raise StiffnessError("variational integration did not converge")
-
-
-def grid_pullback_oracle(Y: FourierVectorField, V: FourierVectorField,
-                         points, mode: str = "fd") -> np.ndarray:
-    """(D Phi(theta))^{-1} Y(Phi(theta)) with Phi the time-1 flow of V,
-    evaluated at the given real points; Jacobians by finite differences
-    ('fd', Richardson-extrapolated) or the variational equation
-    ('variational')."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    images = ode_flow(V, pts, 1.0)
-    if mode == "fd":
-        jacs = _fd_jacobians(lambda p: ode_flow(V, p, 1.0), pts)
-    elif mode == "variational":
-        jacs = _flow_jacobians_variational(V, pts)
-    else:
-        raise ParameterError(f"unknown Jacobian mode {mode!r}")
-    yvals = fld.eval_many(Y, images)
-    try:
-        return np.linalg.solve(jacs, yvals[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise EmbeddingFailureError("singular flow Jacobian") from None
 
 
 def real_torus_view(u: FourierVectorField) -> FourierVectorField:
@@ -184,8 +67,8 @@ def _embedding(u: FourierVectorField):
 
 # The embedding is evaluated to ~1e-13, so its FD Jacobian is roundoff
 # limited: error ~ eps_mach/h + h^4 |Phi^(5)|.  For near-identity maps the
-# fifth derivative term stays tiny, so a larger h than the flow default
-# strictly reduces the noise floor.
+# fifth derivative term stays tiny, so a larger h than the 1e-5 that suits
+# a flow map's Jacobian strictly reduces the noise floor.
 _FD_H_EMBEDDING = 4e-5
 
 

