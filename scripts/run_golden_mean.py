@@ -55,8 +55,8 @@ def main():
     rep = conjugacy_report(alpha, P, res.u, res.beta, args.grid)
     print(f"  conjugacy residual on {args.grid}^2 grid: "
           f"{rep['sup_residual']:.3e}")
-    dev = orbit_shadowing_check(alpha, P, res.u, res.beta, T=args.orbit_T,
-                                samples=25)
+    dev, = orbit_shadowing_check(alpha, P, [res.u], res.beta,
+                                 T=args.orbit_T, samples=25)
     print(f"  orbit shadowing over T={args.orbit_T:g}: {dev:.3e}")
     ok = rep["sup_residual"] <= 1e-10 and dev <= 1e-7
     print("  verdict:", "PASS" if ok else "FAIL")

@@ -58,15 +58,14 @@ def _verify(alpha, P, u, beta, grid, orbit_t, samples, outdir: Path,
     the same beta.  Writes residual.json to outdir, prints it after
     summary with the null-to-measured ratios, and returns the exit code:
     1 when an oracle measured a value above its threshold, else 0."""
-    def measure(field):
-        rep = orc.conjugacy_report(alpha, P, field, beta, grid)
-        rep["orbit_deviation"] = (orc.orbit_shadowing_check(
-            alpha, P, field, beta, orbit_t, samples) if orbit_t > 0 else None)
-        return rep
-
-    report, null = measure(u), measure(fld.zero_field(alpha.n, 1.0))
-    report["null_residual"] = null["sup_residual"]
-    report["null_orbit"] = null["orbit_deviation"]
+    zero = fld.zero_field(alpha.n, 1.0)
+    report = orc.conjugacy_report(alpha, P, u, beta, grid)
+    null = orc.conjugacy_report(alpha, P, zero, beta, grid)
+    orbit, null_orbit = (orc.orbit_shadowing_check(
+        alpha, P, [u, zero], beta, orbit_t, samples)
+        if orbit_t > 0 else (None, None))
+    report.update(orbit_deviation=orbit, null_residual=null["sup_residual"],
+                  null_orbit=null_orbit)
     _dump_json(outdir / "residual.json", report)
     pairs = (("null_residual", "sup_residual"),
              ("null_orbit", "orbit_deviation"))

@@ -242,20 +242,25 @@ _EVAL_CHUNK = 1 << 18
 def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
     """Evaluate at an (N, n) array of real points; returns (N, n) real.
 
-    Reality makes the imaginary part cancel exactly in pairs; the real
-    part is returned directly.  Points are taken in blocks, so memory
-    stays bounded however many points and modes there are.
+    Relies on the class invariant coef[M-1-i] == conj(coef[i]): the field
+    is c_0 + 2 Re sum_{k > 0} c_k exp(2 pi i k.theta) over the back half of
+    the rows, so only half of the phases are computed.  Points are taken
+    in blocks, so memory stays bounded however many points and modes
+    there are.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != x.n:
         raise ParameterError(f"points must have shape (N, {x.n})")
-    if not len(x.modes):
-        return np.zeros_like(thetas)
+    m = len(x.modes)
+    half = m // 2
+    modes, coef = x.modes[m - half:], 2.0 * x.coef[m - half:]
     out = np.empty_like(thetas)
-    rows = max(1, _EVAL_CHUNK // len(x.modes))
+    rows = max(1, _EVAL_CHUNK // max(1, half))
     for start in range(0, len(thetas), rows):
-        phases = np.exp(2j * np.pi * (thetas[start:start + rows] @ x.modes.T))
-        out[start:start + rows] = (phases @ x.coef).real
+        phases = np.exp(2j * np.pi * (thetas[start:start + rows] @ modes.T))
+        out[start:start + rows] = (phases @ coef).real
+    if m % 2:
+        out += x.coef[half].real
     return out
 
 

@@ -2,15 +2,16 @@
 
 conjugacy_report measures the sup-norm defect of Phi^*(X_alpha + P +
 X_beta) = X_alpha over a lattice, with Jacobians of Phi by finite
-differences.  orbit_shadowing_check integrates an orbit of the corrected
+differences.  orbit_shadowing_check integrates orbits of the corrected
 field in co-moving form by windowed Picard iteration on Lobatto IIIA-3
-(Simpson) collocation nodes and compares it with the rotated embedding.
+(Simpson) collocation nodes, those of several displacements as one
+state, and compares each with its rotated embedding.
 Neither reuses the averaging or scheduler code paths; only the plain
 spectral evaluation of fields is shared.
 
-Both take the stored displacement u = Phi - Id and are the only code
-that evaluates Phi = Id + u, through real_torus_view(u); the null control
-is u = 0.
+Both take the stored displacement u = Phi - Id (the orbit check a list
+of them) and are the only code that evaluates Phi = Id + u, through
+real_torus_view(u); the null control is u = 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import field as fld
-from .errors import EmbeddingFailureError, StiffnessError
+from .errors import EmbeddingFailureError, ParameterError, StiffnessError
 from .field import FourierVectorField
 
 
@@ -79,6 +80,8 @@ def conjugacy_report(alpha, P: FourierVectorField, u: FourierVectorField,
     determinant seen."""
     n = alpha.n
     fld.check_dimension(n, P=P, u=u)
+    if not grid >= 1:
+        raise ParameterError(f"grid must be >= 1, got {grid}")
     phi = _embedding(u)
     axes = [np.arange(grid) / grid] * n
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -105,21 +108,36 @@ _PICARD_TOL = 1e-15
 _ORBIT_SWEEPS_PER_SAMPLE = 512
 
 
-def orbit_shadowing_check(alpha, P: FourierVectorField,
-                          u: FourierVectorField, beta, T: float,
-                          samples: int) -> float:
-    """Max torus distance of the orbit of X_alpha + P + X_beta from
-    Phi(theta0) to Phi(theta0 + t*alpha) at sample times t in [0, T], with
-    Phi = Id + u and theta0 = frac(sqrt(2), ..., sqrt(n+1)).  The orbit is
-    Phi(theta0) + t*alpha + z, z' = beta + P(orbit); Picard sweeps solve a
-    window's Lobatto IIIA-3 nodes at once, one eval_many a sweep."""
+def orbit_shadowing_check(alpha, P: FourierVectorField, us, beta, T: float,
+                          samples: int) -> list[float]:
+    """For each displacement u in us: the max torus distance of the orbit
+    of X_alpha + P + X_beta from Phi(theta0) to Phi(theta0 + t*alpha) at
+    sample times t in [0, T], with Phi = Id + u and theta0 = frac(sqrt(2),
+    ..., sqrt(n+1)).
+
+    The orbit is Phi(theta0) + t*alpha + z, z' = beta + P(orbit), at step
+    counts that double until two agree to 1e-10.  Every (displacement,
+    step count) trajectory is one block of a single state: a Picard sweep
+    solves the Lobatto IIIA-3 nodes of a window for all of them with one
+    eval_many.  Each trajectory stops at its own Picard tolerance and has
+    its own sweep budget, so its result is that of integrating it alone.
+    """
     n = alpha.n
-    fld.check_dimension(n, P=P, u=u)
-    phi = _embedding(u)
+    us = list(us)
+    if not us:
+        raise ParameterError("orbit check needs at least one displacement")
+    fld.check_dimension(n, P=P)
+    for u in us:
+        fld.check_dimension(n, u=u)
+    if not 0 <= T < np.inf:
+        raise ParameterError(f"orbit time T must be finite and >= 0, got {T}")
+    if not samples >= 1:
+        raise ParameterError(f"orbit check needs samples >= 1, got {samples}")
+    phis = [_embedding(u) for u in us]
     theta0 = np.sqrt(np.arange(2, 2 + n)) % 1.0
     a, b = alpha.alpha, np.asarray(beta, dtype=float)
     times = np.linspace(0.0, T, samples + 1)
-    start = phi(theta0[None, :])[0]
+    starts = np.array([phi(theta0[None, :])[0] for phi in phis])
     lip = 2 * np.pi * (np.abs(P.modes).sum(1) @ np.abs(P.coef)).max(initial=0)
     wins = max(1.0, np.ceil(_ORBIT_WINDOWS_PER_LIP * lip * T / samples))
     budget = _ORBIT_SWEEPS_PER_SAMPLE * samples
@@ -128,50 +146,84 @@ def orbit_shadowing_check(alpha, P: FourierVectorField,
         f"{lip:.3g}, {wins:.3g} windows a sample): too large for this oracle")
     if wins > _ORBIT_SWEEPS_PER_SAMPLE:
         raise too_large
-    wins, sweeps = int(wins), 0
+    wins = int(wins)
 
-    def trajectory(substeps):
-        nonlocal sweeps
-        steps = -(-substeps // wins)         # per window
-        frac = np.arange(2 * steps * wins + 1) / (2 * steps * wins)
-        z = np.zeros(n)
+    def integrate(starts, substeps):
+        """z at the sample times, (K, samples + 1, n), of the trajectories
+        from starts (K, n) at substeps (K,), integrated as one state.
+
+        A window's state is (K, n, width), nodes last.  A trajectory with
+        fewer steps than the longest is padded after its last node with
+        zero increments, which repeat that node exactly."""
+        steps = -(-np.asarray(substeps) // wins)         # per window
+        width = 2 * int(steps.max()) + 1
+        node = np.arange(width)
+        # node j of window w sits at (2 s w + j) / (2 s wins) of a sample
+        frac = ((2 * steps[:, None, None] * np.arange(wins)[:, None] + node)
+                / (2 * steps * wins)[:, None, None])
+        inside = (node[1::2] < 2 * steps[:, None])[:, None, :].astype(float)
+        # flat index in the state of each real node's n coordinates
+        traj, j = np.nonzero(node <= 2 * steps[:, None])
+        at = (traj * n * width + j)[:, None] + width * np.arange(n)
+        z = np.zeros_like(starts)
         out = [z]
+        sweeps = np.zeros(len(starts), dtype=int)
         for i in range(samples):
             dt = times[i + 1] - times[i]
-            h = dt / (wins * steps)
-            base = (start + (times[i] + dt * frac)[:, None] * a) % 1.0
-            for w in range(0, 2 * steps * wins, 2 * steps):
-                node = base[w:w + 2 * steps + 1]
-                zs, update = np.broadcast_to(z, node.shape), np.inf
-                while update > _PICARD_TOL * (1.0 + np.abs(zs).max()):
-                    sweeps += 1
-                    if sweeps > budget:
+            h = (dt / (wins * steps))[:, None, None]
+            h6, h24 = (h / 6) * inside, (h / 24) * inside
+            base = (starts[:, None, :, None]
+                    + (times[i] + dt * frac)[:, :, None, :] * a[:, None]) % 1.0
+            for w in range(wins):
+                zs = np.repeat(z[:, :, None], width, 2)
+                live = np.ones(len(z), dtype=bool)
+                while live.any():
+                    sweeps += live
+                    if sweeps.max() > budget:
                         raise too_large
-                    f = b + fld.eval_many(P, node + zs)
-                    f0, fm, f1 = f[0:-1:2], f[1::2], f[2::2]
-                    new = np.empty_like(node)
-                    new[0] = z
-                    new[2::2] = z + np.cumsum((h / 6) * (f0 + 4 * fm + f1), 0)
-                    new[1::2] = new[:-1:2] + (h / 24) * (5 * f0 + 8 * fm - f1)
-                    update, zs = np.abs(new - zs).max(), new
-                z = zs[-1]
+                    pick = at[live[traj]]
+                    f = np.zeros_like(zs)
+                    f.put(pick, b + fld.eval_many(
+                        P, (base[:, w] + zs).take(pick)))
+                    f0, fm, f1 = f[..., 0:-1:2], f[..., 1::2], f[..., 2::2]
+                    new = np.empty_like(zs)
+                    new[..., 0] = z
+                    new[..., 2::2] = z[..., None] + np.cumsum(
+                        h6 * (f0 + 4 * fm + f1), 2)
+                    new[..., 1::2] = (new[..., :-1:2]
+                                      + h24 * (5 * f0 + 8 * fm - f1))
+                    update = np.abs(new - zs).max(axis=(1, 2))
+                    np.copyto(zs, new, where=live[:, None, None])
+                    live &= update > _PICARD_TOL * (
+                        1.0 + np.abs(new).max(axis=(1, 2)))
+                z = zs[..., -1]
             out.append(z)
-        return np.array(out)
+        return np.stack(out, axis=1)
 
-    substeps = max(4, int(np.ceil(8 * (times[1] - times[0]))) * 4)
-    prev = trajectory(substeps)
-    for _ in range(12):
-        substeps *= 2
-        cur = trajectory(substeps)
-        if np.abs(cur - prev).max() <= 1e-10:
+    # every displacement at s and 2s substeps, then doubled again only
+    # where the last two step counts disagree
+    s, k = max(4, int(np.ceil(8 * (times[1] - times[0]))) * 4), len(us)
+    both = integrate(np.concatenate([starts, starts]), [s] * k + [2 * s] * k)
+    prev, cur, substeps = both[:k], both[k:], 2 * s
+    result, todo = np.empty_like(cur), np.arange(k)
+    for doubling in range(12):
+        if doubling:
+            substeps *= 2
+            prev, cur = cur, integrate(starts[todo], [substeps] * len(todo))
+        agreed = np.abs(cur - prev).max(axis=(1, 2)) <= 1e-10
+        result[todo[agreed]] = cur[agreed]
+        todo, cur = todo[~agreed], cur[~agreed]
+        if not len(todo):
             break
-        prev = cur
     else:
         raise StiffnessError("orbit integration did not converge")
 
     # Displacements only: y - Phi(w) = z + (start - theta0) - (Phi(w) - w)
     # up to an integer vector, with w = theta0 + t*alpha wrapped to [0, 1).
     w = (theta0[None, :] + times[:, None] * a[None, :]) % 1.0
-    diff = cur + (start - theta0) - (phi(w) - w)
-    diff -= np.round(diff)
-    return float(np.abs(diff).max())
+    devs = []
+    for phi, start, z in zip(phis, starts, result):
+        diff = z + (start - theta0) - (phi(w) - w)
+        diff -= np.round(diff)
+        devs.append(float(np.abs(diff).max()))
+    return devs

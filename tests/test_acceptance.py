@@ -223,8 +223,8 @@ def test_criterion_8_conjugacy_and_shadowing(golden_freq, run_eps6):
     P, res = run_eps6
     u = res.u
     rep = orc.conjugacy_report(golden_freq, P, u, res.beta, 32)
-    dev = orc.orbit_shadowing_check(golden_freq, P, u, res.beta,
-                                    T=100.0, samples=25)
+    dev, = orc.orbit_shadowing_check(golden_freq, P, [u], res.beta,
+                                     T=100.0, samples=25)
     dt = time.time() - t0
     _report("8 conjugacy residual and orbit shadowing",
             rep["sup_residual"] <= 1e-10 and dev <= 1e-7 and dt < 300.0,

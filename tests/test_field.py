@@ -122,6 +122,39 @@ def test_eval_many_matches_eval_at():
         np.testing.assert_allclose(ref.eval_at(f, p).real, v, atol=1e-14)
 
 
+def _mean(f, values):
+    """f with its mode-0 coefficient replaced by values (dropped at 0)."""
+    return fld.add(fld.sub(f, fld.constant_field(f.constant_part(), 1.0)),
+                   fld.constant_field(values, 1.0))
+
+
+@pytest.mark.parametrize("build, odd", [
+    pytest.param(lambda: _mean(_rand_field(5), [0.0, 0.0]), False,
+                 id="even M"),
+    pytest.param(lambda: _mean(_rand_field(5), [0.3, -0.6]), True,
+                 id="odd M"),
+    pytest.param(lambda: fld.constant_field([0.7, -0.2], 1.0), True,
+                 id="constant"),
+    pytest.param(lambda: _mean(_rand_field(6, n=1, modes=4), [0.4]), True,
+                 id="n=1"),
+    pytest.param(lambda: _mean(_rand_field(7, n=4, modes=9, k_max=2),
+                               [0.0] * 4), False, id="n=4"),
+])
+@pytest.mark.parametrize("chunk", [fld._EVAL_CHUNK, 16])
+def test_eval_many_half_spectrum_matches_eval_at(build, odd, chunk,
+                                                 monkeypatch):
+    # eval_many sums only the back half of the rows (and mode 0); a chunk
+    # of 16 point-modes spreads the 40 points over many blocks
+    monkeypatch.setattr(fld, "_EVAL_CHUNK", chunk)
+    f = build()
+    assert len(f.modes) % 2 == odd
+    pts = np.random.default_rng(3).uniform(0, 1, size=(40, f.n))
+    many = fld.eval_many(f, pts)
+    ref_vals = np.array([ref.eval_at(f, p).real for p in pts])
+    scale = np.abs(f.coef).sum(axis=0).max()
+    assert np.abs(many - ref_vals).max() <= 1e-14 * scale
+
+
 def test_eval_outside_strip_rejected():
     f = _rand_field(3)
     with pytest.raises(ParameterError):

@@ -121,8 +121,31 @@ def test_oracles_reject_a_field_of_another_dimension(golden_freq, which,
             orc.conjugacy_report(golden_freq, fields["P"], fields["u"],
                                  np.zeros(2), 8)
         else:
-            orc.orbit_shadowing_check(golden_freq, fields["P"], fields["u"],
-                                      np.zeros(2), T=1.0, samples=4)
+            orc.orbit_shadowing_check(golden_freq, fields["P"],
+                                      [fields["u"]], np.zeros(2), T=1.0,
+                                      samples=4)
+
+
+@pytest.mark.parametrize("us, T, samples, match", [
+    ([0], 1.0, 0, "samples >= 1"),
+    ([0], np.nan, 4, "finite"),
+    ([0], np.inf, 4, "finite"),
+    ([0], -1.0, 4, ">= 0"),
+    ([], 1.0, 4, "at least one displacement"),
+])
+def test_orbit_check_rejects_bad_arguments(golden_freq, us, T, samples,
+                                           match):
+    zero = fld.zero_field(2, 1.0)
+    with pytest.raises(ParameterError, match=match):
+        orc.orbit_shadowing_check(golden_freq, zero, [zero for _ in us],
+                                  np.zeros(2), T=T, samples=samples)
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_conjugacy_rejects_an_empty_grid(golden_freq, grid):
+    zero = fld.zero_field(2, 1.0)
+    with pytest.raises(ParameterError, match="grid must be >= 1"):
+        orc.conjugacy_report(golden_freq, zero, zero, np.zeros(2), grid)
 
 
 def test_conjugacy_trivial_identity(golden_freq):
@@ -168,8 +191,8 @@ def test_conjugacy_residual_linearity(golden_freq):
 def test_orbit_shadowing_trivial(golden_freq):
     P = fld.zero_field(2, 1.0)
     u = fld.zero_field(2, 1.0)
-    dev = orc.orbit_shadowing_check(golden_freq, P, u, np.zeros(2),
-                                    T=10.0, samples=20)
+    dev, = orc.orbit_shadowing_check(golden_freq, P, [u], np.zeros(2),
+                                     T=10.0, samples=20)
     assert dev <= 1e-10
 
 
@@ -177,8 +200,8 @@ def test_orbit_shadowing_detects_drift(golden_freq):
     # an uncorrected constant perturbation drifts linearly in T
     P = fld.constant_field([1e-6, 0.0], 1.0)
     u = fld.zero_field(2, 1.0)
-    dev = orc.orbit_shadowing_check(golden_freq, P, u, np.zeros(2),
-                                    T=10.0, samples=20)
+    dev, = orc.orbit_shadowing_check(golden_freq, P, [u], np.zeros(2),
+                                     T=10.0, samples=20)
     assert dev == pytest.approx(1e-5, rel=1e-6)
 
 
@@ -189,8 +212,8 @@ def test_full_run_passes_oracles(golden_freq):
     u = res.u
     rep = orc.conjugacy_report(golden_freq, P, u, res.beta, grid)
     assert rep["sup_residual"] <= 1e-10
-    dev = orc.orbit_shadowing_check(golden_freq, P, u, res.beta,
-                                    T=20.0, samples=10)
+    dev, = orc.orbit_shadowing_check(golden_freq, P, [u], res.beta,
+                                     T=20.0, samples=10)
     assert dev <= 1e-8
 
 
@@ -240,9 +263,58 @@ def test_orbit_shadowing_matches_reference_rk4(solved, name):
     alpha, P, res = solved(name)
     u = res.u
     expect = _reference_orbit_deviation(alpha, P, u, res.beta, 20.0, 20)
-    got = orc.orbit_shadowing_check(alpha, P, u, res.beta, T=20.0,
-                                    samples=20)
+    got, = orc.orbit_shadowing_check(alpha, P, [u], res.beta, T=20.0,
+                                     samples=20)
     assert abs(got - expect) <= 1e-18
+
+
+# sup|DP| ~ 0.4: several Picard sweeps a window, and the orbits of
+# U_SMALL and of u = 0 need different numbers of them
+MODERATE = {(1, 0): [1e-2, 3e-3], (2, -1): [5e-3, 1e-2]}
+U_SMALL = {(0, 1): [1e-3, -2e-3]}
+
+
+@pytest.mark.parametrize("name", ["W1", "W4", "W6", "moderate"])
+def test_orbit_check_batches_bit_for_bit(solved, golden_freq, name):
+    # each trajectory of the batched state stops at its own Picard
+    # tolerance, so it ends where it would integrated alone
+    if name == "moderate":
+        alpha, P = golden_freq, fld.make_field(2, 1.0, MODERATE)
+        u, beta = fld.make_field(2, 1.0, U_SMALL), np.zeros(2)
+    else:
+        alpha, P, res = solved(name)
+        u, beta = res.u, res.beta
+    zero = fld.zero_field(alpha.n, 1.0)
+
+    def check(us):
+        return orc.orbit_shadowing_check(alpha, P, us, beta, T=100.0,
+                                         samples=100)
+
+    assert check([u, zero]) == check([u]) + check([zero])
+
+
+def test_orbit_check_runs_both_first_step_counts_in_one_sweep(
+        golden_freq, monkeypatch):
+    # a constant P is integrated exactly, so the first two step counts
+    # agree: each window takes two sweeps (the second changes nothing),
+    # each one eval_many over all four trajectories, and no third step
+    # count is integrated
+    P = fld.constant_field([1e-6, -2e-6], 1.0)
+    u = fld.make_field(2, 1.0, U_SMALL)
+    calls, evaluate = [], fld.eval_many
+
+    def counting(x, thetas):
+        calls.append(len(thetas))
+        return evaluate(x, thetas)
+
+    monkeypatch.setattr(fld, "eval_many", counting)
+    devs = orc.orbit_shadowing_check(golden_freq, P, [u, fld.zero_field(
+        2, 1.0)], np.zeros(2), T=10.0, samples=20)
+    assert devs[1] == pytest.approx(10.0 * 2e-6, rel=1e-9)
+    # one start and one final evaluation of Phi per displacement
+    sweeps = [n for n in calls if n > 21]
+    assert len(calls) == 2 * 20 + 4 and len(sweeps) == 2 * 20
+    assert set(sweeps) == {2 * (2 * 16 + 1) + 2 * (2 * 32 + 1)}
 
 
 @pytest.mark.parametrize("name", ["W2", "W4", "W6"])
@@ -255,7 +327,7 @@ def test_oracles_see_phi_through_the_view(solved, name, monkeypatch):
     def measure():
         rep = orc.conjugacy_report(alpha, P, u, res.beta, grid)
         return (rep["sup_residual"], rep["jacobian_min_det"],
-                orc.orbit_shadowing_check(alpha, P, u, res.beta, T=100.0,
+                orc.orbit_shadowing_check(alpha, P, [u], res.beta, T=100.0,
                                           samples=100))
 
     assert len(orc.real_torus_view(u).modes) < len(u.modes)
@@ -267,8 +339,9 @@ def test_oracles_see_phi_through_the_view(solved, name, monkeypatch):
 @pytest.mark.parametrize("name", ["W1", "W2", "W4"])
 def test_orbit_shadowing_floor(solved, name):
     alpha, P, res = solved(name)
-    assert orc.orbit_shadowing_check(alpha, P, res.u,
-                                     res.beta, T=100.0, samples=100) <= 1e-13
+    dev, = orc.orbit_shadowing_check(alpha, P, [res.u],
+                                     res.beta, T=100.0, samples=100)
+    assert dev <= 1e-13
 
 
 @pytest.mark.parametrize("T", [20.0, 100.0])
@@ -276,27 +349,38 @@ def test_orbit_shadowing_floor(solved, name):
 def test_orbit_shadowing_sees_a_beta_error(solved, name, T):
     # beta off by 1e-12 drifts the orbit by t * 1e-12
     alpha, P, res = solved(name)
-    dev = orc.orbit_shadowing_check(alpha, P, res.u,
-                                    res.beta + 1e-12, T=T, samples=int(T))
+    dev, = orc.orbit_shadowing_check(alpha, P, [res.u],
+                                     res.beta + 1e-12, T=T, samples=int(T))
     assert dev == pytest.approx(T * 1e-12, rel=0.01)
 
 
 def test_orbit_shadowing_null_control_w6(solved):
     alpha, P, res = solved("W6")
-    dev = orc.orbit_shadowing_check(alpha, P, res.u,
-                                    res.beta, T=100.0, samples=100)
-    null = orc.orbit_shadowing_check(alpha, P, fld.zero_field(2, 1.0),
-                                     res.beta, T=100.0, samples=100)
+    dev, null = orc.orbit_shadowing_check(
+        alpha, P, [res.u, fld.zero_field(2, 1.0)], res.beta, T=100.0,
+        samples=100)
     assert null >= 1e-10 and null >= 1e4 * dev
 
 
 def test_orbit_shadowing_moderate_field(golden_freq):
     # sup|DP| ~ 0.4 takes four Picard windows per sample interval; the
     # value is that of the previous one-point RK4 integration
-    P = fld.make_field(2, 1.0, {(1, 0): [1e-2, 3e-3], (2, -1): [5e-3, 1e-2]})
-    dev = orc.orbit_shadowing_check(golden_freq, P, fld.zero_field(2, 1.0),
-                                    np.zeros(2), T=100.0, samples=100)
+    P = fld.make_field(2, 1.0, MODERATE)
+    dev, = orc.orbit_shadowing_check(golden_freq, P,
+                                     [fld.zero_field(2, 1.0)], np.zeros(2),
+                                     T=100.0, samples=100)
     assert dev == pytest.approx(0.02101798239287689, rel=1e-8)
+
+
+def test_orbit_check_budget_counts_each_trajectory(golden_freq):
+    # 18 windows a sample take about 150 sweeps a sample per trajectory:
+    # within the budget of 512 for each, not for the sum over the four
+    # trajectories of the first two step counts
+    P = fld.make_field(2, 1.0, {(1, 0): [0.175, 0.175 / 3]})
+    zero = fld.zero_field(2, 1.0)
+    devs = orc.orbit_shadowing_check(golden_freq, P, [zero, zero],
+                                     np.zeros(2), T=10.0, samples=10)
+    assert devs[0] == devs[1] > 0.1
 
 
 def test_orbit_shadowing_refuses_a_huge_field_up_front(golden_freq):
@@ -304,5 +388,6 @@ def test_orbit_shadowing_refuses_a_huge_field_up_front(golden_freq):
     # before integrating (the CLI tests cover a refusal mid-integration)
     P = fld.make_field(2, 1.0, {(1, 0): [1e3, 5e2]})
     with pytest.raises(StiffnessError, match=r"sup\|DP\| <= 1.26e\+04"):
-        orc.orbit_shadowing_check(golden_freq, P, fld.zero_field(2, 1.0),
-                                  np.zeros(2), T=100.0, samples=100)
+        orc.orbit_shadowing_check(golden_freq, P,
+                                  [fld.zero_field(2, 1.0)] * 2, np.zeros(2),
+                                  T=100.0, samples=100)
