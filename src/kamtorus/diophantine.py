@@ -9,10 +9,10 @@ q*alpha are not determined by the data beyond that reading.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import (ConstantsInconsistencyError, KamError, ParameterError,
                      ParseError, ResonanceError)
-
-# dirichlet_approx remembers this many most recently used (alpha, Q)
-_APPROX_CACHE_SIZE = 256
-_approx_cache: OrderedDict = OrderedDict()
 
 # The lattice enumerations of this module raise before enumerating more
 # integer points than this (tens of MB at n = 3).
@@ -203,8 +199,7 @@ def _smallest_dirichlet_q(fracs, delta, qmax: int):
 # operations
 # ---------------------------------------------------------------------------
 
-def _build_approx(alpha: FrequencyVector, q: int, Q: float) -> RationalApprox:
-    fracs = _as_fracs(alpha.alpha_tilde)
+def _build_approx(fracs: list[Fraction], q: int, Q: float) -> RationalApprox:
     p = [round(q * x) for x in fracs]     # Fraction rounds half to even
     varpi = np.array(
         [0.0] + [float(x - Fraction(pi, q)) for x, pi in zip(fracs, p)])
@@ -233,15 +228,15 @@ def _nonzero_box(n: int, K: int, what: str) -> np.ndarray:
     return ks[np.any(ks != 0, axis=1)]
 
 
-def _verify_dirichlet(alpha: FrequencyVector, approx: RationalApprox, Q: float):
-    fracs = _as_fracs(alpha.alpha_tilde)
+def _verify_dirichlet(fracs: list[Fraction], approx: RationalApprox,
+                      Q: float):
     delta = 1 / Fraction(float(Q))
     for x, pi in zip(fracs, approx.p):
         if abs(approx.q * x - int(pi)) > delta:
             raise KamError(
                 "floating-point inconsistency: Dirichlet bound violated "
                 f"at q={approx.q}")
-    if not 1 <= approx.q <= math.floor(Fraction(float(Q)) ** (alpha.n - 1)):
+    if not 1 <= approx.q <= math.floor(Fraction(float(Q)) ** len(fracs)):
         raise KamError(
             f"floating-point inconsistency: q={approx.q} outside "
             f"[1, Q^(n-1)]")
@@ -255,22 +250,21 @@ def dirichlet_approx(alpha: FrequencyVector, Q: float) -> RationalApprox:
     """
     if not 1 <= Q < math.inf:
         raise ParameterError(f"Q must be finite and >= 1, got {Q}")
-    key = (alpha.alpha_tilde.tobytes(), float(Q))
-    hit = _approx_cache.get(key)
-    if hit is not None:
-        _approx_cache.move_to_end(key)
-        return hit
-    q = _smallest_dirichlet_q(_as_fracs(alpha.alpha_tilde),
-                              1 / Fraction(float(Q)),
-                              math.floor(Fraction(float(Q)) ** (alpha.n - 1)))
+    return _dirichlet_approx(alpha.alpha_tilde.tobytes(), float(Q))
+
+
+@functools.lru_cache(maxsize=256)
+def _dirichlet_approx(alpha_tilde: bytes, Q: float) -> RationalApprox:
+    """dirichlet_approx of the float64 alpha_tilde with these bytes; the
+    256 most recently used (alpha_tilde, Q) are remembered."""
+    fracs = _as_fracs(np.frombuffer(alpha_tilde))
+    q = _smallest_dirichlet_q(fracs, 1 / Fraction(Q),
+                              math.floor(Fraction(Q) ** len(fracs)))
     if q is None:
         raise KamError("floating-point inconsistency: no Dirichlet "
                        "denominator found (mathematically impossible)")
-    approx = _build_approx(alpha, q, Q)
-    _verify_dirichlet(alpha, approx, Q)
-    _approx_cache[key] = approx
-    if len(_approx_cache) > _APPROX_CACHE_SIZE:
-        _approx_cache.popitem(last=False)
+    approx = _build_approx(fracs, q, Q)
+    _verify_dirichlet(fracs, approx, Q)
     return approx
 
 

@@ -61,18 +61,20 @@ class FourierVectorField:
     modes (int64, (M, n)) is strictly sorted lexicographically and closed
     under k -> -k; coef (complex128, (M, n)) holds the matching
     coefficients with coef[M-1-i] == conj(coef[i]) and no all-zero row.
-    k_max bounds the sup norm of every stored mode.  width_s is the
-    analyticity width the representation is trusted on.
+    k_max is read off modes: the largest |k|_inf stored, 0 for none.
+    width_s is the analyticity width the representation is trusted on.
     """
 
     n: int
     width_s: float
     modes: np.ndarray
     coef: np.ndarray
-    k_max: int
+    k_max: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        _check_box(self.n, self.k_max)
+        k_max = int(np.abs(self.modes).max(initial=0))
+        _check_box(self.n, k_max)
+        object.__setattr__(self, "k_max", k_max)
         if not self.width_s > 0:
             raise ParameterError(f"width_s must be > 0, got {self.width_s}")
         shape = (len(self.modes), self.n)
@@ -135,11 +137,10 @@ def _nonzero_rows(coef: np.ndarray) -> np.ndarray:
 def _field(n: int, width_s: float, modes: np.ndarray, coef: np.ndarray,
            keep: np.ndarray | None = None) -> FourierVectorField:
     """The rows of sorted symmetric arrays where keep holds (by default the
-    nonzero rows), with k_max their largest |k|."""
+    nonzero rows)."""
     if keep is None:
         keep = _nonzero_rows(coef)
-    return FourierVectorField(n, width_s, modes[keep], coef[keep],
-                              int(np.abs(modes[keep]).max(initial=0)))
+    return FourierVectorField(n, width_s, modes[keep], coef[keep])
 
 
 def _symmetrized(n, width_s, modes, coef) -> FourierVectorField:
@@ -165,7 +166,7 @@ def make_field(n: int, width_s: float, coeffs: dict) -> FourierVectorField:
 
 def zero_field(n: int, width_s: float) -> FourierVectorField:
     return FourierVectorField(n, width_s, np.zeros((0, n), dtype=np.int64),
-                              np.zeros((0, n), dtype=np.complex128), 0)
+                              np.zeros((0, n), dtype=np.complex128))
 
 
 def constant_field(values, width_s: float) -> FourierVectorField:
@@ -174,7 +175,7 @@ def constant_field(values, width_s: float) -> FourierVectorField:
     if np.all(values == 0):
         return zero_field(n, width_s)
     return FourierVectorField(n, width_s, np.zeros((1, n), dtype=np.int64),
-                              values[None, :].astype(np.complex128), 0)
+                              values[None, :].astype(np.complex128))
 
 
 def add(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
@@ -193,10 +194,9 @@ def add(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
 
 
 def scale(x: FourierVectorField, a: float) -> FourierVectorField:
-    if a == 0:
-        return zero_field(x.n, x.width_s)
-    return dataclasses.replace(_field(x.n, x.width_s, x.modes, a * x.coef),
-                               k_max=x.k_max)
+    if not math.isfinite(a):
+        raise ParameterError(f"scale factor must be finite, got {a}")
+    return _field(x.n, x.width_s, x.modes, a * x.coef)
 
 
 def sub(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
@@ -286,27 +286,14 @@ def lie_derivative(x: FourierVectorField, v: FourierVectorField) -> FourierVecto
     return _convolve(x, v, bracket=False)
 
 
-def _diagonal(x: FourierVectorField, c0: np.ndarray, factor: complex,
-              width: float) -> FourierVectorField:
-    """Coefficients factor * (k . c0) * c_k: a derivative along a constant."""
-    dot = sum(x.modes[:, i] * c0[i] for i in range(x.n))
-    return _field(x.n, width, x.modes, (factor * dot)[:, None] * x.coef)
-
-
 def _convolve(x: FourierVectorField, v: FourierVectorField,
               bracket: bool) -> FourierVectorField:
     """DX.V, minus DV.X when `bracket` is set."""
     _check_same_dim(x, v)
     n = x.n
     width = min(x.width_s, v.width_s)
-    if not len(x.modes) or not len(v.modes) or (x.is_constant and not bracket):
+    if not len(x.modes) or not len(v.modes):
         return zero_field(n, width)
-    # Constant argument fast paths are diagonal and exact.
-    if x.is_constant:
-        return _diagonal(v, x.constant_part(), -2j * np.pi, width)
-    if v.is_constant:
-        return _diagonal(x, v.constant_part(), 2j * np.pi, width)
-
     # in the box of the output modes, key(k1 + k2) = key(k1) + key(k2) - key(0)
     k_out = x.k_max + v.k_max
     _check_box(n, k_out)
@@ -338,9 +325,7 @@ def _convolve(x: FourierVectorField, v: FourierVectorField,
     coef[gone] = np.conj(coef[::-1][gone])
     modes = np.stack(np.unravel_index(out_keys, (2 * k_out + 1,) * n),
                      axis=1) - k_out
-    out = _symmetrized(n, width, modes, coef)
-    # keep the exact-convolution support bound even if some sums vanished
-    return dataclasses.replace(out, k_max=k_out if len(out.modes) else 0)
+    return _symmetrized(n, width, modes, coef)
 
 
 def prune(x: FourierVectorField, s: float, floor: float):
@@ -494,5 +479,6 @@ def deserialize(text: str) -> FourierVectorField:
     if got_kmax > k_max:
         raise ParseError(
             f"mode exceeds declared kmax={k_max}", line=1)
+    _check_box(n, k_max)
     # conjugates are checked exact, so make_field only completes them
-    return dataclasses.replace(make_field(n, s, coeffs), k_max=k_max)
+    return make_field(n, s, coeffs)

@@ -90,10 +90,6 @@ class Schedule:
     def sigma(self, m: int) -> float:
         return 2.0 ** (-m - 2) * self.s
 
-    def width(self, m: int) -> float:
-        # s_0 = s, s_{m+1} = s_m - sigma_m; closed form stays above s/2
-        return self.s / 2.0 + self.s * 2.0 ** (-m - 1)
-
 
 def select_Q(consts: KamConstants, s: float):
     """Smallest Q0 on the geometric grid 2^j making the middle and tail
@@ -161,8 +157,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
     Pm = P
     m = 0
     while m < max_steps:
-        # the closed-form width may exceed the stepped one by an ulp
-        norm_m = fld.norm(Pm, min(sched.width(m), Pm.width_s))
+        norm_m = fld.norm(Pm, Pm.width_s)
         if norm_m <= tol:
             break
         if enforce and norm_m > sched.eps(m) * (1 + 1e-9):
@@ -190,7 +185,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         u = x_m
         Pm = res.P_plus
         m += 1
-    final_norm = fld.norm(Pm, min(sched.width(m), Pm.width_s))
+    final_norm = fld.norm(Pm, Pm.width_s)
     defect = (u + Pm.constant_part()) - alpha.alpha
     return tuple(flows), trace, defect, final_norm
 

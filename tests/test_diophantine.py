@@ -200,7 +200,7 @@ def test_large_Q_n3_is_feasible(plastic_freq):
                     tau=0.1)
     a = dio.dirichlet_approx(quartic, 1e4)
     assert 1 <= a.q <= 10 ** 12
-    dio._verify_dirichlet(quartic, a, 1e4)
+    dio._verify_dirichlet(dio._as_fracs(quartic.alpha_tilde), a, 1e4)
 
 
 # q of the current search, pinned: plastic and the cube-root pair
@@ -494,16 +494,20 @@ def test_enumerate_resonant_n2_budget(golden_freq):
         ref.enumerate_resonant(a, 10 ** 6)
 
 
-def test_approx_cache_is_bounded_lru(golden_freq, monkeypatch):
-    from collections import OrderedDict
-    monkeypatch.setattr(dio, "_approx_cache", OrderedDict())
-    monkeypatch.setattr(dio, "_APPROX_CACHE_SIZE", 3)
+def test_approx_cache_is_bounded_lru(golden_freq):
+    cache = dio._dirichlet_approx
+    cache.cache_clear()
     first = dio.dirichlet_approx(golden_freq, 10.0)
-    for Q in (11.0, 12.0):
-        dio.dirichlet_approx(golden_freq, Q)
+    for Q in range(11, 266):                    # 256 distinct (alpha, Q)
+        dio.dirichlet_approx(golden_freq, float(Q))
     assert dio.dirichlet_approx(golden_freq, 10.0) is first   # now newest
-    dio.dirichlet_approx(golden_freq, 13.0)                    # evicts 11
-    assert [key[1] for key in dio._approx_cache] == [12.0, 10.0, 13.0]
+    dio.dirichlet_approx(golden_freq, 266.0)    # the 257th evicts Q = 11
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 257, 256)
+    dio.dirichlet_approx(golden_freq, 12.0)     # still cached
+    dio.dirichlet_approx(golden_freq, 11.0)     # searched again
+    info = cache.cache_info()
+    assert (info.hits, info.misses) == (2, 258)
 
 
 _FREQ_TOKENS = st.sampled_from(["2", "3", "0", "-1", "0.5", "-0.5", "nan",

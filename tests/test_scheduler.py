@@ -69,11 +69,20 @@ def test_schedule_identities(golden_freq):
         # Q_m^(1/a) * sigma_m doubles each step
         assert sched.Q(m) ** (1.0 / c.a) * sched.sigma(m) == pytest.approx(
             2.0 ** m * 512.0 * 0.25, rel=1e-12)
-        assert sched.width(m) == pytest.approx(0.5 + 2.0 ** (-m - 1),
-                                               rel=1e-12)
-        # widths are consistent: width(m) - sigma(m) == width(m+1)
-        assert sched.width(m) - sched.sigma(m) == pytest.approx(
-            sched.width(m + 1), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["W1", "W6"])
+def test_run_widths_step_down_by_sigma(solved, name):
+    # s_0 = s and s_{m+1} = s_m - sigma_m: step m's V lives on s_m and its
+    # P_plus on s_{m+1}, all above s/2.  On W6 (s = 0.1) the closed form
+    # s/2 + s*2^-(m+1) falls below these stepped widths from m = 2 on.
+    _, _, res = solved(name)
+    s = width = res.schedule.s
+    assert len(res.flows) == len(res.trace) >= 2
+    for m, (V, w_plus) in enumerate(res.flows):
+        assert V.width_s == width
+        width -= res.schedule.sigma(m)
+        assert w_plus == width > s / 2
 
 
 def test_schedule_eps_step_identity():
