@@ -18,7 +18,6 @@ from .field import (FourierVectorField, add, bracket_norm_const,
                     serialize, sub, zero_field)
 from .averaging import StepResult, averaging_step, solve_homological
 from .generate import random_field
-from .ledger import ErrorLedger
 from .oracles import conjugacy_report, orbit_shadowing_check
 from .scheduler import (KamConstants, RunOptions, RunResult, Schedule,
                         constants, run, select_Q)

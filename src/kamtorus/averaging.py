@@ -31,9 +31,7 @@ from . import field as fld
 from .diophantine import FrequencyVector, RationalApprox, dirichlet_approx
 from .errors import (ContractionError, DomainError, ParameterError,
                      StepConditionError)
-from .embedding import _PRUNE_REL
 from .field import FourierVectorField
-from .ledger import ErrorLedger
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,7 @@ def solve_homological(P: FourierVectorField, d: np.ndarray, q: int):
     if v_norm > q * rhs_norm * (1 + 1e-12):
         raise ContractionError(
             "divisor bound violated: "
-            f"norm(V)={v_norm:.6g} > q*norm(P-[P]_w)={q * rhs_norm:.6g}",
-            measured_ratio=v_norm / (q * rhs_norm))
+            f"norm(V)={v_norm:.6g} > q*norm(P-[P]_w)={q * rhs_norm:.6g}")
     return rhs, V, v_norm
 
 
@@ -129,7 +126,7 @@ def step_conditions(consts, Q: float, sigma: float, eps: float) -> tuple:
 
 def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
                    P: FourierVectorField, Q: float, sigma: float, consts, *,
-                   ledger: ErrorLedger | None = None, enforce: bool = True,
+                   ledger: dict | None = None, enforce: bool = True,
                    eps_ref: float | None = None) -> StepResult:
     """One step: P of size eps becomes P_plus of size <= eps/b.
 
@@ -182,30 +179,28 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     A = fld.add(fld.constant_field(approx.varpi, s), fld.add(S, P))
     B = replace(rhs, coef=0.0 - rhs.coef)
 
-    floor = _PRUNE_REL * eps_ref
-    # the series ends once a term's norm is at most 1e-18*eps_ref, so the
-    # tolerance on its remainder bound is that threshold times rho/(1-rho)
+    floor = fld.PRUNE_REL * eps_ref
+    # the series ends once a term's norm is at most SERIES_TOL_REL*eps_ref,
+    # so the tolerance on its remainder bound is that times rho/(1-rho)
     rho = fld.series_ratio(V, s, sigma)
     acc, bracket_norm = fld.lie_series(
         fld.lie_bracket, V, head, A, B, s, sigma,
-        1e-18 * eps_ref * rho / (1.0 - rho), floor=floor, ledger=ledger,
-        tag="averaging_step")
+        fld.SERIES_TOL_REL * eps_ref * rho / (1.0 - rho), floor=floor,
+        ledger=ledger, tag="averaging_step")
 
     p_plus, lost = fld.prune(acc, w, floor)
-    if ledger is not None and lost:
-        ledger.charge("averaging_step.result_prune", lost)
+    fld.charge(ledger, "averaging_step.result_prune", lost)
     pp_norm = fld.norm(p_plus, w)
 
     if enforce:
         if pp_norm > eps / consts.b:
             raise ContractionError(
                 f"norm(P_plus) = {pp_norm:.6g} exceeds eps/b = "
-                f"{eps / consts.b:.6g}", measured_ratio=pp_norm / eps)
+                f"{eps / consts.b:.6g}")
         if v_norm > Q ** (P.n - 1) * eps * (1 + 1e-9):
             raise ContractionError(
                 f"norm(V) = {v_norm:.6g} exceeds Q^(n-1)*eps = "
-                f"{Q ** (P.n - 1) * eps:.6g}",
-                measured_ratio=v_norm / (Q ** (P.n - 1) * eps))
+                f"{Q ** (P.n - 1) * eps:.6g}")
 
     return StepResult(P_plus=p_plus, P_avg=p_avg, V=V, v_norm=v_norm,
                       tail_term=fld.norm(head, w), bracket_term=bracket_norm,

@@ -37,6 +37,9 @@ MAX_ORBIT_DEVIATION = 1e-7
 # Oracle work caps: grid^n lattice points, max(16, int(orbit-T)) samples.
 MAX_GRID_POINTS = 1 << 20
 MAX_ORBIT_SAMPLES = 1 << 16
+# Oracle defaults of run and verify: lattice points a side, orbit time.
+DEFAULT_GRID = 32
+DEFAULT_ORBIT_T = 100.0
 
 
 def _load_freq(path: str) -> FrequencyVector:
@@ -227,8 +230,9 @@ def _cmd_run(args) -> int:
     if not freq or not pert or s is None:
         raise KamError("run requires --freq, --pert and --s "
                        "(flags or config)")
-    grid = int(pick(args.grid, "grid", 32))
-    orbit_t = _finite("orbit-T", float(pick(args.orbit_T, "orbit-T", 100.0)))
+    grid = int(pick(args.grid, "grid", DEFAULT_GRID))
+    orbit_t = _finite("orbit-T", float(pick(args.orbit_T, "orbit-T",
+                                            DEFAULT_ORBIT_T)))
     alpha = _load_freq(freq)
     samples = _oracle_samples(grid, orbit_t, alpha.n)
     P = _load_field(pert)
@@ -245,7 +249,7 @@ def _cmd_run(args) -> int:
         "Q0": result.schedule.Q0, "s": result.schedule.s,
         "passes": result.passes, "final_norm": result.final_norm,
         "beta": [float(v) for v in result.beta],
-        "ledger": result.ledger.by_tag(),
+        "ledger": result.ledger,
         "steps": result.trace,
     })
     (outdir / "phi.field").write_text(fld.serialize(result.u))
@@ -331,8 +335,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pert", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--beta", required=True)
-    p.add_argument("--grid", type=int, default=32)
-    p.add_argument("--orbit-T", dest="orbit_T", type=float, default=0.0)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--orbit-T", dest="orbit_T", type=float,
+                   default=DEFAULT_ORBIT_T)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
@@ -353,10 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (KamError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

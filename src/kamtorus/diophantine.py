@@ -325,13 +325,6 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
     return gamma, gamma_bar
 
 
-def _gamma_star(n: int, tau: float, gamma: float, gamma_bar: float) -> float:
-    """(gamma * gamma_bar^{(n-1)/a} / n)^{1/(n+(n-1)tau)}, a = 1+(n-1)tau."""
-    a = 1.0 + (n - 1) * tau
-    return (gamma * gamma_bar ** ((n - 1) / a) / n) \
-        ** (1.0 / (n + (n - 1) * tau))
-
-
 def lower_denominator_bound(alpha: FrequencyVector,
                             approx: RationalApprox) -> float:
     """(gamma_bar * Q)^{(n-1)/(1+(n-1)tau)}; approx.q must dominate it."""

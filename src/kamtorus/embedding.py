@@ -16,11 +16,6 @@ from __future__ import annotations
 from . import field as fld
 from .field import FourierVectorField
 
-# Relative to the norm of V + u: the remainder tolerance of a flow's
-# series, and its pruning floor (also the averaging step's, relative to eps).
-_SERIES_TOL_REL = 1e-18
-_PRUNE_REL = 1e-16
-
 
 def displacement(n: int, flows) -> FourierVectorField:
     """Phi - Id for Phi = L_1 o ... o L_m with flows = [(V_j, w_j)]: L_j is
@@ -32,5 +27,6 @@ def displacement(n: int, flows) -> FourierVectorField:
         head = fld.add(V, u)
         ref = fld.norm(head, s)
         u, _ = fld.lie_series(fld.lie_derivative, V, head, u, V, s, s - w,
-                              _SERIES_TOL_REL * ref, floor=_PRUNE_REL * ref)
+                              fld.SERIES_TOL_REL * ref,
+                              floor=fld.PRUNE_REL * ref)
     return u

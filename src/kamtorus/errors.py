@@ -12,11 +12,10 @@ class ParameterError(KamError, ValueError):
 class ParseError(KamError, ValueError):
     """A text file did not match the expected format.
 
-    Carries the one-based line number when known.
+    The message starts with the one-based line number when known.
     """
 
     def __init__(self, message, line=None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -50,11 +49,8 @@ class StepConditionError(KamError, ArithmeticError):
 
 
 class ContractionError(KamError, ArithmeticError):
-    """The step remainder exceeded its guaranteed contraction bound."""
-
-    def __init__(self, message, measured_ratio=None):
-        self.measured_ratio = measured_ratio
-        super().__init__(message)
+    """A certified bound failed: divisor, step remainder, norm(V), envelope,
+    total displacement or |beta| bound, or the counter-term pass limit."""
 
 
 class StepSizeError(KamError, ArithmeticError):
@@ -70,7 +66,8 @@ class ThresholdError(KamError, ArithmeticError):
 
 
 class StiffnessError(KamError, ArithmeticError):
-    """Step-halving of the flow integrator failed to converge."""
+    """The orbit check's integrator failed: its Picard sweep budget ran out,
+    or twelve step doublings did not agree."""
 
 
 class EmbeddingFailureError(KamError, ArithmeticError):

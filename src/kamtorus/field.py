@@ -172,10 +172,8 @@ def zero_field(n: int, width_s: float) -> FourierVectorField:
 def constant_field(values, width_s: float) -> FourierVectorField:
     values = np.asarray(values, dtype=float)
     n = len(values)
-    if np.all(values == 0):
-        return zero_field(n, width_s)
-    return FourierVectorField(n, width_s, np.zeros((1, n), dtype=np.int64),
-                              values[None, :].astype(np.complex128))
+    return _field(n, width_s, np.zeros((1, n), dtype=np.int64),
+                  values[None, :].astype(np.complex128))
 
 
 def add(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
@@ -225,8 +223,6 @@ def norm(x: FourierVectorField, s: float) -> float:
     if not 0 < s <= x.width_s:
         raise ParameterError(
             f"norm width s={s} outside (0, {x.width_s}]")
-    if not len(x.modes):
-        return 0.0
     cm = np.abs(x.coef)
     if np.isnan(cm).any():
         raise ParameterError("field has a NaN coefficient")
@@ -347,6 +343,21 @@ def prune(x: FourierVectorField, s: float, floor: float):
 
 _MAX_SERIES_TERMS = 300
 
+# Truncation of a Lie series relative to a reference norm (that of V + u
+# for a flow's displacement, eps for an averaging step): the remainder
+# tolerance, and the floor below which modes of the running terms are pruned.
+SERIES_TOL_REL = 1e-18
+PRUNE_REL = 1e-16
+
+
+def charge(ledger: dict | None, tag: str, amount: float) -> None:
+    """Add a discarded amount to ledger[tag]; a zero amount or a None
+    ledger records nothing."""
+    if amount < 0:
+        raise ValueError(f"ledger amounts are nonnegative, got {amount}")
+    if ledger is not None and amount:
+        ledger[tag] = ledger.get(tag, 0.0) + float(amount)
+
 
 def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
     """Majorant ratio rho = bracket_norm_const(n)*e*norm(V,s)/sigma.
@@ -358,7 +369,7 @@ def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
     """
     if not 0 < sigma < s:
         raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
-    v_norm = norm(V, s) if len(V.modes) else 0.0
+    v_norm = norm(V, s)
     rho = bracket_norm_const(V.n) * math.e * v_norm / sigma
     if rho >= 1.0:
         raise StepSizeError(
@@ -395,16 +406,14 @@ def lie_series(op, V: FourierVectorField, head: FourierVectorField,
         if not (len(term.modes) or len(a.modes) or len(b.modes)):
             break
         acc = add(acc, term)
-        t = norm(term, w) if len(term.modes) else 0.0
+        t = norm(term, w)
         total += t
         a, lost_a = prune(a, w, floor)
         b, lost_b = prune(b, w, floor)
-        if ledger is not None and (lost_a or lost_b):
-            ledger.charge(f"{tag}.series_prune", 2.0 * (lost_a + lost_b))
+        charge(ledger, f"{tag}.series_prune", 2.0 * (lost_a + lost_b))
         rem = t * rho / (1.0 - rho)
         if m >= 2 and rem <= tol:
-            if ledger is not None:
-                ledger.charge(f"{tag}.series_tail", rem)
+            charge(ledger, f"{tag}.series_tail", rem)
             break
     else:
         raise StepSizeError(

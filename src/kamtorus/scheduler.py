@@ -24,12 +24,11 @@ import numpy as np
 
 from . import averaging as avg
 from . import field as fld
-from .diophantine import FrequencyVector, _gamma_star
+from .diophantine import FrequencyVector
 from .embedding import displacement
 from .errors import (ContractionError, DomainError, InfeasibleError,
                      ParameterError, ThresholdError)
 from .field import FourierVectorField
-from .ledger import ErrorLedger
 
 _Q_CAP_EXP = 64           # select_Q searches Q0 = 2^j, j <= this
 _BETA_PASS_LIMIT = 12
@@ -70,8 +69,10 @@ def constants(n: int, tau: float, gamma: float,
     binv = 1.0 / b
     c = binv / (1.0 - binv)
     d = c + 1.0
+    gamma_star = (gamma * gamma_bar ** ((n - 1) / a) / n) \
+        ** (1.0 / (n + (n - 1) * tau))
     return KamConstants(n=n, tau=tau, a=a, b=b, c=c, d=d,
-                        gamma_star=_gamma_star(n, tau, gamma, gamma_bar))
+                        gamma_star=gamma_star)
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class RunResult:
     eps_star: float
     final_norm: float
     passes: int
-    ledger: ErrorLedger
+    ledger: dict                # {tag: discarded amount} of the final pass
 
     @cached_property
     def u(self) -> FourierVectorField:
@@ -143,7 +144,7 @@ class RunResult:
 
 def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
                   sched: Schedule, tol: float, max_steps: int, enforce: bool,
-                  ledger: ErrorLedger):
+                  ledger: dict | None):
     """One pass of averaging steps starting at frequency alpha + beta.
 
     Returns (flows, trace, defect, final_norm) where defect is how far the
@@ -163,8 +164,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         if enforce and norm_m > sched.eps(m) * (1 + 1e-9):
             raise ContractionError(
                 f"step {m}: norm(P_m) = {norm_m:.6g} exceeds the envelope "
-                f"b^-m*eps = {sched.eps(m):.6g}",
-                measured_ratio=norm_m / sched.eps(m))
+                f"b^-m*eps = {sched.eps(m):.6g}")
         p_avg = Pm.constant_part()
         x_m = u + p_avg
         dist = float(np.abs(x_m - alpha.alpha).max())
@@ -220,7 +220,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
                       stacklevel=2)
     sched = Schedule(consts=consts, s=s, Q0=Q0, eps0=eps)
     tol = opts.tol if opts.tol is not None else 1e-14 * eps
-    ledger = ErrorLedger()
+    ledger = {}
 
     if eps == 0.0:
         return RunResult(flows=(), displacement_bound=0.0,
@@ -237,7 +237,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
         passes += 1
         _, _, defect, _ = _forward_pass(
             alpha, P, beta, sched, tol, opts.max_steps, enforce=False,
-            ledger=ErrorLedger())
+            ledger=None)
         beta = beta - defect
         if np.abs(defect).max() <= defect_tol:
             break
@@ -245,8 +245,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
         raise ContractionError(
             "counter-term fixed point did not settle within "
             f"{_BETA_PASS_LIMIT} passes (last defect "
-            f"{np.abs(defect).max():.3g})",
-            measured_ratio=float(np.abs(defect).max() / eps))
+            f"{np.abs(defect).max():.3g})")
 
     enforce = not opts.force
     flows, trace, defect, final_norm = _forward_pass(
@@ -261,15 +260,13 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     if enforce and disp > disp_bound * (1 + 1e-9):
         raise ContractionError(
             f"total displacement {disp:.6g} exceeds "
-            f"(1-b^(-1/n))^-1 Q^(n-1) eps = {disp_bound:.6g}",
-            measured_ratio=disp / disp_bound)
+            f"(1-b^(-1/n))^-1 Q^(n-1) eps = {disp_bound:.6g}")
     if enforce and np.abs(beta).max() > consts.d * eps * (1 + 1e-9):
         raise ContractionError(
             f"|beta| = {np.abs(beta).max():.6g} exceeds d*eps = "
-            f"{consts.d * eps:.6g}",
-            measured_ratio=float(np.abs(beta).max() / (consts.d * eps)))
-    ledger.charge("run.stopping_truncation",
-                  final_norm * consts.b / (consts.b - 1.0))
+            f"{consts.d * eps:.6g}")
+    fld.charge(ledger, "run.stopping_truncation",
+               final_norm * consts.b / (consts.b - 1.0))
     return RunResult(flows=flows, displacement_bound=disp, beta=beta,
                      trace=trace, schedule=sched, eps=eps, eps_star=eps_star,
                      final_norm=final_norm, passes=passes, ledger=ledger)

@@ -21,7 +21,6 @@ from kamtorus.diophantine import RationalApprox, _nonzero_box
 from kamtorus.errors import (EmbeddingFailureError, ParameterError,
                              StiffnessError)
 from kamtorus.field import TWO_PI, FourierVectorField
-from kamtorus.ledger import ErrorLedger
 from kamtorus.oracles import _fd_jacobians
 
 # ---------------------------------------------------------------------------
@@ -90,7 +89,7 @@ def omega_average(P: FourierVectorField,
 
 def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
                  sigma: float, tol: float,
-                 ledger: ErrorLedger | None = None) -> FourierVectorField:
+                 ledger: dict | None = None) -> FourierVectorField:
     """Exact-coefficient evaluation of (V^1)^* Y = sum_m ad_V^m Y / m!.
 
     Truncated when the majorized remainder at width s - sigma is below

@@ -13,7 +13,6 @@ from kamtorus.diophantine import RationalApprox, dirichlet_approx
 from kamtorus.errors import (ContractionError, DomainError, ParameterError,
                              StepConditionError, StepSizeError)
 from kamtorus.generate import random_field
-from kamtorus.ledger import ErrorLedger
 import reference as ref
 from conftest import WORKLOADS
 
@@ -281,7 +280,7 @@ def _one_step(alpha, consts, P, beta, monkeypatch, enforce=True):
         mp.setattr(avg, "averaging_step", spy)
         flows, trace, defect, _ = sch._forward_pass(
             alpha, P, np.asarray(beta, dtype=float), sched, 0.0, 1, enforce,
-            ErrorLedger())
+            {})
     assert len(trace) == len(seen) == 1
     return flows, defect, seen[0]
 

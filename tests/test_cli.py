@@ -277,6 +277,25 @@ def test_run_and_verify_write_the_same_residual(tmp_path, name, golden_freq,
             == (run / "residual.json").read_bytes())
 
 
+def test_run_and_verify_defaults_write_the_same_residual(tmp_path,
+                                                         golden_freq):
+    # verify's default oracle flags are run's, orbit check included
+    n, s, eps, modes, seed, k_max = WORKLOADS["W1"]
+    freq, pert = tmp_path / "alpha.freq", tmp_path / "p.field"
+    freq.write_text(serialize_frequency(golden_freq))
+    pert.write_text(fld.serialize(
+        random_field(n, s, eps, modes, seed, k_max=k_max)))
+    common = ["--freq", str(freq), "--pert", str(pert)]
+    run, vout = tmp_path / "run", tmp_path / "verify"
+    assert main(["run", "--s", str(s), "--out", str(run)] + common) == 0
+    assert main(["verify", "--phi", str(run / "phi.field"), "--beta",
+                 str(run / "beta.txt"), "--out", str(vout)] + common) == 0
+    res = json.loads((run / "residual.json").read_text())
+    assert res["grid"] == 32 and res["orbit_deviation"] is not None
+    assert ((vout / "residual.json").read_bytes()
+            == (run / "residual.json").read_bytes())
+
+
 def test_run_config_file_and_override(tmp_path, golden_file, pert_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -582,7 +601,7 @@ def test_verify_prints_null_ratios(tmp_path, golden_file, w6_run, capsys):
     pert, run = w6_run
     assert main(["verify", "--freq", golden_file, "--pert", str(pert),
                  "--phi", str(run / "phi.field"), "--beta",
-                 str(run / "beta.txt"), "--grid", "32",
+                 str(run / "beta.txt"), "--grid", "32", "--orbit-T", "0",
                  "--out", str(tmp_path)]) == 0
     out = json.loads(capsys.readouterr().out)
     res = json.loads((tmp_path / "residual.json").read_text())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from kamtorus.errors import InfeasibleError, ParameterError, ThresholdError
 from kamtorus.generate import random_field
 
 import reference as ref
+from conftest import WORKLOADS
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +183,7 @@ def test_run_small_field(golden_freq):
                                          for V, _ in res.flows)
     assert res.final_norm <= 1e-20
     # ledger records the truncation charge
-    assert res.ledger.total >= res.final_norm
+    assert sum(res.ledger.values()) >= res.final_norm
 
 
 # Answers of the solver on ROADMAP workloads, bit for bit: a refactor of the
@@ -204,7 +206,7 @@ def test_run_pinned_answers(solved, name):
     assert [entry["q"] for entry in res.trace] == qs
     assert len(res.trace) == len(qs)
     assert res.passes == passes
-    assert sorted(res.ledger.by_tag()) == [
+    assert sorted(res.ledger) == [
         "averaging_step.result_prune", "averaging_step.series_prune",
         "averaging_step.series_tail", "run.stopping_truncation"]
     assert [repr(float(v)) for v in res.beta] == beta
@@ -305,3 +307,34 @@ def test_run_composes_u_once_on_first_read(solved, name, monkeypatch):
                                          expect.k_max)
     assert u.modes.tobytes() == expect.modes.tobytes()
     assert u.coef.tobytes() == expect.coef.tobytes()    # bit for bit
+
+
+def _translated(x: fld.FourierVectorField, c) -> fld.FourierVectorField:
+    """theta -> x(theta + c): c_k -> c_k exp(2 pi i k.c)."""
+    coef = x.coef * np.exp(2j * np.pi * (x.modes @ c))[:, None]
+    return fld._symmetrized(x.n, x.width_s, x.modes, coef)
+
+
+@pytest.mark.parametrize("shift", ["half", "irrational"])
+@pytest.mark.parametrize("name", ["W1", "W4", "W5", "W6"])
+def test_run_commutes_with_translation(golden_freq, plastic_freq, name,
+                                       shift):
+    # P(. + c) is conjugated by Phi(. + c) - c with the same beta: a
+    # translation keeps every norm and mode 0, which the schedule reads
+    n, s, eps, modes, seed, k_max = WORKLOADS[name]
+    alpha = golden_freq if n == 2 else plastic_freq
+    c = (np.full(n, 0.5) if shift == "half"
+         else np.sqrt([2.0, 3.0, 5.0][:n]) % 1)
+    P = random_field(n, s, eps, modes, seed, k_max=k_max)
+    opts = sch.RunOptions(force=name == "W5")     # W5 is uncertified
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = sch.run(alpha, P, s, opts)
+        moved = sch.run(alpha, _translated(P, c), s, opts)
+    assert [e["q"] for e in moved.trace] == [e["q"] for e in res.trace]
+    assert moved.passes == res.passes
+    assert moved.beta.tobytes() == res.beta.tobytes()
+    assert np.array_equal(moved.u.modes, res.u.modes)
+    w = moved.u.width_s
+    gap = fld.norm(fld.sub(_translated(res.u, c), moved.u), w)
+    assert gap <= 1e-13 * fld.norm(moved.u, w)
