@@ -25,6 +25,16 @@ from .errors import (ConstantsInconsistencyError, KamError, ParameterError,
 # integer points than this (tens of MB at n = 3).
 _GRID_CELL_BUDGET = 1 << 20
 
+# The Dirichlet search enumerates its box at the cap c = Q^(n-1) only
+# when the box has at most this many cells; otherwise it climbs from
+# c = 1.  Top boxes measured on badly approximable inputs: 3-9 cells for
+# golden at Q = 1e3..1e15, 7-27 for plastic at 1e3..1e7, 9-75 for
+# (2^(1/3) - 1, 2^(2/3) - 1) at 1e3..1e7, 135-315 for
+# (2^(1/4) - 1, 2^(1/2) - 1, 2^(3/4) - 1) at 1e2..1e4.  On rational
+# inputs: 5,001 for (0.25, 0.5) at Q = 100, 2,805 for (golden, 0.5, 1/3)
+# at 50, 2.5e9 for (0.375, -0.5) at 1e5.
+_TOP_BOX_CELLS = 1 << 10
+
 
 @dataclass(frozen=True)
 class FrequencyVector:
@@ -93,16 +103,20 @@ def _lll(b: list[list[int]], u: list[list[int]]) -> None:
     Theory, Alg. 2.6.7): d[i] is the Gram determinant of the first i rows
     and lam[k][j] = d[j+1]*mu_kj, both integers, and every division is
     exact.  Row k is size-reduced in full (mu rounded to the nearest
-    integer, ties to even) before its Lovasz test.  With b = U b_in, u
-    holds the columns of U^-1 and follows each row operation:
-    b[k] -= r*b[l] adds r*u[k] to u[l], and a row swap swaps u's columns.
+    integer, ties to even) before its Lovasz test.  As in Cohen, step 2
+    runs only for k > k_max: the Gram-Schmidt data of a row is computed
+    once, from n(n+1)/2 dot products in all, and kept current after that
+    by the swap updates (size reduction leaves b*_k alone).  With
+    b = U b_in, u holds the columns of U^-1 and follows each row
+    operation: b[k] -= r*b[l] adds r*u[k] to u[l], and a row swap swaps
+    u's columns.
     """
     n = len(b)
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
-    k = kmax = 0
+    k, kmax = 0, -1
     while k < n:
-        if k >= kmax:
+        if k > kmax:
             kmax = k
             for j in range(k + 1):
                 x = _dot(b[k], b[j])
@@ -147,6 +161,29 @@ def _box_bounds(uinv, w, lead: int, Dd: int, c: int) -> list[int]:
              + lead * sum(abs(y) for y in u[1:])) // Dd for u in uinv]
 
 
+def _lattice(lead: int, w, Dd: int, c: int):
+    """The rows B0 of the search lattice at cap c (see
+    _smallest_dirichlet_q) and the columns of U^-1 = I."""
+    m = len(w)
+    basis = [[lead] + [c * x for x in w]]
+    basis += [[0] * (i + 1) + [-c * Dd] + [0] * (m - 1 - i) for i in range(m)]
+    return basis, [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
+
+
+def _box_q(basis, bounds, lead: int, c: int):
+    """Smallest q >= 1 of the vectors v = x B, x in the coefficient box,
+    with |v|_inf <= half = lead*c (then v_0 = q*lead), or None."""
+    half = lead * c
+    cols = list(zip(*basis))
+    best = None
+    for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
+        v0 = _dot(x, cols[0])
+        if 0 < v0 and (best is None or v0 < best) and all(
+                abs(_dot(x, col)) <= half for col in cols[1:]):
+            best = v0
+    return None if best is None else best // lead
+
+
 def _smallest_dirichlet_q(fracs, delta, qmax: int):
     """Smallest q >= 1 with ||q x||_Z <= delta for every x, or None.
 
@@ -161,34 +198,35 @@ def _smallest_dirichlet_q(fracs, delta, qmax: int):
     U B0 for the basis B0 above, so |coefficient j| <= half * sum_i
     |(B0^-1 U^-1)_ij|, and half * B0^-1 = [[E, c*w], [0, -lead*I]] / (D*dd)
     with E = D*dd*c and w = b_0[1:] at c = 1: one integer division per
-    bound.  The cap c grows 16-fold from 1 until a q is found (None once
-    c passes qmax), so the last box holds few admissible q even where
-    many lie below qmax (a rational x, say).  Rescaling the basis
-    columns leaves U unchanged, so U^-1 carries over to the next cap.
+    bound.  The box at cap c holds every admissible q <= c, so the
+    smallest q of any box that holds one is the answer.
+    The first cap is the box-principle cap c = qmax, reduced once: for
+    a badly approximable x its box has a few cells and holds a q (qmax
+    = floor(Q^(n-1)) admits one).  Where it has more than
+    _TOP_BOX_CELLS (a rational x, with many admissible q below qmax),
+    the search starts over at c = 1 and grows c 16-fold until a q is
+    found (None once c passes qmax), so that each box holds few
+    admissible q.  Rescaling the basis columns leaves U unchanged, so
+    U^-1 carries over from one cap of that ascent to the next.
     """
     D = math.lcm(*(x.denominator for x in fracs))
     dn, dd = delta.numerator, delta.denominator
-    m = len(fracs)
-    lead = dn * D
+    lead, Dd = dn * D, D * dd
     w = [x.numerator * (D // x.denominator) * dd for x in fracs]
-    basis = [[lead] + w]
-    basis += [[0] * (i + 1) + [-D * dd] + [0] * (m - 1 - i) for i in range(m)]
-    uinv = [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
+    basis, uinv = _lattice(lead, w, Dd, qmax)
+    _lll(basis, uinv)
+    bounds = _box_bounds(uinv, w, lead, Dd, qmax)
+    if math.prod(2 * b + 1 for b in bounds) <= _TOP_BOX_CELLS:
+        return _box_q(basis, bounds, lead, qmax)
+    basis, uinv = _lattice(lead, w, Dd, 1)
     c = 1
     while True:
         _lll(basis, uinv)
-        half = lead * c
-        bounds = _box_bounds(uinv, w, lead, D * dd, c)
+        bounds = _box_bounds(uinv, w, lead, Dd, c)
         _check_cells(math.prod(2 * b + 1 for b in bounds), "dirichlet_approx")
-        cols = list(zip(*basis))
-        best = None
-        for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
-            v0 = _dot(x, cols[0])
-            if 0 < v0 and (best is None or v0 < best) and all(
-                    abs(_dot(x, col)) <= half for col in cols[1:]):
-                best = v0
-        if best is not None or c >= qmax:
-            return None if best is None else best // lead
+        q = _box_q(basis, bounds, lead, c)
+        if q is not None or c >= qmax:
+            return q
         # scaling c scales every column but the first: the reduced basis,
         # so scaled, spans the next lattice and is nearly reduced
         c *= 16
@@ -229,14 +267,13 @@ def _nonzero_box(n: int, K: int, what: str) -> np.ndarray:
 
 
 def _verify_dirichlet(fracs: list[Fraction], approx: RationalApprox,
-                      Q: float):
-    delta = 1 / Fraction(float(Q))
+                      delta: Fraction, qmax: int):
     for x, pi in zip(fracs, approx.p):
         if abs(approx.q * x - int(pi)) > delta:
             raise KamError(
                 "floating-point inconsistency: Dirichlet bound violated "
                 f"at q={approx.q}")
-    if not 1 <= approx.q <= math.floor(Fraction(float(Q)) ** len(fracs)):
+    if not 1 <= approx.q <= qmax:
         raise KamError(
             f"floating-point inconsistency: q={approx.q} outside "
             f"[1, Q^(n-1)]")
@@ -258,13 +295,14 @@ def _dirichlet_approx(alpha_tilde: bytes, Q: float) -> RationalApprox:
     """dirichlet_approx of the float64 alpha_tilde with these bytes; the
     256 most recently used (alpha_tilde, Q) are remembered."""
     fracs = _as_fracs(np.frombuffer(alpha_tilde))
-    q = _smallest_dirichlet_q(fracs, 1 / Fraction(Q),
-                              math.floor(Fraction(Q) ** len(fracs)))
+    exact_Q = Fraction(Q)
+    delta, qmax = 1 / exact_Q, math.floor(exact_Q ** len(fracs))
+    q = _smallest_dirichlet_q(fracs, delta, qmax)
     if q is None:
         raise KamError("floating-point inconsistency: no Dirichlet "
                        "denominator found (mathematically impossible)")
     approx = _build_approx(fracs, q, Q)
-    _verify_dirichlet(fracs, approx, Q)
+    _verify_dirichlet(fracs, approx, delta, qmax)
     return approx
 
 

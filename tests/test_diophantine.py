@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,7 +201,8 @@ def test_large_Q_n3_is_feasible(plastic_freq):
                     tau=0.1)
     a = dio.dirichlet_approx(quartic, 1e4)
     assert 1 <= a.q <= 10 ** 12
-    dio._verify_dirichlet(dio._as_fracs(quartic.alpha_tilde), a, 1e4)
+    dio._verify_dirichlet(dio._as_fracs(quartic.alpha_tilde), a,
+                          1 / Fraction(1e4), 10 ** 12)
 
 
 # q of the current search, pinned: plastic and the cube-root pair
@@ -224,6 +226,33 @@ def test_pinned_denominators(golden_freq, plastic_freq):
     for Q, q in _GOLDEN_Q.items():
         assert dio.dirichlet_approx(golden_freq, Q).q == q
     assert _GOLDEN_Q[1e15] == 2 ** 49
+
+
+def test_one_lll_pass_per_badly_approximable_search(golden_freq,
+                                                   plastic_freq, monkeypatch):
+    # the box at the box-principle cap Q^(n-1) is small here, so it is
+    # the only cap reduced; rational inputs have a large one and climb
+    # from c = 1 instead, to the same smallest q
+    calls = []
+    lll = dio._lll
+    monkeypatch.setattr(dio, "_lll", lambda b, u: (calls.append(1), lll(b, u)))
+    search = dio._dirichlet_approx.__wrapped__      # not the cache
+
+    def q_and_passes(at, Q):
+        calls.clear()
+        q = search(np.asarray(at, dtype=float).tobytes(), float(Q)).q
+        return q, len(calls)
+
+    cube = [2 ** (1 / 3) - 1, 2 ** (2 / 3) - 1]
+    for i, (qp, qc) in enumerate(zip(_PLASTIC_Q, _CUBE_Q)):
+        Q = 10 ** (3 + i / 2)
+        assert q_and_passes(plastic_freq.alpha_tilde, Q) == (qp, 1)
+        assert q_and_passes(cube, Q) == (qc, 1)
+    for Q, q in _GOLDEN_Q.items():
+        assert q_and_passes(golden_freq.alpha_tilde, Q) == (q, 1)
+    for at, Q, q in (([0.375, -0.5], 1e5, 8), ([0.25, 0.5], 100, 4)):
+        got, passes = q_and_passes(at, Q)
+        assert got == q and passes > 1
 
 
 @settings(deadline=None, max_examples=200)
@@ -255,7 +284,9 @@ def test_integral_lll_invariants(n, digits, seed):
         assume(False)
     b = [list(row) for row in rows]
     u = [[int(i == j) for i in range(n)] for j in range(n)]
-    dio._lll(b, u)
+    with mock.patch.object(dio, "_dot", wraps=dio._dot) as dot:
+        dio._lll(b, u)
+    assert dot.call_count == n * (n + 1) // 2    # each row's step 2 once
     mu, B = _ref_gram_schmidt(b)
     assert all(abs(mu[k][j]) <= Fraction(1, 2)
                for k in range(n) for j in range(k))
@@ -297,8 +328,8 @@ def test_box_bounds_match_fraction_inverse(golden_freq, plastic_freq,
     cases = [(plastic_freq.alpha_tilde, 10 ** (3 + i / 2)) for i in range(9)]
     cases += [(cube, 10 ** (3 + i / 2)) for i in range(0, 9, 2)]
     cases += [([GOLDEN], Q) for Q in (1e6, 1e15)]
-    cases += [([0.375, -0.5], 1e5), ([2 ** (1 / 4) - 1, 2 ** (1 / 2) - 1,
-                                      2 ** (3 / 4) - 1], 1e4)]
+    cases += [([0.375, -0.5], 1e5), ([0.25, 0.5], 100),
+              ([2 ** (1 / 4) - 1, 2 ** (1 / 2) - 1, 2 ** (3 / 4) - 1], 1e4)]
     for at, Q in cases:
         fracs = dio._as_fracs(at)
         delta = 1 / Fraction(float(Q))
