@@ -4,7 +4,9 @@
 Builds the golden-mean frequency vector, draws a seeded random analytic
 perturbation with norm 1e-6, computes the counter-term beta and the
 conjugacy Phi, and checks the result against the independent oracles
-(grid conjugacy residual and long-time orbit shadowing).
+(grid conjugacy residual and long-time orbit shadowing) with the
+thresholds, grid, orbit time and sample count of `kamtorus run`, so PASS
+means what run's exit code 0 means.
 
 Usage: python3 scripts/run_golden_mean.py [--eps 1e-6] [--seed 0]
 """
@@ -16,15 +18,18 @@ import numpy as np
 from kamtorus import (FrequencyVector, RunOptions, conjugacy_report,
                       estimate_constants, orbit_shadowing_check,
                       random_field, run)
+from kamtorus.cli import (DEFAULT_GRID, DEFAULT_ORBIT_T, MAX_ORBIT_DEVIATION,
+                          MAX_RESIDUAL, _oracle_samples)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--eps", type=float, default=1e-6)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--grid", type=int, default=32)
-    ap.add_argument("--orbit-T", type=float, default=100.0)
+    ap.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    ap.add_argument("--orbit-T", type=float, default=DEFAULT_ORBIT_T)
     args = ap.parse_args()
+    samples = _oracle_samples(args.grid, args.orbit_T, 2)
 
     golden = (np.sqrt(5.0) - 1.0) / 2.0
     gamma, gamma_bar = estimate_constants(np.array([golden]), tau=0.0,
@@ -56,9 +61,10 @@ def main():
     print(f"  conjugacy residual on {args.grid}^2 grid: "
           f"{rep['sup_residual']:.3e}")
     dev, = orbit_shadowing_check(alpha, P, [res.u], res.beta,
-                                 T=args.orbit_T, samples=25)
+                                 T=args.orbit_T, samples=samples)
     print(f"  orbit shadowing over T={args.orbit_T:g}: {dev:.3e}")
-    ok = rep["sup_residual"] <= 1e-10 and dev <= 1e-7
+    ok = (rep["sup_residual"] <= MAX_RESIDUAL
+          and dev <= MAX_ORBIT_DEVIATION)
     print("  verdict:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -160,11 +160,6 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     p_avg = P.constant_part()
     budget = dict(approx=approx, q_eps=approx.q * eps, report=report)
 
-    if P.is_constant:
-        return StepResult(P_plus=fld.zero_field(P.n, w), P_avg=p_avg,
-                          V=fld.zero_field(P.n, s), v_norm=0.0,
-                          tail_term=0.0, bracket_term=0.0, **budget)
-
     if enforce:
         s_norm = fld.norm(S, s)
         if s_norm > consts.d * eps * (1 + 1e-9) + _ulp_floor(alpha.alpha):

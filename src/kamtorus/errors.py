@@ -40,7 +40,7 @@ class ConstantsInconsistencyError(KamError, ArithmeticError):
 class StepConditionError(KamError, ArithmeticError):
     """One of the three step smallness conditions failed.
 
-    `failed` lists which of the conditions (1-based) did not hold.
+    `failed` names the ones that did not hold: "threshold", "middle", "tail".
     """
 
     def __init__(self, message, failed=()):

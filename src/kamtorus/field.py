@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +82,10 @@ class FourierVectorField:
         self.modes.flags.writeable = self.coef.flags.writeable = False
 
     @property
-    def coeffs(self) -> Mapping:
-        """Read-only {mode tuple: coefficient vector} view of the field."""
-        return _CoeffView(self)
+    def coeffs(self) -> dict:
+        """{mode tuple: coefficient vector}, built on each access; the
+        vectors are read-only rows of coef."""
+        return dict(zip(map(tuple, self.modes.tolist()), self.coef))
 
     @property
     def is_constant(self) -> bool:
@@ -97,24 +97,6 @@ class FourierVectorField:
         if m % 2 == 0:
             return np.zeros(self.n)
         return self.coef[m // 2].real.copy()
-
-
-class _CoeffView(Mapping):
-    """Tests and perfbench look modes up by tuple; built on first lookup."""
-
-    def __init__(self, x: FourierVectorField):
-        self._x, self._rows = x, None
-
-    def __len__(self):
-        return len(self._x.modes)
-
-    def __iter__(self):
-        return map(tuple, self._x.modes.tolist())
-
-    def __getitem__(self, k):
-        if self._rows is None:
-            self._rows = {mode: i for i, mode in enumerate(self)}
-        return self._x.coef[self._rows[tuple(k)]]
 
 
 def _keys(modes: np.ndarray, k: int) -> np.ndarray:
@@ -330,8 +312,6 @@ def prune(x: FourierVectorField, s: float, floor: float):
     Returns (pruned field, total weighted mass removed).  Mode 0 is kept.
     Conjugate pairs have equal contributions, so reality survives.
     """
-    if floor <= 0 or not len(x.modes):
-        return x, 0.0
     with np.errstate(over="ignore"):
         contrib = np.abs(x.coef).max(axis=1) * np.exp(_log_weights(x.modes, s))
     keep = (contrib >= floor) | ~x.modes.any(axis=1)

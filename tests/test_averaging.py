@@ -196,6 +196,11 @@ def test_step_constant_perturbation(golden_freq, golden_consts):
     assert res.P_plus.coeffs == {}
     assert res.V.coeffs == {}
     np.testing.assert_allclose(res.P_avg, [1e-7, -2e-7])
+    # the domain check |S| <= d*eps holds a constant P to it too
+    q0, _ = sch.select_Q(golden_consts, 1.0)
+    with pytest.raises(DomainError, match="exceeds d\\*eps"):
+        avg.averaging_step(golden_freq, fld.constant_field([1e-3, 0.0], 1.0),
+                           P, q0, 0.25, golden_consts)
 
 
 def test_step_contraction(golden_freq, golden_consts):
@@ -223,15 +228,31 @@ def test_step_conditions_failure(golden_freq, golden_consts):
                            golden_consts)
 
 
+def _resonant_field(ap, s):
+    """Mode 0, the modes (1, 0) and (0, 1), and (p, -q), which is resonant
+    for omega = (1, p/q): each adds about 1e-7 to the norm at width s."""
+    vectors = {(0, 0): [1.0, -0.5], (1, 0): [0.5j, 1.0],
+               (0, 1): [1.0, 1.0 - 1.0j], (int(ap.p[0]), -ap.q): [1.0j, -0.5]}
+    return fld.make_field(2, s, {
+        k: 1e-7 * math.exp(-fld.TWO_PI * s * (abs(k[0]) + abs(k[1])))
+        * np.array(v) for k, v in vectors.items()})
+
+
 def test_step_equivalence_with_direct_pullback(golden_freq, golden_consts):
     """The regrouped series for P_plus agrees with pulling back the full
-    field and subtracting the identified terms."""
-    s, sigma, Q = 1.0, 0.25, 512.0
-    for seed in (2, 5, 9):
-        P = _rand(seed, eps=1e-6)
+    field and subtracting the identified terms: on random fields, whose
+    resonant head [P]_omega - [P] is empty, and on fields with a resonant
+    mode, whose head is not."""
+    cases = [(_rand(seed, eps=1e-6), 1.0, 0.25, 512.0) for seed in (2, 5, 9)]
+    for Q, qp in ((4.0, (2, 1)), (8.0, (5, 3)), (16.0, (8, 5))):
+        ap = dirichlet_approx(golden_freq, Q)
+        assert (ap.q, int(ap.p[0])) == qp
+        cases.append((_resonant_field(ap, 0.2), 0.2, 0.05, Q))
+    for P, s, sigma, Q in cases:
         S = fld.constant_field([1e-8, -2e-8], s)
         res = avg.averaging_step(golden_freq, S, P, Q, sigma, golden_consts,
                                  enforce=False)
+        assert (res.tail_term > 0) == (Q < 512.0)
         Y = fld.add(fld.constant_field(golden_freq.alpha, s), fld.add(S, P))
         pulled = ref.lie_pullback(Y, res.V, s, sigma, 1e-22)
         direct = fld.sub(pulled, fld.add(

@@ -264,12 +264,16 @@ def test_tail_split_partition():
 def test_prune_accounts_mass():
     f = _rand_field(6, modes=8)
     pruned, removed = fld.prune(f, 1.0, 1e-2 * fld.norm(f, 1.0))
-    assert (0, 0) in f.coeffs or (0, 0) not in pruned.coeffs or True
+    assert ((0, 0) in f.coeffs) == ((0, 0) in pruned.coeffs)
     assert fld.norm(fld.sub(f, pruned), 1.0) <= removed * (1 + 1e-12) \
         + 1e-300
     # conjugate symmetry preserved
     for k in pruned.coeffs:
         assert tuple(-v for v in k) in pruned.coeffs
+    # an empty field, and a zero floor, leave the field as it is
+    for x, floor in ((fld.zero_field(2, 1.0), 1e-2), (f, 0.0)):
+        out, removed = fld.prune(x, 1.0, floor)
+        assert out is x and removed == 0.0
 
 
 # ---------------------------------------------------------------------------
