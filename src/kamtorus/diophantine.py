@@ -178,7 +178,7 @@ def _box_q(basis, bounds, lead: int, c: int):
     best = None
     for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
         v0 = _dot(x, cols[0])
-        if 0 < v0 and (best is None or v0 < best) and all(
+        if 0 < v0 <= half and (best is None or v0 < best) and all(
                 abs(_dot(x, col)) <= half for col in cols[1:]):
             best = v0
     return None if best is None else best // lead
@@ -391,12 +391,13 @@ def serialize_frequency(alpha: FrequencyVector) -> str:
 
 
 def deserialize_frequency(text: str) -> FrequencyVector:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
     if not lines:
         raise ParseError("empty frequency file", line=1)
-    head = lines[0].split()
+    first, head = lines[0][0], lines[0][1].split()
     if len(head) != 6 or head[0] != "freq" or head[1] != "v1":
-        raise ParseError(f"bad header {lines[0]!r}", line=1)
+        raise ParseError(f"bad header {lines[0][1]!r}", line=first)
     try:
         kv = dict(part.split("=", 1) for part in head[2:])
         n = int(kv["n"])
@@ -404,14 +405,16 @@ def deserialize_frequency(text: str) -> FrequencyVector:
         gamma = float(kv["gamma"])
         gamma_bar = float(kv["gammabar"])
     except (ValueError, KeyError) as exc:
-        raise ParseError(f"bad header field: {exc}", line=1) from None
+        raise ParseError(f"bad header field: {exc}", line=first) from None
     if len(lines) - 1 != n - 1:
         raise ParseError(
             f"expected {n - 1} frequency entries, got {len(lines) - 1}",
-            line=len(lines))
-    try:
-        entries = [float(ln) for ln in lines[1:]]
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+            line=lines[-1][0])
+    entries = []
+    for i, ln in lines[1:]:
+        try:
+            entries.append(float(ln))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=i) from None
     return FrequencyVector(n=n, alpha_tilde=np.array(entries), tau=tau,
                            gamma=gamma, gamma_bar=gamma_bar)

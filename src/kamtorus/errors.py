@@ -49,8 +49,8 @@ class StepConditionError(KamError, ArithmeticError):
 
 
 class ContractionError(KamError, ArithmeticError):
-    """A certified bound failed: divisor, step remainder, norm(V), envelope,
-    total displacement or |beta| bound, or the counter-term pass limit."""
+    """A certified bound failed: the step remainder norm(P_plus) <= eps/b
+    or |beta| <= d*eps, or the counter-term fixed point's pass limit."""
 
 
 class StepSizeError(KamError, ArithmeticError):

@@ -331,10 +331,8 @@ PRUNE_REL = 1e-16
 
 
 def charge(ledger: dict | None, tag: str, amount: float) -> None:
-    """Add a discarded amount to ledger[tag]; a zero amount or a None
-    ledger records nothing."""
-    if amount < 0:
-        raise ValueError(f"ledger amounts are nonnegative, got {amount}")
+    """Add a discarded amount (>= 0: every caller charges norms) to
+    ledger[tag]; a zero amount or a None ledger records nothing."""
     if ledger is not None and amount:
         ledger[tag] = ledger.get(tag, 0.0) + float(amount)
 

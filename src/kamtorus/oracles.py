@@ -27,9 +27,9 @@ def _fd_jacobians(evaluate, thetas: np.ndarray, h: float) -> np.ndarray:
     """Batched central-difference Jacobians of `evaluate` at the rows of
     thetas, steps h and h/2 combined by Richardson extrapolation.
 
-    All shifted points go through `evaluate` in a single call, so a map
-    whose evaluation depends on its batch (a flow-map integrator's step
-    count, say) is differenced consistently across the stencil.
+    All shifted points go through `evaluate` in a single call: for
+    Phi = Id + u that is one spectral sum of u (eval_many) over the whole
+    stencil.
     """
     npts, n = thetas.shape
     shifts = []
@@ -66,10 +66,10 @@ def _embedding(u: FourierVectorField):
     return lambda thetas: thetas + fld.eval_many(view, thetas)
 
 
-# The embedding is evaluated to ~1e-13, so its FD Jacobian is roundoff
-# limited: error ~ eps_mach/h + h^4 |Phi^(5)|.  For near-identity maps the
-# fifth derivative term stays tiny, so a larger h than the 1e-5 that suits
-# a flow map's Jacobian strictly reduces the noise floor.
+# Phi = Id + u is summed spectrally to ~1e-13, so its FD Jacobian is
+# roundoff limited: error ~ eps_mach/h + h^4 |u^(5)|, as the identity part
+# has no fifth derivative.  u is small, so the truncation term stays tiny
+# at a step as large as this one, which lowers the roundoff term.
 _FD_H_EMBEDDING = 4e-5
 
 

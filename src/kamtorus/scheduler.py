@@ -161,10 +161,6 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         norm_m = fld.norm(Pm, Pm.width_s)
         if norm_m <= tol:
             break
-        if enforce and norm_m > sched.eps(m) * (1 + 1e-9):
-            raise ContractionError(
-                f"step {m}: norm(P_m) = {norm_m:.6g} exceeds the envelope "
-                f"b^-m*eps = {sched.eps(m):.6g}")
         p_avg = Pm.constant_part()
         x_m = u + p_avg
         dist = float(np.abs(x_m - alpha.alpha).max())
@@ -255,12 +251,6 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     passes += 1
 
     disp = sum(fld.norm(V, V.width_s) for V, _ in flows)
-    disp_bound = (1.0 - consts.b ** (-1.0 / consts.n)) ** -1 \
-        * Q0 ** (consts.n - 1) * eps
-    if enforce and disp > disp_bound * (1 + 1e-9):
-        raise ContractionError(
-            f"total displacement {disp:.6g} exceeds "
-            f"(1-b^(-1/n))^-1 Q^(n-1) eps = {disp_bound:.6g}")
     if enforce and np.abs(beta).max() > consts.d * eps * (1 + 1e-9):
         raise ContractionError(
             f"|beta| = {np.abs(beta).max():.6g} exceeds d*eps = "

@@ -214,6 +214,27 @@ def test_step_contraction(golden_freq, golden_consts):
     assert all(res.report["ok"])
 
 
+def test_step_raises_when_p_plus_exceeds_eps_over_b(golden_freq,
+                                                    golden_consts,
+                                                    monkeypatch):
+    # a Lie series 1e-6 off leaves norm(P_plus) above eps/b = 1e-6/16
+    series = fld.lie_series
+
+    def off(*args, **kw):
+        acc, total = series(*args, **kw)
+        return fld.add(acc, fld.constant_field([1e-6, 0.0], acc.width_s)), \
+            total
+
+    monkeypatch.setattr(fld, "lie_series", off)
+    S, P = fld.zero_field(2, 1.0), _rand(1, eps=1e-6)
+    with pytest.raises(ContractionError, match="exceeds eps/b"):
+        avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
+    # a relaxed step records the same P_plus and raises nothing
+    res = avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts,
+                             enforce=False)
+    assert fld.norm(res.P_plus, 0.75) > fld.norm(P, 1.0) / 16.0
+
+
 def test_step_conditions_failure(golden_freq, golden_consts):
     P = _rand(1, eps=1e-2)   # far above threshold at Q=512
     S = fld.zero_field(2, 1.0)

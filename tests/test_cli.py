@@ -354,6 +354,14 @@ def test_non_finite_frequency_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_frequency_entry_exits_2_with_line(tmp_path, capsys):
+    # blank lines count: the bad entry is the file's fourth line
+    bad = tmp_path / "bad.freq"
+    bad.write_text("freq v1 n=3 tau=0.1 gamma=0.5 gammabar=0.5\n\n0.25\nabc\n")
+    assert main(["approx", "--freq", str(bad), "--Q", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 4: ")
+
+
 def test_verify_residual_breach_exits_1(tmp_path, golden_file, capsys):
     # Phi = Id and beta = 0 leave a constant perturbation unconjugated
     pert, phi, beta = (tmp_path / name for name in

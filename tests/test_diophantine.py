@@ -120,7 +120,7 @@ def _ref_smallest_q(at, Q):
         best = None
         for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
             v0 = dio._dot(x, cols[0])
-            if 0 < v0 and (best is None or v0 < best) and all(
+            if 0 < v0 <= half and (best is None or v0 < best) and all(
                     abs(dio._dot(x, col)) <= half for col in cols[1:]):
                 best = v0
         if best is not None or c >= qmax:
@@ -255,10 +255,21 @@ def test_one_lll_pass_per_badly_approximable_search(golden_freq,
         assert got == q and passes > 1
 
 
+def test_ascent_returns_the_smallest_q(monkeypatch):
+    # with no top box the 16-fold ascent runs: no cap up to 65536 admits
+    # a q <= c, but the cap 65536 box holds q = 74507 > c, which only
+    # v_0 <= half keeps out; the smallest q comes from the cap 2^20 box
+    at, Q = [0.08207282530105009], 117046.75423592722
+    monkeypatch.setattr(dio, "_TOP_BOX_CELLS", 0)
+    got = dio._dirichlet_approx.__wrapped__(np.array(at).tobytes(), Q).q
+    assert got == 70937 == _brute_smallest_q(at, Q, math.floor(Q))
+
+
 @settings(deadline=None, max_examples=200)
 @example([0.375], 1.0)                # a rational x at Q = 1e15
 @example([0.25, -0.5], 1.0)
 @example([GOLDEN, 0.5, 1 / 3], 1.0)
+@example([0.08207282530105009], 0.337890625)  # the ascent's cap 65536 box
 @given(st.integers(1, 3).flatmap(
     lambda m: st.lists(_ENTRIES, min_size=m, max_size=m)), st.floats(0, 1))
 def test_search_matches_fraction_reference(at, t):

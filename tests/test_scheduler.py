@@ -8,7 +8,8 @@ from kamtorus import averaging as avg
 from kamtorus import field as fld
 from kamtorus import scheduler as sch
 from kamtorus.embedding import displacement
-from kamtorus.errors import InfeasibleError, ParameterError, ThresholdError
+from kamtorus.errors import (ContractionError, InfeasibleError, ParameterError,
+                             ThresholdError)
 from kamtorus.generate import random_field
 
 import reference as ref
@@ -168,22 +169,51 @@ def test_run_constant_perturbation(golden_freq):
     assert res.final_norm == 0.0
 
 
-def test_run_small_field(golden_freq):
-    P = random_field(2, 1.0, 1e-6, 5, 1)
-    res = sch.run(golden_freq, P, 1.0)
-    eps = res.eps
-    # envelope on every recorded step
+@pytest.mark.parametrize("name", ["W1", "W2", "W3", "W4", "W6"])
+def test_run_keeps_each_certified_bound(solved, name):
+    # the bounds the solver enforces only through norm(P_plus) <= eps/b,
+    # the exact Dirichlet certificate q <= Q^(n-1) and the integer divisors
+    _, _, res = solved(name)
+    eps, consts, n = res.eps, res.schedule.consts, res.schedule.consts.n
     for m, entry in enumerate(res.trace):
-        assert entry["norm_P"] <= res.schedule.eps(m) * (1 + 1e-9)
-    consts = res.schedule.consts
-    assert np.abs(res.beta).max() <= consts.d * eps
-    assert res.displacement_bound <= \
-        res.schedule.Q0 * eps / (1 - consts.b ** (-0.5)) * (1 + 1e-9)
+        norm_P, norm_V = entry["norm_P"], entry["norm_V"]
+        assert norm_P <= res.schedule.eps(m) * (1 + 1e-9)
+        assert norm_V <= entry["Q_m"] ** (n - 1) * norm_P * (1 + 1e-9)
+        # |q (k.omega)| >= 1 on every mode V keeps
+        assert norm_V <= entry["q"] * norm_P / (2 * math.pi) * (1 + 1e-12)
+    assert res.displacement_bound <= (1 - consts.b ** (-1 / n)) ** -1 \
+        * res.schedule.Q0 ** (n - 1) * eps * (1 + 1e-9)
     assert res.displacement_bound == sum(fld.norm(V, V.width_s)
                                          for V, _ in res.flows)
-    assert res.final_norm <= 1e-20
+    assert np.abs(res.beta).max() <= consts.d * eps
+    assert res.final_norm <= 1e-14 * eps
     # ledger records the truncation charge
     assert sum(res.ledger.values()) >= res.final_norm
+
+
+def test_run_raises_when_beta_exceeds_d_eps(golden_freq, monkeypatch):
+    forward = sch._forward_pass
+
+    def off(*args, enforce, **kw):
+        flows, trace, defect, final_norm = forward(*args, enforce=enforce,
+                                                   **kw)
+        return flows, trace, defect - 1e-3 if enforce else defect, final_norm
+
+    monkeypatch.setattr(sch, "_forward_pass", off)
+    with pytest.raises(ContractionError, match="exceeds d\\*eps"):
+        sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 1), 1.0)
+
+
+def test_run_raises_when_beta_does_not_settle(golden_freq, monkeypatch):
+    forward = sch._forward_pass
+
+    def off(*args, **kw):
+        flows, trace, _, final_norm = forward(*args, **kw)
+        return flows, trace, np.full(2, 1e-3), final_norm
+
+    monkeypatch.setattr(sch, "_forward_pass", off)
+    with pytest.raises(ContractionError, match="did not settle"):
+        sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 1), 1.0)
 
 
 # Answers of the solver on ROADMAP workloads, bit for bit: a refactor of the
