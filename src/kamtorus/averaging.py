@@ -36,27 +36,13 @@ from .field import FourierVectorField
 
 @dataclass(frozen=True)
 class StepResult:
-    """P_plus, the homological solution V and the step's budget."""
+    """P_plus, V and the step's JSON record: norm_P, norm_P_plus, norm_V,
+    (q, p), [P], tail_term = |[P]_omega - [P]| and bracket_term = |Lie
+    series| at width s - sigma, and step_conditions' report."""
 
     P_plus: FourierVectorField
-    P_avg: np.ndarray
     V: FourierVectorField
-    v_norm: float
-    approx: RationalApprox
-    q_eps: float
-    tail_term: float       # measured norm of [P]_omega - [P] at target width
-    bracket_term: float    # measured norm of the Lie series at target width
-    report: dict           # step_conditions' report, "ok" included
-
-    def record(self) -> dict:
-        """The step's Dirichlet certificate and budget, ready for JSON."""
-        return {"q": self.approx.q, "p": [int(v) for v in self.approx.p],
-                "P_avg": [float(v) for v in self.P_avg],
-                "q_eps": self.q_eps, "tail_term": self.tail_term,
-                "bracket_term": self.bracket_term,
-                "conditions_ok": list(self.report["ok"]),
-                "conditions": {k: (list(v) if isinstance(v, tuple) else v)
-                               for k, v in self.report.items()}}
+    record: dict
 
 
 def _ulp_floor(x: np.ndarray) -> float:
@@ -154,8 +140,6 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
             "step conditions failed: " +
             ", ".join(f"{f}={report[f]:.6g}" for f in failed), failed=failed)
     approx = dirichlet_approx(alpha, Q)
-    p_avg = P.constant_part()
-    budget = dict(approx=approx, q_eps=approx.q * eps, report=report)
 
     if enforce:
         s_norm = fld.norm(S, s)
@@ -189,6 +173,9 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
             f"norm(P_plus) = {pp_norm:.6g} exceeds eps/b = "
             f"{eps / consts.b:.6g}")
 
-    return StepResult(P_plus=p_plus, P_avg=p_avg, V=V, v_norm=v_norm,
-                      tail_term=fld.norm(head, w), bracket_term=bracket_norm,
-                      **budget)
+    return StepResult(P_plus=p_plus, V=V, record={
+        "norm_P": eps, "norm_P_plus": pp_norm, "norm_V": v_norm,
+        "q": approx.q, "p": [int(v) for v in approx.p],
+        "P_avg": [float(v) for v in P.constant_part()],
+        "q_eps": approx.q * eps, "tail_term": fld.norm(head, w),
+        "bracket_term": bracket_norm, "conditions": report})

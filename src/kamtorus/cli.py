@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,14 +137,7 @@ def _cmd_step(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "p_plus.field").write_text(fld.serialize(res.P_plus))
     (outdir / "phi1.field").write_text(fld.serialize(phi1))
-    budget = {
-        "Q": q0,
-        "sigma": sigma,
-        "norm_P": fld.norm(P, s),
-        "norm_P_plus": fld.norm(res.P_plus, s - sigma),
-        "norm_V": res.v_norm,
-        **res.record(),
-    }
+    budget = {"Q": q0, "sigma": sigma, **res.record}
     _dump_json(outdir / "budget.json", budget)
     print(json.dumps(budget, indent=2))
     return 0
@@ -240,7 +234,12 @@ def _cmd_run(args) -> int:
         tol=_finite("tol", pick(args.tol, "tol")),
         max_steps=int(pick(args.max_steps, "max-steps", 64)),
         force=bool(args.force or cfg.get("force", False)))
-    result = sch.run(alpha, P, float(s), opts)
+    # run's UserWarning (--force) as one line, like the error: lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        result = sch.run(alpha, P, float(s), opts)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     outdir = Path(pick(args.out, "out", "."))
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -176,8 +176,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         if not Pm.is_constant:
             flows.append((res.V, res.P_plus.width_s))
         trace.append({"m": m, "Q_m": sched.Q(m), "sigma_m": sched.sigma(m),
-                      "norm_P": norm_m, "norm_V": res.v_norm,
-                      "norm_phi1_defect": res.v_norm, **res.record()})
+                      **res.record})
         u = x_m
         Pm = res.P_plus
         m += 1

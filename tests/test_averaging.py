@@ -186,7 +186,7 @@ def test_step_zero_perturbation(golden_freq, golden_consts):
     res = avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
     assert res.P_plus.coeffs == {}
     assert res.V.coeffs == {}
-    np.testing.assert_array_equal(res.P_avg, [0.0, 0.0])
+    np.testing.assert_array_equal(res.record["P_avg"], [0.0, 0.0])
 
 
 def test_step_constant_perturbation(golden_freq, golden_consts):
@@ -195,7 +195,7 @@ def test_step_constant_perturbation(golden_freq, golden_consts):
     res = avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
     assert res.P_plus.coeffs == {}
     assert res.V.coeffs == {}
-    np.testing.assert_allclose(res.P_avg, [1e-7, -2e-7])
+    np.testing.assert_allclose(res.record["P_avg"], [1e-7, -2e-7])
     # the domain check |S| <= d*eps holds a constant P to it too
     q0, _ = sch.select_Q(golden_consts, 1.0)
     with pytest.raises(DomainError, match="exceeds d\\*eps"):
@@ -210,8 +210,10 @@ def test_step_contraction(golden_freq, golden_consts):
     eps = fld.norm(P, 1.0)
     assert fld.norm(res.P_plus, 0.75) <= eps / 16.0
     assert fld.norm(res.V, 1.0) <= 512.0 * eps
-    assert res.v_norm == fld.norm(res.V, 1.0)
-    assert all(res.report["ok"])
+    assert res.record["norm_P"] == eps
+    assert res.record["norm_P_plus"] == fld.norm(res.P_plus, 0.75)
+    assert res.record["norm_V"] == fld.norm(res.V, 1.0)
+    assert all(res.record["conditions"]["ok"])
 
 
 def test_step_raises_when_p_plus_exceeds_eps_over_b(golden_freq,
@@ -273,14 +275,29 @@ def test_step_equivalence_with_direct_pullback(golden_freq, golden_consts):
         S = fld.constant_field([1e-8, -2e-8], s)
         res = avg.averaging_step(golden_freq, S, P, Q, sigma, golden_consts,
                                  enforce=False)
-        assert (res.tail_term > 0) == (Q < 512.0)
+        assert (res.record["tail_term"] > 0) == (Q < 512.0)
         Y = fld.add(fld.constant_field(golden_freq.alpha, s), fld.add(S, P))
         pulled = ref.lie_pullback(Y, res.V, s, sigma, 1e-22)
         direct = fld.sub(pulled, fld.add(
             fld.constant_field(golden_freq.alpha, s - sigma),
             fld.add(fld.make_field(2, s - sigma, S.coeffs),
-                    fld.constant_field(res.P_avg, s - sigma))))
+                    fld.constant_field(res.record["P_avg"], s - sigma))))
         assert fld.norm(fld.sub(direct, res.P_plus), s - sigma) <= 1e-9
+
+
+# at sigma >= s fld.series_ratio would refuse the step too; at sigma = 0
+# or NaN only averaging_step's own check ends it with a ParameterError
+@pytest.mark.parametrize("sigma, S, msg", [
+    (1.0, fld.zero_field(2, 1.0), "need 0 < sigma < s"),
+    (1.5, fld.zero_field(2, 1.0), "need 0 < sigma < s"),
+    (0.0, fld.zero_field(2, 1.0), "need 0 < sigma < s"),
+    (math.nan, fld.zero_field(2, 1.0), "need 0 < sigma < s"),
+    (0.25, _rand(3, eps=1e-9), "S must be a constant field")])
+def test_step_rejects_bad_sigma_or_S(golden_freq, golden_consts, sigma, S,
+                                     msg):
+    with pytest.raises(ParameterError, match=msg):
+        avg.averaging_step(golden_freq, S, _rand(1, eps=1e-6), 512.0, sigma,
+                           golden_consts)
 
 
 def test_step_rejects_oversized_S(golden_freq, golden_consts):
@@ -296,10 +313,11 @@ def test_step_budget_chain(golden_freq, golden_consts):
     res = avg.averaging_step(golden_freq, S, P, 512.0, 0.25, golden_consts)
     eps = fld.norm(P, 1.0)
     b = golden_consts.b
+    rec = res.record
     # recorded terms reproduce the coarse chain: each half below eps/(2b)
-    assert res.tail_term <= eps / (2 * b)
-    assert res.bracket_term <= eps / (2 * b)
-    assert res.q_eps == pytest.approx(res.approx.q * eps)
+    assert rec["tail_term"] <= eps / (2 * b)
+    assert rec["bracket_term"] <= eps / (2 * b)
+    assert rec["q_eps"] == pytest.approx(rec["q"] * eps)
 
 
 # ---------------------------------------------------------------------------

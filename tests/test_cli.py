@@ -203,7 +203,7 @@ def test_step_writes_artifacts(tmp_path, golden_file, pert_file,
     assert main(["step", "--freq", golden_file, "--pert", pert_file,
                  "--out", str(tmp_path)]) == 0
     budget = json.loads((tmp_path / "budget.json").read_text())
-    assert budget["conditions_ok"]
+    assert all(budget["conditions"]["ok"])
     pp = fld.deserialize((tmp_path / "p_plus.field").read_text())
     P = fld.deserialize(open(pert_file).read())
     assert fld.norm(pp, pp.width_s) <= fld.norm(P, 1.0) / 16.0
@@ -325,6 +325,35 @@ def test_bad_field_file_exits_2(tmp_path, golden_file, capsys):
     assert main(["run", "--freq", golden_file, "--pert", str(bad),
                  "--s", "1.0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop", ["--freq", "--pert", "--s"])
+def test_run_without_freq_pert_or_s_exits_2(golden_file, pert_file, capsys,
+                                            drop):
+    flags = {"--freq": golden_file, "--pert": pert_file, "--s": "1.0"}
+    del flags[drop]
+    assert main(["run", *(x for kv in flags.items() for x in kv)]) == 2
+    assert "error: run requires --freq, --pert and --s" in \
+        capsys.readouterr().err
+
+
+def test_run_force_warns_in_one_line(tmp_path, golden_file, capsys):
+    # W5: uncertified, so run proceeds only with --force and says so; the
+    # line names no source file, and a second run in the process repeats it
+    n, s, eps, modes, seed, k_max = WORKLOADS["W5"]
+    pert = tmp_path / "w5.field"
+    pert.write_text(fld.serialize(random_field(n, s, eps, modes, seed,
+                                               k_max=k_max)))
+    for _ in range(2):
+        assert main(["run", "--freq", golden_file, "--pert", str(pert),
+                     "--s", "1", "--out", str(tmp_path), "--force",
+                     "--grid", "16", "--orbit-T", "0"]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "warning: norm(P, s) = 0.01 exceeds the certified threshold "
+            "eps_star = 3.8147e-06 (Q0 = 512); proceeding without "
+            "certification"]
+        assert ".py:" not in err
 
 
 def test_threshold_failure_exit_code(tmp_path, golden_file, capsys):

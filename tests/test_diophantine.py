@@ -412,6 +412,24 @@ def test_estimate_constants_resonant():
         dio.estimate_constants(np.array([0.5]), 0.0, 10, 10)
 
 
+@pytest.mark.parametrize("build, exc, msg", [
+    (lambda: dio.estimate_constants([GOLDEN], 0.0, 0, 16),
+     ParameterError, "ranges must be >= 1"),
+    (lambda: dio.estimate_constants([GOLDEN], 0.0, 16, 0),
+     ParameterError, "ranges must be >= 1"),
+    # 0.125 k is no integer for |k| <= 4, but 8 * 0.125 is
+    (lambda: dio.estimate_constants([0.125], 0.0, 4, 16),
+     ResonanceError, "exact simultaneous resonance at q=8"),
+    (lambda: dio.FrequencyVector(3, np.array([0.5]), 0.0, 0.5, 0.5),
+     ParameterError, "need n >= 2 and 2 entries, got 1"),
+])
+def test_bad_diophantine_input_raises(build, exc, msg):
+    with pytest.raises(exc, match=msg) as err:
+        build()
+    if exc is ResonanceError:
+        assert err.value.witness == (8,)
+
+
 def test_estimate_constants_gamma_capped():
     # a frequency with large partial quotients still reports gamma <= 1
     with pytest.warns(UserWarning):

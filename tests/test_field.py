@@ -320,6 +320,29 @@ def test_deserialize_kmax_mismatch():
         fld.deserialize(text)
 
 
+_ONE_MODE = np.array([[0, 0]])
+
+
+@pytest.mark.parametrize("build, exc, msg", [
+    (lambda: fld.deserialize("torusfield v1 n=2 s=1 kmax=1\n"
+                             "1 0 1 0 0 0\n-1 0 1 0 0 0\n1 0 1 0 0 0\n"),
+     ParseError, "line 4: duplicate mode \\(1, 0\\)"),
+    (lambda: fld.deserialize("torusfield v1 n=2 s=1 kmax=1\n1 0 x 0 0 0\n"),
+     ParseError, "line 2: could not convert"),
+    (lambda: fld.FourierVectorField(2, 0.0, _ONE_MODE,
+                                    np.ones((1, 2), complex)),
+     ParameterError, "width_s must be > 0"),
+    (lambda: fld.FourierVectorField(2, 1.0, _ONE_MODE,
+                                    np.ones((2, 2), complex)),
+     ParameterError, "must have shape"),
+    (lambda: fld.eval_many(_rand_field(1), np.zeros((4, 3))),
+     ParameterError, "points must have shape \\(N, 2\\)"),
+])
+def test_bad_field_input_raises(build, exc, msg):
+    with pytest.raises(exc, match=msg):
+        build()
+
+
 def test_norm_rejects_nan_coefficient():
     modes = np.array([[-1, 0], [1, 0]])
     nan = fld.FourierVectorField(

@@ -181,6 +181,12 @@ def test_run_keeps_each_certified_bound(solved, name):
         assert norm_V <= entry["Q_m"] ** (n - 1) * norm_P * (1 + 1e-9)
         # |q (k.omega)| >= 1 on every mode V keeps
         assert norm_V <= entry["q"] * norm_P / (2 * math.pi) * (1 + 1e-12)
+    # step m's P_plus, at width s_m - sigma_m, is P_{m+1}; the last is where
+    # run stops
+    after = [entry["norm_P"] for entry in res.trace[1:]] + [res.final_norm]
+    for entry, norm_next in zip(res.trace, after):
+        assert entry["norm_P_plus"] == norm_next
+        assert entry["norm_P_plus"] <= entry["norm_P"] / consts.b
     assert res.displacement_bound <= (1 - consts.b ** (-1 / n)) ** -1 \
         * res.schedule.Q0 ** (n - 1) * eps * (1 + 1e-9)
     assert res.displacement_bound == sum(fld.norm(V, V.width_s)
@@ -287,6 +293,12 @@ def test_run_rejects_negative_tol_and_no_steps(golden_freq, monkeypatch,
     monkeypatch.setattr(sch.avg, "averaging_step", search)
     with pytest.raises(ParameterError, match="tol|max_steps"):
         sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 3), 1.0, opts)
+
+
+@pytest.mark.parametrize("s", [1.0 + 1e-9, 2.0, math.inf])
+def test_run_rejects_a_width_above_the_field_width(golden_freq, s):
+    with pytest.raises(ParameterError, match="exceeds the field width 1.0"):
+        sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 3), s)
 
 
 def test_run_rejects_a_field_of_another_dimension(golden_freq):
