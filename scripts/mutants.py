@@ -23,7 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TESTS = ["tests/test_averaging.py", "tests/test_scheduler.py",
-         "tests/test_diophantine.py", "tests/test_embedding.py"]
+         "tests/test_diophantine.py", "tests/test_embedding.py",
+         "tests/test_field.py"]
 
 MUTANTS = [
     # the certified bounds the solver enforces
@@ -38,10 +39,13 @@ MUTANTS = [
     # the step and the displacement
     ("averaging.py", "head = _rows(P, (d == 0) & P.modes.any(axis=1))",
      "head = fld.scale(_rows(P, (d == 0) & P.modes.any(axis=1)), -1.0)"),
-    ("field.py", "term = add(a, scale(b, 1.0 / (m + 1)))",
-     "term = add(a, scale(b, 1.0 / (m + 2)))"),
-    ("embedding.py", "V, head, u, V, s, s - w,",
-     "V, head, fld.zero_field(n, s), V, s, s - w,"),
+    ("field.py", "term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 1))",
+     "term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 2))"),
+    # the series prunes each member by its own rows, not by a shared mask
+    ("field.py", "contrib = (np.abs(coef).max(axis=2)",
+     "contrib = (np.abs(coef).max(axis=(1, 2))[:, None]"),
+    ("embedding.py", "V, rho, head, u, V, s,",
+     "V, rho, head, fld.zero_field(n, s), V, s,"),
     ("scheduler.py", "S = fld.constant_field((x_m - p_avg) - alpha.alpha,",
      "S = fld.constant_field((x_m + p_avg) - alpha.alpha,"),
 ]

@@ -91,6 +91,10 @@ def step_conditions(consts, Q: float, sigma: float, eps: float) -> tuple:
     3. 2 * b * exp(-2*pi*gamma_star*Q^{1/a}*sigma) <= 1
                                        (resonant modes beyond the cutoff)
     """
+    if not 0 < sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and > 0, got {sigma}")
+    if not 1 <= Q < math.inf:
+        raise ParameterError(f"Q must be finite and >= 1, got {Q}")
     n = consts.n
     c_mid = 4.0 * consts.b * fld.bracket_norm_const(n) * (consts.d + 2) / np.pi
     try:
@@ -158,9 +162,9 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     floor = fld.PRUNE_REL * eps_ref
     # the series ends once a term's norm is at most SERIES_TOL_REL*eps_ref,
     # so the tolerance on its remainder bound is that times rho/(1-rho)
-    rho = fld.series_ratio(V, s, sigma)
+    rho = fld.series_ratio(P.n, v_norm, s, sigma)
     acc, bracket_norm = fld.lie_series(
-        fld.lie_bracket, V, head, A, B, s, sigma,
+        fld.lie_bracket, V, rho, head, A, B, s, sigma,
         fld.SERIES_TOL_REL * eps_ref * rho / (1.0 - rho), floor=floor,
         ledger=ledger, tag="averaging_step")
 

@@ -290,15 +290,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectral KAM conjugacy via rational averaging")
     subs = top.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("approx", help="Dirichlet rational approximation")
-    p.add_argument("--freq", required=True)
-    p.add_argument("--Q", type=float, required=True)
-    p.set_defaults(func=_cmd_approx)
-
-    p = subs.add_parser("psi", help="inverse smallest divisor in a box")
-    p.add_argument("--freq", required=True)
-    p.add_argument("--Q", type=float, required=True)
-    p.set_defaults(func=_cmd_psi)
+    for name, func, text in (
+            ("approx", _cmd_approx, "Dirichlet rational approximation"),
+            ("psi", _cmd_psi, "inverse smallest divisor in a box")):
+        p = subs.add_parser(name, help=text)
+        p.add_argument("--freq", required=True)
+        p.add_argument("--Q", type=float, required=True)
+        p.set_defaults(func=func)
 
     p = subs.add_parser("constants", help="derived iteration constants")
     p.add_argument("--n", type=int, required=True)

@@ -26,7 +26,8 @@ def displacement(n: int, flows) -> FourierVectorField:
         s = V.width_s
         head = fld.add(V, u)
         ref = fld.norm(head, s)
-        u, _ = fld.lie_series(fld.lie_derivative, V, head, u, V, s, s - w,
-                              fld.SERIES_TOL_REL * ref,
+        rho = fld.series_ratio(n, fld.norm(V, s), s, s - w)
+        u, _ = fld.lie_series(fld.lie_derivative, V, rho, head, u, V, s,
+                              s - w, fld.SERIES_TOL_REL * ref,
                               floor=fld.PRUNE_REL * ref)
     return u

@@ -11,7 +11,10 @@ is the invariant  c_{-k} = conj(c_k), preserved by every operation here.
 A field stores int64 modes (M, n), strictly sorted lexicographically and
 closed under k -> -k, so row M-1-i holds -k and conj(c_k) of row i, and
 their complex128 coefficients (M, n).  Merges and sums over modes use flat
-int64 keys of the box |k|_inf <= K, which keep the modes' order.
+int64 keys of the box |k|_inf <= K, which keep the modes' order.  One
+merge, an ordered bincount, sums rows sharing a mode; one kernel forms the
+brackets or derivatives of r fields stacked on shared modes, coef (M, r,
+n) zero where a member lacks a mode, as lie_series carries two series.
 
 Norms are the weighted l1 majorant
 
@@ -94,9 +97,7 @@ class FourierVectorField:
     def constant_part(self) -> np.ndarray:
         # a symmetric support holds mode 0 exactly when its size is odd
         m = len(self.modes)
-        if m % 2 == 0:
-            return np.zeros(self.n)
-        return self.coef[m // 2].real.copy()
+        return self.coef[m // 2].real.copy() if m % 2 else np.zeros(self.n)
 
 
 def _keys(modes: np.ndarray, k: int) -> np.ndarray:
@@ -106,29 +107,44 @@ def _keys(modes: np.ndarray, k: int) -> np.ndarray:
     return modes @ w + k * int(w.sum())
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
+def _distinct(keys: np.ndarray, k: int, n: int):
+    """The sorted distinct keys of the box |k|_inf <= k, and their modes."""
     keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+    keys = keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+    return keys, np.stack(np.unravel_index(keys, (2 * k + 1,) * n), 1) - k
 
 
-def _nonzero_rows(coef: np.ndarray) -> np.ndarray:
-    # any() over each row, as a boolean matmul: faster for short rows
-    return (coef != 0) @ np.ones(coef.shape[1], dtype=bool)
+def _scatter_add(slot: np.ndarray, values: np.ndarray,
+                 size: int) -> np.ndarray:
+    """out[slot[i]] += values[i] in order of i: one ordered np.bincount."""
+    flat = values.reshape(len(values), math.prod(values.shape[1:])).view(float)
+    cols = flat.shape[1]
+    sums = np.bincount((slot[:, None] * cols + np.arange(cols)).ravel(),
+                       flat.ravel(), size * cols)
+    return sums.view(np.complex128).reshape((size,) + values.shape[1:])
+
+
+def _merge(modes: np.ndarray, coef: np.ndarray):
+    """Sorted distinct modes and the sums of coef's rows at each, in order."""
+    k = int(np.abs(modes).max(initial=0))
+    keys = _keys(modes, k)
+    out, out_modes = _distinct(keys, k, modes.shape[1])
+    return out_modes, _scatter_add(np.searchsorted(out, keys), coef, len(out))
 
 
 def _field(n: int, width_s: float, modes: np.ndarray, coef: np.ndarray,
            keep: np.ndarray | None = None) -> FourierVectorField:
     """The rows of sorted symmetric arrays where keep holds (by default the
-    nonzero rows)."""
+    nonzero rows, found by a boolean matmul: faster for short rows)."""
     if keep is None:
-        keep = _nonzero_rows(coef)
+        keep = (coef != 0) @ np.ones(coef.shape[1], dtype=bool)
     return FourierVectorField(n, width_s, modes[keep], coef[keep])
 
 
-def _symmetrized(n, width_s, modes, coef) -> FourierVectorField:
+def _symmetrized(coef: np.ndarray) -> np.ndarray:
     """c_k -> (c_k + conj(c_{-k}))/2 on sorted rows closed under k -> -k,
     which makes c_{-k} = conj(c_k) exact and mode 0 real."""
-    return _field(n, width_s, modes, 0.5 * (coef + np.conj(coef[::-1])))
+    return 0.5 * (coef + np.conj(coef[::-1]))
 
 
 def make_field(n: int, width_s: float, coeffs: dict) -> FourierVectorField:
@@ -141,9 +157,9 @@ def make_field(n: int, width_s: float, coeffs: dict) -> FourierVectorField:
     full = {tuple(-x for x in k): np.conj(v) for k, v in coeffs.items()}
     full.update(coeffs)                 # an absent c_{-k} is conj(c_k)
     keys = sorted(full)
-    return _symmetrized(
-        n, width_s, np.array(keys, dtype=np.int64).reshape(-1, n),
-        np.array([full[k] for k in keys], dtype=np.complex128).reshape(-1, n))
+    return _field(n, width_s, np.array(keys, dtype=np.int64).reshape(-1, n),
+                  _symmetrized(np.array([full[k] for k in keys],
+                                        dtype=np.complex128).reshape(-1, n)))
 
 
 def zero_field(n: int, width_s: float) -> FourierVectorField:
@@ -160,16 +176,8 @@ def constant_field(values, width_s: float) -> FourierVectorField:
 
 def add(x: FourierVectorField, y: FourierVectorField) -> FourierVectorField:
     _check_same_dim(x, y)
-    k = max(x.k_max, y.k_max)
-    kx, ky = _keys(x.modes, k), _keys(y.modes, k)
-    union = _distinct(np.concatenate([kx, ky]))
-    ix, iy = np.searchsorted(union, kx), np.searchsorted(union, ky)
-    modes = np.empty((len(union), x.n), dtype=np.int64)
-    modes[ix] = x.modes
-    modes[iy] = y.modes
-    coef = np.zeros((len(union), x.n), dtype=np.complex128)
-    coef[ix] = x.coef
-    coef[iy] += y.coef
+    modes, coef = _merge(np.concatenate([x.modes, y.modes]),
+                         np.concatenate([x.coef, y.coef]))
     return _field(x.n, min(x.width_s, y.width_s), modes, coef)
 
 
@@ -203,13 +211,16 @@ def norm(x: FourierVectorField, s: float) -> float:
     """Weighted l1 majorant norm at width s (see module docstring), summed
     in log space; it may be inf at a wide strip, never NaN."""
     if not 0 < s <= x.width_s:
-        raise ParameterError(
-            f"norm width s={s} outside (0, {x.width_s}]")
-    cm = np.abs(x.coef)
+        raise ParameterError(f"norm width s={s} outside (0, {x.width_s}]")
+    return _norm(x.modes, x.coef, s)
+
+
+def _norm(modes: np.ndarray, coef: np.ndarray, s: float) -> float:
+    cm = np.abs(coef)
     if np.isnan(cm).any():
         raise ParameterError("field has a NaN coefficient")
     with np.errstate(divide="ignore", over="ignore"):
-        terms = np.exp(np.log(cm) + _log_weights(x.modes, s)[:, None])
+        terms = np.exp(np.log(cm) + _log_weights(modes, s)[:, None])
     return float(terms.sum(axis=0).max())
 
 
@@ -220,12 +231,10 @@ _EVAL_CHUNK = 1 << 18
 def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
     """Evaluate at an (N, n) array of real points; returns (N, n) real.
 
-    Relies on the class invariant coef[M-1-i] == conj(coef[i]): the field
-    is c_0 + 2 Re sum_{k > 0} c_k exp(2 pi i k.theta) over the back half of
-    the rows, so only half of the phases are computed.  Points are taken
-    in blocks, so memory stays bounded however many points and modes
-    there are.
-    """
+    By the invariant coef[M-1-i] == conj(coef[i]) the field is c_0 + 2 Re
+    sum_{k > 0} c_k exp(2 pi i k.theta) over the back half of the rows, so
+    half of the phases are computed, for blocks of points: memory stays
+    bounded however many points and modes there are."""
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != x.n:
         raise ParameterError(f"points must have shape (N, {x.n})")
@@ -242,7 +251,7 @@ def eval_many(x: FourierVectorField, thetas: np.ndarray) -> np.ndarray:
     return out
 
 
-# pairs of modes per block of the bracket's product array
+# pairs of modes times members per block of the bracket's product array
 _BRACKET_CHUNK = 1 << 17
 
 
@@ -251,59 +260,64 @@ def lie_bracket(x: FourierVectorField, v: FourierVectorField) -> FourierVectorFi
 
     Pairwise products are accumulated directly (no FFT of the coefficient
     grid): FFT convolution injects max-scale roundoff into far-out modes,
-    which the exponential norm weights amplify.
-    """
-    return _convolve(x, v, bracket=True)
+    which the exponential norm weights amplify."""
+    return _convolve1(x, v, bracket=True)
 
 
 def lie_derivative(x: FourierVectorField, v: FourierVectorField) -> FourierVectorField:
     """L_V X = DX.V, the derivative of X along V: the first term of [X, V].
 
-    X composed with the time-1 flow of V is exp(L_V) X.
-    """
-    return _convolve(x, v, bracket=False)
+    X composed with the time-1 flow of V is exp(L_V) X."""
+    return _convolve1(x, v, bracket=False)
 
 
-def _convolve(x: FourierVectorField, v: FourierVectorField,
-              bracket: bool) -> FourierVectorField:
-    """DX.V, minus DV.X when `bracket` is set."""
+def _convolve1(x, v, bracket: bool) -> FourierVectorField:
     _check_same_dim(x, v)
-    n = x.n
-    width = min(x.width_s, v.width_s)
-    if not len(x.modes) or not len(v.modes):
-        return zero_field(n, width)
+    modes, coef = _convolve(x.modes, x.coef[:, None], v, bracket)
+    return _field(x.n, min(x.width_s, v.width_s), modes, coef[:, 0])
+
+
+def _convolve(modes: np.ndarray, coef: np.ndarray, v: FourierVectorField,
+              bracket: bool):
+    """(modes, coef) of DX.V, minus DV.X when `bracket` is set, for the r
+    fields X stacked on sorted symmetric modes (M, n), coef (M, r, n).
+
+    k.V is formed once for all members, and the products of a block of
+    rows (at most _BRACKET_CHUNK pairs times members) are summed by one
+    ordered bincount over (slot, column).  A member's zero rows add only
+    zeros: in one block its sums are bit for bit those of its own field."""
+    m, r, n = coef.shape
+    if not m or not len(v.modes):
+        return modes[:0], coef[:0]
     # in the box of the output modes, key(k1 + k2) = key(k1) + key(k2) - key(0)
-    k_out = x.k_max + v.k_max
+    k_out = int(np.abs(modes).max()) + v.k_max
     _check_box(n, k_out)
-    cells = (2 * k_out + 1) ** n
-    shift_v = _keys(v.modes, k_out) - (cells - 1) // 2
-    pair_keys = (_keys(x.modes, k_out)[:, None] + shift_v[None, :]).ravel()
-    out_keys = _distinct(pair_keys)
+    shift_v = _keys(v.modes, k_out) - ((2 * k_out + 1) ** n - 1) // 2
+    pair_keys = (_keys(modes, k_out)[:, None] + shift_v[None, :]).ravel()
+    out_keys, out_modes = _distinct(pair_keys, k_out, n)
     slot = np.searchsorted(out_keys, pair_keys)
-    kxf, kvf = x.modes.astype(float), v.modes.astype(float)
-    acc = np.zeros((len(out_keys), 2 * n))     # real, imag interleaved
-    rows = max(1, _BRACKET_CHUNK // len(v.modes))
-    for start in range(0, len(x.modes), rows):
-        stop = start + rows
-        a_coef = x.coef[start:stop]
-        # term1[a,b,:] = 2 pi i (k1 . V_{.,k2}) X_{.,k1}
-        dots1 = kxf[start:stop] @ v.coef.T                      # (ma, Mv)
-        contrib = (2j * np.pi) * dots1[:, :, None] * a_coef[:, None, :]
+    kxf, kvf, mv = modes.astype(float), v.modes.astype(float), len(v.modes)
+    acc = np.zeros((len(out_keys), r, n), dtype=np.complex128)
+    rows = max(1, _BRACKET_CHUNK // (mv * r))
+    for start in range(0, m, rows):
+        block = coef[start:start + rows]
+        # term1[a,b,j,:] = 2 pi i (k1 . V_{.,k2}) X_{j,.,k1}
+        dots1 = kxf[start:start + rows] @ v.coef.T                # (ma, Mv)
+        contrib = (2j * np.pi) * dots1[:, :, None, None] * block[:, None]
         if bracket:
-            # term2[a,b,:] = -2 pi i (k2 . X_{.,k1}) V_{.,k2}
-            dots2 = a_coef @ kvf.T                              # (ma, Mv)
-            contrib -= (2j * np.pi) * dots2[:, :, None] * v.coef[None, :, :]
-        where = slot[start * len(v.modes):stop * len(v.modes)]
-        acc += np.stack([np.bincount(where, part, len(out_keys)) for part in
-                         contrib.reshape(-1, n).view(float).T], axis=1)
-    # the sums are closed under k -> -k; one that vanished, but not its
-    # partner's, stands for the conjugate of that partner
-    coef = acc.view(np.complex128)
-    gone = ~_nonzero_rows(coef)
-    coef[gone] = np.conj(coef[::-1][gone])
-    modes = np.stack(np.unravel_index(out_keys, (2 * k_out + 1,) * n),
-                     axis=1) - k_out
-    return _symmetrized(n, width, modes, coef)
+            # term2[a,b,j,:] = -2 pi i (k2 . X_{j,.,k1}) V_{.,k2}, from a
+            # product of at least two rows: BLAS rounds one row otherwise
+            flat = block.reshape(-1, n)
+            dots2 = (np.concatenate([flat, flat[:1]]) @ kvf.T)[:len(flat)]
+            dots2 = dots2.reshape(len(block), r, mv).transpose(0, 2, 1)
+            contrib -= (2j * np.pi) * dots2[..., None] * v.coef[:, None, :]
+        acc += _scatter_add(slot[start * mv:(start + len(block)) * mv],
+                            contrib.reshape(-1, r, n), len(out_keys))
+    # the sums are closed under k -> -k; a member's sum that vanished, but
+    # not its partner's, stands for the conjugate of that partner
+    gone = ~acc.any(axis=2)
+    acc[gone] = np.conj(acc[::-1][gone])
+    return out_modes, _symmetrized(acc)
 
 
 def prune(x: FourierVectorField, s: float, floor: float):
@@ -312,13 +326,21 @@ def prune(x: FourierVectorField, s: float, floor: float):
     Returns (pruned field, total weighted mass removed).  Mode 0 is kept.
     Conjugate pairs have equal contributions, so reality survives.
     """
-    with np.errstate(over="ignore"):
-        contrib = np.abs(x.coef).max(axis=1) * np.exp(_log_weights(x.modes, s))
-    keep = (contrib >= floor) | ~x.modes.any(axis=1)
-    if keep.all():
+    drop, contrib = _below(x.modes, x.coef[:, None], s, floor)
+    if not drop.any():
         return x, 0.0
-    return (_field(x.n, x.width_s, x.modes, x.coef, keep),
-            float(contrib[~keep].sum()))
+    return (_field(x.n, x.width_s, x.modes, x.coef, ~drop[:, 0]),
+            float(contrib[drop].sum()))
+
+
+def _below(modes: np.ndarray, coef: np.ndarray, s: float, floor: float):
+    """(drop, contrib) of the r members in coef (M, r, n): each row's norm
+    contribution at width s, and where a member's is below floor."""
+    with np.errstate(over="ignore"):
+        contrib = (np.abs(coef).max(axis=2)
+                   * np.exp(_log_weights(modes, s))[:, None])
+    return (~(contrib >= floor) & coef.any(axis=2)
+            & modes.any(axis=1)[:, None]), contrib
 
 
 _MAX_SERIES_TERMS = 300
@@ -337,8 +359,8 @@ def charge(ledger: dict | None, tag: str, amount: float) -> None:
         ledger[tag] = ledger.get(tag, 0.0) + float(amount)
 
 
-def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
-    """Majorant ratio rho = bracket_norm_const(n)*e*norm(V,s)/sigma.
+def series_ratio(n: int, v_norm: float, s: float, sigma: float) -> float:
+    """Majorant ratio rho = bracket_norm_const(n)*e*norm(V, s)/sigma.
 
     Both operators lie_series applies, X -> [X, V] and its first term
     X -> DX.V, obey the bracket estimate, so the m-th term of a series in
@@ -347,8 +369,7 @@ def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
     """
     if not 0 < sigma < s:
         raise ParameterError(f"need 0 < sigma < s, got sigma={sigma}, s={s}")
-    v_norm = norm(V, s)
-    rho = bracket_norm_const(V.n) * math.e * v_norm / sigma
+    rho = bracket_norm_const(n) * math.e * v_norm / sigma
     if rho >= 1.0:
         raise StepSizeError(
             f"Lie series majorant ratio {rho:.3g} >= 1 "
@@ -357,38 +378,47 @@ def series_ratio(V: FourierVectorField, s: float, sigma: float) -> float:
     return rho
 
 
-def lie_series(op, V: FourierVectorField, head: FourierVectorField,
-               a: FourierVectorField, b: FourierVectorField, s: float,
-               sigma: float, tol: float, *, floor: float = 0.0, ledger=None,
-               tag: str = "lie_series"):
-    """head + sum_{m>=1} (op_V^m a / m! + op_V^m b / (m+1)!), at s - sigma.
+def lie_series(op, V: FourierVectorField, rho: float,
+               head: FourierVectorField, a: FourierVectorField,
+               b: FourierVectorField, s: float, sigma: float, tol: float, *,
+               floor: float = 0.0, ledger=None, tag: str = "lie_series"):
+    """head + sum_{m>=1} (op_V^m a / m! + op_V^m b / (m+1)!), at s - sigma,
+    with rho = series_ratio(n, norm(V, s), s, sigma).
 
     op is lie_bracket (op_V X = [X, V]: pullback by the time-1 flow of V is
     exp(op_V)) or lie_derivative (op_V X = DX.V: composition with that flow
     is exp(op_V), and the flow's displacement is sum op_V^m V / (m+1)!).
-    The two series share their m-th term, so they stop together.
-
-    The series stops at the first m >= 2 where the remainder bound
-    t*rho/(1-rho) of the last term's norm t is at most tol; that bound is
-    charged to the ledger as `<tag>.series_tail`.  Modes of the running
-    terms contributing less than floor at the target width are pruned and
-    charged as `<tag>.series_prune`.  Returns (sum, summed term norms).
+    a and b ride as one stack on the union of their modes, so a term is one
+    _convolve call and builds no field, and the two series stop together:
+    at the first m >= 2 where the remainder bound t*rho/(1-rho) of the
+    term's norm t is at most tol, charged as `<tag>.series_tail`.  Modes
+    of a member contributing less than floor at width s - sigma are pruned
+    from it alone, charged as `<tag>.series_prune`.  head and the terms are
+    merged once, each mode summed in the order of a chain of adds.
+    Returns (sum, summed term norms).
     """
-    rho = series_ratio(V, s, sigma)
-    w = s - sigma
-    acc, total = head, 0.0
+    for x in (head, a, b):
+        _check_same_dim(x, V)
+    n, w = V.n, s - sigma
+    rows = np.zeros((len(a.modes) + len(b.modes), 2, n), dtype=np.complex128)
+    rows[:len(a.modes), 0], rows[len(a.modes):, 1] = a.coef, b.coef
+    modes, stack = _merge(np.concatenate([a.modes, b.modes]), rows)
+    parts, total = [(head.modes, head.coef)], 0.0
     for m in range(1, _MAX_SERIES_TERMS + 1):
-        a = scale(op(a, V), 1.0 / m)
-        b = scale(op(b, V), 1.0 / m)
-        term = add(a, scale(b, 1.0 / (m + 1)))
-        if not (len(term.modes) or len(a.modes) or len(b.modes)):
+        modes, stack = _convolve(modes, stack, V, op is lie_bracket)
+        stack = stack * (1.0 / m)
+        if not stack.any():
             break
-        acc = add(acc, term)
-        t = norm(term, w)
+        term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 1))
+        parts.append((modes, term))
+        t = _norm(modes, term, w)
         total += t
-        a, lost_a = prune(a, w, floor)
-        b, lost_b = prune(b, w, floor)
-        charge(ledger, f"{tag}.series_prune", 2.0 * (lost_a + lost_b))
+        drop, contrib = _below(modes, stack, w, floor)
+        charge(ledger, f"{tag}.series_prune",
+               2.0 * sum(float(contrib[drop[:, j], j].sum()) for j in (0, 1)))
+        stack[drop] = 0.0
+        live = stack.any(axis=(1, 2))
+        modes, stack = modes[live], stack[live]
         rem = t * rho / (1.0 - rho)
         if m >= 2 and rem <= tol:
             charge(ledger, f"{tag}.series_tail", rem)
@@ -397,7 +427,8 @@ def lie_series(op, V: FourierVectorField, head: FourierVectorField,
         raise StepSizeError(
             f"Lie series did not reach tol={tol:.3g} within "
             f"{_MAX_SERIES_TERMS} terms (ratio {rho:.3g})")
-    return dataclasses.replace(acc, width_s=w), total
+    modes, coef = _merge(*map(np.concatenate, zip(*parts)))
+    return _field(n, w, modes, coef), total
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +444,8 @@ def serialize(x: FourierVectorField) -> str:
     lines = [f"torusfield v1 n={x.n} s={_fmt(x.width_s)} kmax={x.k_max}"]
     half = len(x.modes) // 2
     for k, c in zip(x.modes[half:].tolist(), x.coef[half:]):
-        parts = [str(v) for v in k]
-        for z in c:
-            parts.append(_fmt(z.real))
-            parts.append(_fmt(z.imag))
-        lines.append(" ".join(parts))
+        lines.append(" ".join([str(v) for v in k] + [
+            _fmt(part) for z in c for part in (z.real, z.imag)]))
     return "\n".join(lines) + "\n"
 
 
@@ -430,9 +458,7 @@ def deserialize(text: str) -> FourierVectorField:
         raise ParseError(f"bad header {lines[0]!r}", line=1)
     try:
         kv = dict(part.split("=", 1) for part in head[2:])
-        n = int(kv["n"])
-        s = float(kv["s"])
-        k_max = int(kv["kmax"])
+        n, s, k_max = int(kv["n"]), float(kv["s"]), int(kv["kmax"])
     except (ValueError, KeyError) as exc:
         raise ParseError(f"bad header field: {exc}", line=1) from None
     coeffs = {}
@@ -455,17 +481,15 @@ def deserialize(text: str) -> FourierVectorField:
         if k in coeffs:
             raise ParseError(f"duplicate mode {k}", line=ln)
         coeffs[k] = c
-        if mk in coeffs and mk != k:
-            if not np.allclose(coeffs[mk], np.conj(c), rtol=0, atol=0):
-                raise RealityViolationError(
-                    f"modes {k} and {mk} are not conjugate", line=ln)
+        if mk in coeffs and mk != k and not (coeffs[mk] == np.conj(c)).all():
+            raise RealityViolationError(
+                f"modes {k} and {mk} are not conjugate", line=ln)
         if mk == k and np.any(c.imag != 0):
             raise RealityViolationError(
                 f"self-conjugate mode {k} has nonzero imaginary part", line=ln)
     got_kmax = max((max(abs(v) for v in k) for k in coeffs), default=0)
     if got_kmax > k_max:
-        raise ParseError(
-            f"mode exceeds declared kmax={k_max}", line=1)
+        raise ParseError(f"mode exceeds declared kmax={k_max}", line=1)
     _check_box(n, k_max)
     # conjugates are checked exact, so make_field only completes them
     return make_field(n, s, coeffs)

@@ -152,15 +152,10 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
     defect vanishes.
     """
     consts = sched.consts
-    flows = []
-    trace = []
+    flows, trace = [], []
     u = alpha.alpha + beta
-    Pm = P
-    m = 0
-    while m < max_steps:
-        norm_m = fld.norm(Pm, Pm.width_s)
-        if norm_m <= tol:
-            break
+    Pm, norm_m, m = P, fld.norm(P, P.width_s), 0
+    while m < max_steps and norm_m > tol:
         p_avg = Pm.constant_part()
         x_m = u + p_avg
         dist = float(np.abs(x_m - alpha.alpha).max())
@@ -177,12 +172,10 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
             flows.append((res.V, res.P_plus.width_s))
         trace.append({"m": m, "Q_m": sched.Q(m), "sigma_m": sched.sigma(m),
                       **res.record})
-        u = x_m
-        Pm = res.P_plus
+        u, Pm, norm_m = x_m, res.P_plus, res.record["norm_P_plus"]
         m += 1
-    final_norm = fld.norm(Pm, Pm.width_s)
     defect = (u + Pm.constant_part()) - alpha.alpha
-    return tuple(flows), trace, defect, final_norm
+    return tuple(flows), trace, defect, norm_m
 
 
 def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
@@ -249,7 +242,7 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
     beta = beta - defect     # absorb the sub-tolerance remainder exactly
     passes += 1
 
-    disp = sum(fld.norm(V, V.width_s) for V, _ in flows)
+    disp = sum(step["norm_V"] for step in trace)
     if enforce and np.abs(beta).max() > consts.d * eps * (1 + 1e-9):
         raise ContractionError(
             f"|beta| = {np.abs(beta).max():.6g} exceeds d*eps = "

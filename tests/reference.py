@@ -7,11 +7,13 @@ no code path with the averaging step or the scheduler; only the plain
 spectral evaluation of fields is shared.  The rest are single-point and
 brute-force forms of what the pipeline computes in bulk: point
 evaluation, spectral Jacobians, tail splits with their certified bound,
-the omega-average projection, the Lie-series pullback and the resonant
-modes of a rational frequency.
+the omega-average projection, the Lie-series pullback, the Lie series
+summed field by field and the resonant modes of a rational frequency.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from kamtorus import averaging as avg
 from kamtorus import field as fld
 from kamtorus.diophantine import RationalApprox, _nonzero_box
 from kamtorus.errors import (EmbeddingFailureError, ParameterError,
-                             StiffnessError)
+                             StepSizeError, StiffnessError)
 from kamtorus.field import TWO_PI, FourierVectorField
 from kamtorus.oracles import _fd_jacobians
 
@@ -94,16 +96,48 @@ def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
 
     Truncated when the majorized remainder at width s - sigma is below
     tol; the remainder bound is charged to the ledger.  Requires the
-    majorant ratio fld.series_ratio(V, s, sigma) < 1.
+    majorant ratio fld.series_ratio(n, norm(V, s), s, sigma) < 1.
     """
     if s > min(Y.width_s, V.width_s):
         raise ParameterError(
             f"s={s} exceeds the width of the inputs "
             f"({min(Y.width_s, V.width_s)})")
-    pulled, _ = fld.lie_series(fld.lie_bracket, V, Y, Y,
+    rho = fld.series_ratio(Y.n, fld.norm(V, s), s, sigma)
+    pulled, _ = fld.lie_series(fld.lie_bracket, V, rho, Y, Y,
                                fld.zero_field(Y.n, s), s, sigma, tol,
                                ledger=ledger, tag="lie_pullback")
     return pulled
+
+
+def lie_series_per_field(op, V: FourierVectorField, rho: float,
+                         head: FourierVectorField, a: FourierVectorField,
+                         b: FourierVectorField, s: float, sigma: float,
+                         tol: float, *, floor: float = 0.0, ledger=None,
+                         tag: str = "lie_series"):
+    """fld.lie_series as a loop over whole fields: two op calls, the
+    scales, adds and prunes of each term on their own fields.  The stacked
+    lie_series must give the same sum, term norms and ledger bit for bit."""
+    w = s - sigma
+    acc, total = head, 0.0
+    for m in range(1, fld._MAX_SERIES_TERMS + 1):
+        a = fld.scale(op(a, V), 1.0 / m)
+        b = fld.scale(op(b, V), 1.0 / m)
+        term = fld.add(a, fld.scale(b, 1.0 / (m + 1)))
+        if not (len(term.modes) or len(a.modes) or len(b.modes)):
+            break
+        acc = fld.add(acc, term)
+        t = fld.norm(term, w)
+        total += t
+        a, lost_a = fld.prune(a, w, floor)
+        b, lost_b = fld.prune(b, w, floor)
+        fld.charge(ledger, f"{tag}.series_prune", 2.0 * (lost_a + lost_b))
+        rem = t * rho / (1.0 - rho)
+        if m >= 2 and rem <= tol:
+            fld.charge(ledger, f"{tag}.series_tail", rem)
+            break
+    else:
+        raise StepSizeError("Lie series did not reach tol")
+    return replace(acc, width_s=w), total
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,23 @@ def test_step_conditions_failure(golden_freq, golden_consts):
                            golden_consts)
 
 
+# Q = 0 and sigma = 0 divide by zero, and sigma < 0 makes the middle
+# condition's left-hand side negative, so "met"
+@pytest.mark.parametrize("Q, sigma, msg", [
+    (512.0, 0.0, "sigma must be finite and > 0"),
+    (512.0, -0.25, "sigma must be finite and > 0"),
+    (512.0, math.inf, "sigma must be finite and > 0"),
+    (512.0, math.nan, "sigma must be finite and > 0"),
+    (0.0, 0.25, "Q must be finite and >= 1"),
+    (0.5, 0.25, "Q must be finite and >= 1"),
+    (math.inf, 0.25, "Q must be finite and >= 1"),
+    (math.nan, 0.25, "Q must be finite and >= 1")])
+def test_step_conditions_rejects_bad_sigma_or_Q(golden_consts, Q, sigma,
+                                                msg):
+    with pytest.raises(ParameterError, match=msg):
+        avg.step_conditions(golden_consts, Q, sigma, 1e-6)
+
+
 def _resonant_field(ap, s):
     """Mode 0, the modes (1, 0) and (0, 1), and (p, -q), which is resonant
     for omega = (1, p/q): each adds about 1e-7 to the norm at width s."""
@@ -472,10 +489,10 @@ def _split_cases(golden_freq, plastic_freq):
         steps.append((alpha, Q, P))
         return step(alpha, S, P, Q, *args, **kwargs)
 
-    def series_spy(op, V, head, a, b, *args, **kwargs):
+    def series_spy(op, V, rho, head, a, b, *args, **kwargs):
         if kwargs.get("tag") == "averaging_step":
             cases.append((*steps[-1], head, b, V))
-        return series(op, V, head, a, b, *args, **kwargs)
+        return series(op, V, rho, head, a, b, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(avg, "averaging_step", step_spy)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kamtorus import field as fld
 from kamtorus.errors import (KamError, ParameterError, ParseError,
@@ -412,15 +412,16 @@ def _assert_every_operation_canonical(x, y, q, p):
     # when norm(y) is subnormal
     r = fld.norm(y, 1.0) ** -0.5 if len(y.modes) else 0.0
     V = fld.scale(fld.scale(y, r), 1e-3 * r)
+    rho = fld.series_ratio(x.n, fld.norm(V, 1.0), 1.0, 0.5)
     outs = [x, y, fld.add(x, y), fld.sub(x, y), fld.scale(x, -0.3),
             fld.lie_bracket(x, y), fld.lie_derivative(x, y),
             fld.prune(x, 1.0, 0.1 * fld.norm(x, 1.0))[0],
             *ref.tail_split(x, 2), ref.omega_average(x, approx),
             *avg.solve_homological(x, avg._divisors(x, approx),
                                    approx.q)[:2],
-            fld.lie_series(fld.lie_bracket, V, x, x, y, 1.0, 0.5, 1e-14,
-                           floor=1e-16)[0],
-            fld.lie_series(fld.lie_derivative, V, x, y, V, 1.0, 0.5,
+            fld.lie_series(fld.lie_bracket, V, rho, x, x, y, 1.0, 0.5,
+                           1e-14, floor=1e-16)[0],
+            fld.lie_series(fld.lie_derivative, V, rho, x, y, V, 1.0, 0.5,
                            1e-14)[0]]
     for out in outs:
         _assert_canonical(out)
@@ -485,6 +486,112 @@ def test_array_ops_match_per_mode_reference(pair):
         assert set(got) <= set(ref)
         for k, (val, mag) in ref.items():
             assert np.all(np.abs(got.get(k, 0.0) - val) <= 1e-14 * mag)
+
+
+_SHAPES = ("drawn", "disjoint", "one member tiny", "a constant", "a empty",
+           "b empty")
+
+
+@st.composite
+def _series_inputs(draw):
+    """(V, head, a, b, floor) for lie_series at s = 1, sigma = 0.5: a and b
+    drawn freely, on disjoint modes (a's first component even, b's odd),
+    on shared modes with b a billion times smaller (a floor between the
+    two prunes a mode from b but not from a), a constant, or one of them
+    empty.  V reaches |k| = 3, where k.X rounds."""
+    n = draw(st.integers(2, 3))
+    part = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1)
+    vec = st.lists(st.builds(complex, part, part), min_size=n, max_size=n)
+
+    def field(k, keep=lambda m: True, min_size=0, max_size=5):
+        mode = st.tuples(*[st.integers(-k, k)] * n).filter(keep)
+        return fld.make_field(n, 1.0, draw(st.dictionaries(
+            mode, vec, min_size=min_size, max_size=max_size)))
+
+    shape = draw(st.sampled_from(_SHAPES))
+    a = field(2, lambda m: shape != "disjoint" or m[0] % 2 == 0)
+    b = field(2, lambda m: shape != "disjoint" or m[0] % 2 == 1)
+    if shape == "one member tiny":
+        b = fld.scale(a, 1e-9)
+    elif shape == "a constant":
+        a = fld.constant_field([z.real for z in draw(vec)], 1.0)
+    a = fld.zero_field(n, 1.0) if shape == "a empty" else a
+    b = fld.zero_field(n, 1.0) if shape == "b empty" else b
+    V = field(3, min_size=1, max_size=2)
+    v_norm = fld.norm(V, 1.0)
+    assume(v_norm > 1e-3)
+    V = fld.scale(V, 1e-4 / v_norm)
+    ab = fld.norm(a, 1.0) + fld.norm(b, 1.0)
+    floor = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3])) * ab
+    return V, field(2), a, b, floor
+
+
+def _both_series(series, inputs, op):
+    """(sum, summed term norms, ledger) of series(op, ...) on inputs."""
+    V, head, a, b, floor = inputs
+    rho = fld.series_ratio(V.n, fld.norm(V, 1.0), 1.0, 0.5)
+    tol = 1e-12 * (fld.norm(a, 1.0) + fld.norm(b, 1.0))
+    ledger = {}
+    out, total = series(op, V, rho, head, a, b, 1.0, 0.5, tol, floor=floor,
+                        ledger=ledger, tag="t")
+    return out, total, ledger
+
+
+@settings(deadline=None, max_examples=150)
+@given(_series_inputs())
+def test_stacked_lie_series_matches_the_per_field_loop(inputs):
+    for op in (fld.lie_bracket, fld.lie_derivative):
+        got, total, ledger = _both_series(fld.lie_series, inputs, op)
+        want, want_total, want_ledger = _both_series(
+            ref.lie_series_per_field, inputs, op)
+        assert got.width_s == want.width_s
+        np.testing.assert_array_equal(got.modes, want.modes)
+        assert (got.coef == want.coef).all()
+        assert total == want_total and ledger == want_ledger
+
+
+def _assert_close(got, want, mag):
+    """|got - want| <= 1e-14 * mag at every mode of either field; mag maps
+    a mode to its bound, or is one bound for all."""
+    got, want = got.coeffs, want.coeffs
+    for k in set(got) | set(want):
+        bound = 1e-14 * (mag[k] if isinstance(mag, dict) else mag)
+        assert np.all(np.abs(got.get(k, 0.0) - want.get(k, 0.0)) <= bound)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_field_pairs(), _series_inputs())
+def test_blocks_of_one_row_match_one_block(pair, inputs):
+    """With _BRACKET_CHUNK = 1 every row is a block of its own, and
+    brackets, derivatives and series agree with one block to 1e-14 times
+    the sum of |terms|: per mode the sum of |products| of each term of the
+    bracket, and for a series |head| + (|a| + |b|)/(1 - rho), which
+    majorizes the products of all its terms."""
+    x, y = pair
+    V, head, a, b, _ = inputs = inputs[:4] + (0.0,)   # no pruning
+    ops = (fld.lie_bracket, fld.lie_derivative)
+
+    def each_op():
+        return [(op(x, y), _both_series(fld.lie_series, inputs, op))
+                for op in ops]
+
+    one = each_op()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fld, "_BRACKET_CHUNK", 1)
+        many = each_op()
+    dx_v = {k: mag for k, (_, mag) in
+            _reference_convolution(x, y, False).items()}
+    dv_x = {k: mag for k, (_, mag) in
+            _reference_convolution(y, x, False).items()}
+    rho = fld.series_ratio(V.n, fld.norm(V, 1.0), 1.0, 0.5)
+    series_mag = np.abs(head.coef).sum() + (
+        fld.norm(a, 1.0) + fld.norm(b, 1.0)) / (1.0 - rho)
+    for bracket, (got, got_series), (want, want_series) in zip(
+            (True, False), many, one):
+        _assert_close(got, want, {k: dx_v.get(k, 0.0) + bracket * dv_x.get(
+            k, 0.0) for k in set(dx_v) | set(dv_x)})
+        _assert_close(got_series[0], want_series[0], series_mag)
+        assert abs(got_series[1] - want_series[1]) <= 1e-14 * series_mag
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def test_run_composes_u_once_on_first_read(solved, name, monkeypatch):
 def _translated(x: fld.FourierVectorField, c) -> fld.FourierVectorField:
     """theta -> x(theta + c): c_k -> c_k exp(2 pi i k.c)."""
     coef = x.coef * np.exp(2j * np.pi * (x.modes @ c))[:, None]
-    return fld._symmetrized(x.n, x.width_s, x.modes, coef)
+    return fld._field(x.n, x.width_s, x.modes, fld._symmetrized(coef))
 
 
 @pytest.mark.parametrize("shift", ["half", "irrational"])
