@@ -36,9 +36,19 @@ MUTANTS = [
      "    if False:\n        raise ContractionError("),
     # the Dirichlet box keeps only q <= c
     ("diophantine.py", "if 0 < v0 <= half and", "if 0 < v0 and"),
+    # a warm search rescales the stored U X to its own (delta, c), and
+    # stores U X with that cap divided out
+    ("diophantine.py",
+     "basis = [[lead * row[0]] + [s * y for y in row[1:]] for row in ux]",
+     "basis = [list(row) for row in ux]"),
+    ("diophantine.py", "[[row[0] // lead] + [y // s for y in row[1:]]",
+     "[[row[0] // lead] + row[1:]"),
     # the step and the displacement
-    ("averaging.py", "head = _rows(P, (d == 0) & P.modes.any(axis=1))",
-     "head = fld.scale(_rows(P, (d == 0) & P.modes.any(axis=1)), -1.0)"),
+    ("averaging.py", "head = _rows(P, (d == 0) & live)",
+     "head = fld.scale(_rows(P, (d == 0) & live), -1.0)"),
+    # A's mode 0 carries X_varpi = X_alpha - X_omega
+    ("averaging.py", "const = 0.0 + approx.varpi + (",
+     "const = 0.0 + 0.0 * approx.varpi + ("),
     ("field.py", "term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 1))",
      "term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 2))"),
     # the series prunes each member by its own rows, not by a shared mask

@@ -155,8 +155,15 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     # component +0.0) are rows of P, split once by its divisors d
     d = _divisors(P, approx)
     rhs, V, v_norm = solve_homological(P, d, approx.q)
-    head = _rows(P, (d == 0) & P.modes.any(axis=1))
-    A = fld.add(fld.constant_field(approx.varpi, s), fld.add(S, P))
+    live = P.modes.any(axis=1)              # every mode but 0
+    head = _rows(P, (d == 0) & live)
+    # A = X_varpi + S + P is P with mode 0 set to 0.0 + varpi + (0.0 + S +
+    # [P]): add(constant_field(varpi), add(S, P)) sums it in that order
+    const = 0.0 + approx.varpi + (0.0 + S.coef.sum(axis=0)
+                                  + P.coef[~live].sum(axis=0))
+    mid = len(P.modes) // 2
+    A = fld._field(P.n, s, np.insert(P.modes[live], mid, 0, axis=0),
+                   np.insert(P.coef[live], mid, const, axis=0))
     B = replace(rhs, coef=0.0 - rhs.coef)
 
     floor = fld.PRUNE_REL * eps_ref

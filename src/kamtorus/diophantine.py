@@ -161,13 +161,15 @@ def _box_bounds(uinv, w, lead: int, Dd: int, c: int) -> list[int]:
              + lead * sum(abs(y) for y in u[1:])) // Dd for u in uinv]
 
 
-def _lattice(lead: int, w, Dd: int, c: int):
-    """The rows B0 of the search lattice at cap c (see
-    _smallest_dirichlet_q) and the columns of U^-1 = I."""
-    m = len(w)
-    basis = [[lead] + [c * x for x in w]]
-    basis += [[0] * (i + 1) + [-c * Dd] + [0] * (m - 1 - i) for i in range(m)]
-    return basis, [[int(i == j) for i in range(m + 1)] for j in range(m + 1)]
+@functools.lru_cache(maxsize=256)
+def _warm_basis(fracs: tuple) -> list:
+    """[(U X, U^-1)] of the last reduced search basis U B0 of the exact
+    rationals fracs, first (X, I) (see _smallest_dirichlet_q); the pair
+    is replaced whole, never edited.  256 frequencies are kept (LRU)."""
+    D, m = math.lcm(*(x.denominator for x in fracs)), len(fracs)
+    X = [[1] + [x.numerator * (D // x.denominator) for x in fracs]]
+    X += [[0] * (i + 1) + [-D] + [0] * (m - 1 - i) for i in range(m)]
+    return [(X, [[int(i == j) for i in range(m + 1)] for j in range(m + 1)])]
 
 
 def _box_q(basis, bounds, lead: int, c: int):
@@ -187,50 +189,54 @@ def _box_q(basis, bounds, lead: int, c: int):
 def _smallest_dirichlet_q(fracs, delta, qmax: int):
     """Smallest q >= 1 with ||q x||_Z <= delta for every x, or None.
 
-    Only the numerators and denominators of the exact rationals x and
-    delta are read: all arithmetic is on Python integers.
-    With x_i = a_i/D and delta = dn/dd, the vectors
+    All arithmetic is on the integers of the exact rationals x and delta.
+    With x_i = a_i/D, delta = dn/dd and lead = dn*D, the vectors
     v = q*b_0 + sum_i p_i*b_i of the lattice with rows
-    b_0 = (dn*D, a_1*c*dd, ..., a_m*c*dd) and b_i = -D*c*dd e_i satisfy
-    |v|_inf <= half = dn*D*c exactly when q <= c and |q x_i - p_i| <= delta,
-    and then v_0 = q*dn*D.  After LLL, the integer coefficients of those
-    v lie in a box that is enumerated in full.  The reduced basis is
-    U B0 for the basis B0 above, so |coefficient j| <= half * sum_i
+    b_0 = (lead, a_1*c*dd, ..., a_m*c*dd) and b_i = -D*c*dd e_i satisfy
+    |v|_inf <= half = lead*c exactly when q <= c and |q x_i - p_i| <= delta,
+    and then v_0 = q*lead.  These rows are B0 = X diag(lead, c*dd, ...,
+    c*dd), where X has rows (1, a_1, ..., a_m) and -D e_i and is free of
+    Q and c, so a reduced basis U B0 is U X times that diagonal.  Each LLL
+    pass starts from the frequency's last U X and U^-1 (X and I at first,
+    see _warm_basis) scaled to its own (delta, c), and stores its result
+    back: every start spans the same lattice, so no answer depends on the
+    order of calls.  After LLL, the integer coefficients of those v lie
+    in a box that is enumerated in full: |coefficient j| <= half * sum_i
     |(B0^-1 U^-1)_ij|, and half * B0^-1 = [[E, c*w], [0, -lead*I]] / (D*dd)
     with E = D*dd*c and w = b_0[1:] at c = 1: one integer division per
     bound.  The box at cap c holds every admissible q <= c, so the
-    smallest q of any box that holds one is the answer.
-    The first cap is the box-principle cap c = qmax, reduced once: for
-    a badly approximable x its box has a few cells and holds a q (qmax
-    = floor(Q^(n-1)) admits one).  Where it has more than
-    _TOP_BOX_CELLS (a rational x, with many admissible q below qmax),
-    the search starts over at c = 1 and grows c 16-fold until a q is
-    found (None once c passes qmax), so that each box holds few
-    admissible q.  Rescaling the basis columns leaves U unchanged, so
-    U^-1 carries over from one cap of that ascent to the next.
+    smallest q of any box that holds one is the answer.  The first cap is
+    the box-principle cap c = qmax: for a badly approximable x its box
+    has a few cells and holds a q (qmax = floor(Q^(n-1)) admits one).
+    Where it has more than _TOP_BOX_CELLS (a rational x, with many
+    admissible q below qmax), the search climbs from c = 1, growing c
+    16-fold until a q is found (None once c passes qmax), so that each
+    box holds few admissible q.
     """
+    warm = _warm_basis(tuple(fracs))
     D = math.lcm(*(x.denominator for x in fracs))
     dn, dd = delta.numerator, delta.denominator
     lead, Dd = dn * D, D * dd
     w = [x.numerator * (D // x.denominator) * dd for x in fracs]
-    basis, uinv = _lattice(lead, w, Dd, qmax)
-    _lll(basis, uinv)
-    bounds = _box_bounds(uinv, w, lead, Dd, qmax)
-    if math.prod(2 * b + 1 for b in bounds) <= _TOP_BOX_CELLS:
-        return _box_q(basis, bounds, lead, qmax)
-    basis, uinv = _lattice(lead, w, Dd, 1)
-    c = 1
+    c, top = qmax, True
     while True:
+        ux, uinv = warm[0]
+        s = c * dd
+        basis = [[lead * row[0]] + [s * y for y in row[1:]] for row in ux]
+        uinv = list(uinv)           # _lll rebinds u's rows, never edits one
         _lll(basis, uinv)
+        warm[0] = ([[row[0] // lead] + [y // s for y in row[1:]]
+                    for row in basis], uinv)
         bounds = _box_bounds(uinv, w, lead, Dd, c)
-        _check_cells(math.prod(2 * b + 1 for b in bounds), "dirichlet_approx")
+        cells = math.prod(2 * b + 1 for b in bounds)
+        if top and cells > _TOP_BOX_CELLS:
+            c, top = 1, False
+            continue
+        _check_cells(cells, "dirichlet_approx")
         q = _box_q(basis, bounds, lead, c)
         if q is not None or c >= qmax:
             return q
-        # scaling c scales every column but the first: the reduced basis,
-        # so scaled, spans the next lattice and is nearly reduced
         c *= 16
-        basis = [[row[0]] + [16 * y for y in row[1:]] for row in basis]
 
 
 # ---------------------------------------------------------------------------

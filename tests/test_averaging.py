@@ -479,19 +479,19 @@ def _assert_same_bits(x, y):
 
 
 def _split_cases(golden_freq, plastic_freq):
-    """(alpha, Q, P, head, B, V) of every averaging step a run of W1-W6
-    makes, every pass included, and of one step on a field with zero
+    """(alpha, Q, S, P, head, A, B, V) of every averaging step a run of
+    W1-W6 makes, every pass included, and of one step on a field with zero
     coefficient components, in mode 0 and in a non-resonant mode."""
     cases, steps = [], []
     step, series = avg.averaging_step, fld.lie_series
 
     def step_spy(alpha, S, P, Q, *args, **kwargs):
-        steps.append((alpha, Q, P))
+        steps.append((alpha, Q, S, P))
         return step(alpha, S, P, Q, *args, **kwargs)
 
     def series_spy(op, V, rho, head, a, b, *args, **kwargs):
         if kwargs.get("tag") == "averaging_step":
-            cases.append((*steps[-1], head, b, V))
+            cases.append((*steps[-1], head, a, b, V))
         return series(op, V, rho, head, a, b, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -512,11 +512,18 @@ def _split_cases(golden_freq, plastic_freq):
 def test_step_split_matches_the_sub_formulas(golden_freq, plastic_freq):
     cases = _split_cases(golden_freq, plastic_freq)
     assert len(cases) > 6 * 3
-    zero_parts = 0
-    for alpha, Q, P, head, B, V in cases:
-        for new, old in zip((head, B, V),
-                            _old_split(P, dirichlet_approx(alpha, Q))):
+    zero_parts = shifted = 0
+    for alpha, Q, S, P, head, A, B, V in cases:
+        ap = dirichlet_approx(alpha, Q)
+        for new, old in zip((head, B, V), _old_split(P, ap)):
             _assert_same_bits(new, old)
+        # A = X_varpi + S + P as the chain of adds sums it; the series'
+        # merge takes each row from 0.0, so a -0.0 of P may stay in A
+        old = fld.add(fld.constant_field(ap.varpi, P.width_s), fld.add(S, P))
+        np.testing.assert_array_equal(A.modes, old.modes)
+        assert (0.0 + A.coef).tobytes() == old.coef.tobytes()
+        shifted += bool(S.coef.any())
         zero_parts += int((B.coef.real == 0).sum() + (B.coef.imag == 0).sum())
-    # the zero components of the last field reach B, as +0.0
-    assert zero_parts
+    # the zero components of the last field reach B, as +0.0, and later
+    # passes shift the frequency by a nonzero S
+    assert zero_parts and shifted

@@ -240,6 +240,7 @@ def test_one_lll_pass_per_badly_approximable_search(golden_freq,
 
     def q_and_passes(at, Q):
         calls.clear()
+        dio._warm_basis.cache_clear()               # a cold search
         q = search(np.asarray(at, dtype=float).tobytes(), float(Q)).q
         return q, len(calls)
 
@@ -261,6 +262,7 @@ def test_ascent_returns_the_smallest_q(monkeypatch):
     # v_0 <= half keeps out; the smallest q comes from the cap 2^20 box
     at, Q = [0.08207282530105009], 117046.75423592722
     monkeypatch.setattr(dio, "_TOP_BOX_CELLS", 0)
+    dio._warm_basis.cache_clear()       # the boxes above are the cold ones
     got = dio._dirichlet_approx.__wrapped__(np.array(at).tobytes(), Q).q
     assert got == 70937 == _brute_smallest_q(at, Q, math.floor(Q))
 
@@ -282,6 +284,46 @@ def test_search_matches_fraction_reference(at, t):
         assert "budget" in str(exc)
         got = "budget"
     assert got == _ref_smallest_q(at, Q)
+
+
+def _answer(at, Q):
+    """(q, p) of dirichlet_approx, or "budget" where it raises for that."""
+    try:
+        a = dio.dirichlet_approx(_freq(at, tau=0.1), Q)
+    except ParameterError as exc:
+        assert "budget" in str(exc)
+        return "budget"
+    return a.q, a.p.tolist()
+
+
+@settings(deadline=None, max_examples=80)
+@example([0.25, 0.5], [0.0, 1.0, 0.5])
+@example([0.375, -0.5], [1.0, 0.0, 0.7])
+@example([5e-324, GOLDEN], [0.2, 1.0, 0.9, 0.1])
+@example([GOLDEN], [0.1, 0.4, 1.0, 0.3])
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.lists(_ENTRIES, min_size=m, max_size=m)),
+    st.lists(st.floats(0, 1), min_size=1, max_size=6))
+def test_warm_start_matches_a_cold_search(at, ts):
+    # a warm search starts from the basis its frequency's last search
+    # reduced, at whatever (delta, c) that was: Q in any order, against a
+    # search with the cache and the warm state cleared
+    Qs = [{2: 1e15, 3: 1e7, 4: 1e4}[len(at) + 1] ** t for t in ts]
+    fracs = tuple(dio._as_fracs(at))
+    X = dio._warm_basis.__wrapped__(fracs)[0][0]
+    dio._warm_basis.cache_clear()
+    dio._dirichlet_approx.cache_clear()
+    warm = []
+    for Q in Qs:
+        warm.append(_answer(at, Q))
+        ux, uinv = dio._warm_basis(fracs)[0]
+        # uinv holds the columns of U^-1, and U^-1 (U X) is X exactly
+        assert [[sum(u[l] * ux[l][j] for l in range(len(ux)))
+                 for j in range(len(X))] for u in zip(*uinv)] == X
+    for Q, got in zip(Qs, warm):
+        dio._warm_basis.cache_clear()
+        dio._dirichlet_approx.cache_clear()
+        assert got == _answer(at, Q)
 
 
 @settings(deadline=None, max_examples=200)
@@ -568,6 +610,24 @@ def test_approx_cache_is_bounded_lru(golden_freq):
     dio.dirichlet_approx(golden_freq, 11.0)     # searched again
     info = cache.cache_info()
     assert (info.hits, info.misses) == (2, 258)
+
+
+def test_warm_state_is_bounded_lru():
+    # one stored basis per frequency, for the 256 most recently used
+    warm = dio._warm_basis
+    warm.cache_clear()
+    dio._dirichlet_approx.cache_clear()
+    freqs = [_freq([GOLDEN / (2 + i)]) for i in range(257)]
+    for f in freqs[:256]:
+        dio.dirichlet_approx(f, 10.0)
+    dio.dirichlet_approx(freqs[0], 20.0)        # a warm start: now newest
+    dio.dirichlet_approx(freqs[256], 10.0)      # the 257th evicts freqs[1]
+    info = warm.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 257, 256)
+    dio.dirichlet_approx(freqs[2], 20.0)        # still stored
+    dio.dirichlet_approx(freqs[1], 20.0)        # starts from X again
+    info = warm.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (2, 258, 256)
 
 
 _FREQ_TOKENS = st.sampled_from(["2", "3", "0", "-1", "0.5", "-0.5", "nan",
