@@ -9,7 +9,7 @@ is never written to.  A mutant that every test passes survives.
 
 Known survivors, left out until a test can see them: dropping the
 counter-term shift S from A and halving B in averaging_step (both are
-second order, below what any value check resolves; see ROADMAP item 4).
+second order, below what any value check resolves; see ROADMAP item 1).
 
 Usage: python3 scripts/mutants.py   (exit 1 names each survivor)
 """
@@ -32,8 +32,11 @@ MUTANTS = [
      "if False and pp_norm > eps / consts.b:"),
     ("scheduler.py", "if enforce and np.abs(beta).max() >",
      "if False and np.abs(beta).max() >"),
-    ("scheduler.py", "    else:\n        raise ContractionError(",
-     "    if False:\n        raise ContractionError("),
+    ("scheduler.py", "if not settled and passes == _BETA_PASS_LIMIT:",
+     "if False:"),
+    # the pass after the defect settles is the certified one
+    ("scheduler.py", "opts.max_steps, enforce=enforce)",
+     "opts.max_steps, enforce=False)"),
     # the Dirichlet box keeps only q <= c
     ("diophantine.py", "if 0 < v0 <= half and", "if 0 < v0 and"),
     # a warm search rescales the stored U X to its own (delta, c), and

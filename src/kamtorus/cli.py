@@ -143,9 +143,14 @@ def _cmd_step(args) -> int:
     return 0
 
 
+# run's settings, each a flag --<key> and a config key; flags override the
+# config file, which overrides _RUN_DEFAULTS (a missing one is None)
 _RUN_KEYS = {"freq": str, "pert": str, "s": float, "tol": float,
              "max-steps": int, "out": str, "force": bool, "grid": int,
              "orbit-T": float}
+_RUN_DEFAULTS = {"max-steps": sch.RunOptions().max_steps,
+                 "force": sch.RunOptions().force, "out": ".",
+                 "grid": DEFAULT_GRID, "orbit-T": DEFAULT_ORBIT_T}
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
@@ -213,34 +218,27 @@ def _load_beta(path: str, n: int) -> np.ndarray:
 
 
 def _cmd_run(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else cfg.get(key, default)
-
-    freq = pick(args.freq, "freq")
-    pert = pick(args.pert, "pert")
-    s = _finite("s", pick(args.s, "s"))
-    if not freq or not pert or s is None:
+    flags = {key: getattr(args, key.replace("-", "_")) for key in _RUN_KEYS}
+    opt = {**_RUN_DEFAULTS,
+           **(_read_config(args.config) if args.config else {}),
+           **{key: v for key, v in flags.items() if v is not None}}
+    s = _finite("s", opt.get("s"))
+    if not opt.get("freq") or not opt.get("pert") or s is None:
         raise KamError("run requires --freq, --pert and --s "
                        "(flags or config)")
-    grid = int(pick(args.grid, "grid", DEFAULT_GRID))
-    orbit_t = _finite("orbit-T", float(pick(args.orbit_T, "orbit-T",
-                                            DEFAULT_ORBIT_T)))
-    alpha = _load_freq(freq)
+    grid, orbit_t = opt["grid"], _finite("orbit-T", opt["orbit-T"])
+    alpha = _load_freq(opt["freq"])
     samples = _oracle_samples(grid, orbit_t, alpha.n)
-    P = _load_field(pert)
-    opts = sch.RunOptions(
-        tol=_finite("tol", pick(args.tol, "tol")),
-        max_steps=int(pick(args.max_steps, "max-steps", 64)),
-        force=bool(args.force or cfg.get("force", False)))
+    P = _load_field(opt["pert"])
+    opts = sch.RunOptions(tol=_finite("tol", opt.get("tol")),
+                          max_steps=opt["max-steps"], force=opt["force"])
     # run's UserWarning (--force) as one line, like the error: lines
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
-        result = sch.run(alpha, P, float(s), opts)
+        result = sch.run(alpha, P, s, opts)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    outdir = Path(pick(args.out, "out", "."))
+    outdir = Path(opt["out"])
     outdir.mkdir(parents=True, exist_ok=True)
 
     _dump_json(outdir / "trace.json", {
@@ -315,16 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_step)
 
     p = subs.add_parser("run", help="full conjugacy run")
-    p.add_argument("--freq")
-    p.add_argument("--pert")
-    p.add_argument("--s", type=float)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--force", action="store_true")
+    for key, conv in _RUN_KEYS.items():
+        p.add_argument(f"--{key}", **({"action": "store_true", "default": None}
+                                      if conv is bool else {"type": conv}))
     p.add_argument("--config", default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--orbit-T", dest="orbit_T", type=float, default=None)
     p.set_defaults(func=_cmd_run)
 
     p = subs.add_parser("verify", help="independent conjugacy verification")

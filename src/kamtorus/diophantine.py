@@ -412,6 +412,8 @@ def deserialize_frequency(text: str) -> FrequencyVector:
         gamma_bar = float(kv["gammabar"])
     except (ValueError, KeyError) as exc:
         raise ParseError(f"bad header field: {exc}", line=first) from None
+    if n < 2:
+        raise ParseError(f"n must be >= 2, got {n}", line=first)
     if len(lines) - 1 != n - 1:
         raise ParseError(
             f"expected {n - 1} frequency entries, got {len(lines) - 1}",

@@ -31,6 +31,8 @@ def random_field(n: int, s: float, eps: float, modes: int, seed: int,
         raise ParameterError(f"eps must be finite and > 0, got {eps}")
     if not 0 < s < math.inf:
         raise ParameterError(f"s must be finite and > 0, got {s}")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     coeffs = {}
     chosen = set()

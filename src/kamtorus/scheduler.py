@@ -5,9 +5,10 @@ The counter-term is found as a fixed point: a forward pass of averaging
 steps starting from frequency alpha + beta measures the endpoint defect
 (how far the final frequency drifts from alpha), and beta is corrected by
 that defect.  Step m checks the counter-term domain |x_m - alpha| <= c*eps
-and averages at S = X_{x_m - [P_m]} - X_alpha.  Early passes run with
-assertions relaxed, since their iterates are off the certified budget;
-the final pass re-runs the whole chain with every bound enforced.
+and averages at S = X_{x_m - [P_m]} - X_alpha.  Passes run with
+assertions relaxed while the defect settles, since their iterates are off
+the certified budget; one more pass then re-runs the whole chain with every
+bound enforced.
 
 Phi is kept as its flows, one (V, width of P_plus) per non-constant step;
 RunResult.u composes the displacement Phi - Id only when first read.
@@ -143,18 +144,17 @@ class RunResult:
 
 
 def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
-                  sched: Schedule, tol: float, max_steps: int, enforce: bool,
-                  ledger: dict | None):
+                  sched: Schedule, tol: float, max_steps: int, enforce: bool):
     """One pass of averaging steps starting at frequency alpha + beta.
 
-    Returns (flows, trace, defect, final_norm) where defect is how far the
-    endpoint frequency misses alpha; beta is a fixed point when the
-    defect vanishes.
+    Returns (flows, trace, defect, final_norm, ledger) where defect is how
+    far the endpoint frequency misses alpha (beta is a fixed point when it
+    vanishes) and ledger is what this pass's steps discarded.
     """
     consts = sched.consts
-    flows, trace = [], []
+    flows, trace, ledger = [], [], {}
     u = alpha.alpha + beta
-    Pm, norm_m, m = P, fld.norm(P, P.width_s), 0
+    Pm, norm_m, m = P, sched.eps0, 0
     while m < max_steps and norm_m > tol:
         p_avg = Pm.constant_part()
         x_m = u + p_avg
@@ -175,16 +175,17 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
         u, Pm, norm_m = x_m, res.P_plus, res.record["norm_P_plus"]
         m += 1
     defect = (u + Pm.constant_part()) - alpha.alpha
-    return tuple(flows), trace, defect, norm_m
+    return tuple(flows), trace, defect, norm_m, ledger
 
 
 def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
         opts: RunOptions | None = None) -> RunResult:
     """Find beta and Phi with Phi^*(X_alpha + P + X_beta) = X_alpha.
 
-    Iterates forward passes of averaging steps, correcting beta by the
-    measured endpoint defect until it is negligible, then re-runs with
-    all certified bounds enforced.
+    Iterates relaxed forward passes, correcting beta by the measured
+    endpoint defect until it is negligible; the next pass runs with all
+    certified bounds enforced (unless opts.force), absorbs its own defect and
+    is the one whose flows, trace and ledger the result keeps.
     """
     opts = opts or RunOptions()
     if opts.tol is not None and not opts.tol >= 0:
@@ -208,41 +209,26 @@ def run(alpha: FrequencyVector, P: FourierVectorField, s: float,
                       stacklevel=2)
     sched = Schedule(consts=consts, s=s, Q0=Q0, eps0=eps)
     tol = opts.tol if opts.tol is not None else 1e-14 * eps
-    ledger = {}
-
-    if eps == 0.0:
-        return RunResult(flows=(), displacement_bound=0.0,
-                         beta=np.zeros(alpha.n), trace=[], schedule=sched,
-                         eps=0.0, eps_star=eps_star, final_norm=0.0,
-                         passes=0, ledger=ledger)
-
     beta = np.zeros(alpha.n)
     # the endpoint frequency lives near alpha ~ O(1), so the defect cannot
     # resolve below a few ulps of alpha regardless of eps
     defect_tol = max(tol, 1e-15 * eps, avg._ulp_floor(alpha.alpha))
-    passes = 0
-    for _ in range(_BETA_PASS_LIMIT):
-        passes += 1
-        _, _, defect, _ = _forward_pass(
-            alpha, P, beta, sched, tol, opts.max_steps, enforce=False,
-            ledger=None)
-        beta = beta - defect
-        if np.abs(defect).max() <= defect_tol:
+    settled = False
+    for passes in range(1, _BETA_PASS_LIMIT + 2):
+        enforce = settled and not opts.force
+        flows, trace, defect, final_norm, ledger = _forward_pass(
+            alpha, P, beta, sched, tol, opts.max_steps, enforce=enforce)
+        beta = beta - defect     # the last pass absorbs its remainder exactly
+        if settled:
             break
-    else:
-        raise ContractionError(
-            "counter-term fixed point did not settle within "
-            f"{_BETA_PASS_LIMIT} passes (last defect "
-            f"{np.abs(defect).max():.3g})")
+        settled = np.abs(defect).max() <= defect_tol
+        if not settled and passes == _BETA_PASS_LIMIT:
+            raise ContractionError(
+                "counter-term fixed point did not settle within "
+                f"{_BETA_PASS_LIMIT} passes (last defect "
+                f"{np.abs(defect).max():.3g})")
 
-    enforce = not opts.force
-    flows, trace, defect, final_norm = _forward_pass(
-        alpha, P, beta, sched, tol, opts.max_steps, enforce=enforce,
-        ledger=ledger)
-    beta = beta - defect     # absorb the sub-tolerance remainder exactly
-    passes += 1
-
-    disp = sum(step["norm_V"] for step in trace)
+    disp = sum((step["norm_V"] for step in trace), 0.0)
     if enforce and np.abs(beta).max() > consts.d * eps * (1 + 1e-9):
         raise ContractionError(
             f"|beta| = {np.abs(beta).max():.6g} exceeds d*eps = "

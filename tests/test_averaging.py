@@ -355,9 +355,8 @@ def _one_step(alpha, consts, P, beta, monkeypatch, enforce=True):
                          eps0=fld.norm(P, 1.0))
     with monkeypatch.context() as mp:
         mp.setattr(avg, "averaging_step", spy)
-        flows, trace, defect, _ = sch._forward_pass(
-            alpha, P, np.asarray(beta, dtype=float), sched, 0.0, 1, enforce,
-            {})
+        flows, trace, defect, _, _ = sch._forward_pass(
+            alpha, P, np.asarray(beta, dtype=float), sched, 0.0, 1, enforce)
     assert len(trace) == len(seen) == 1
     return flows, defect, seen[0]
 

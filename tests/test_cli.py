@@ -10,7 +10,7 @@ from kamtorus import field as fld
 from kamtorus import oracles as orc
 from kamtorus import scheduler as sch
 from kamtorus.cli import (MAX_GRID_POINTS, MAX_ORBIT_SAMPLES, MAX_RESIDUAL,
-                          _oracle_samples, main)
+                          _RUN_KEYS, _oracle_samples, main)
 from kamtorus.errors import KamError
 from kamtorus.diophantine import serialize_frequency
 from kamtorus.generate import random_field
@@ -55,8 +55,9 @@ def test_gen_deterministic(tmp_path):
     (["--modes", "2", "--s", "0"], "s must be finite and > 0"),
     (["--modes", "2", "--s", "inf"], "s must be finite and > 0"),
     (["--modes", "2", "--s", "nan"], "s must be finite and > 0"),
+    (["--modes", "2", "--seed", "-1"], "seed must be >= 0"),
 ], ids=["modes-9-kmax-1", "kmax-0", "kmax-neg", "n-0", "eps-inf", "s-0",
-        "s-inf", "s-nan"])
+        "s-inf", "s-nan", "seed-neg"])
 def test_gen_bad_arguments_exit_2(monkeypatch, capsys, args, msg):
     # checked before drawing: with more modes than the box holds, or an
     # empty box, the draw never ends
@@ -312,6 +313,27 @@ def test_run_config_file_and_override(tmp_path, golden_file, pert_file):
     res = json.loads((out / "residual.json").read_text())
     assert res["grid"] == 8
     assert res["sup_residual"] <= 1e-10
+
+
+def test_run_config_file_and_flags_agree(tmp_path, golden_file, pert_file):
+    # every run setting, once from a config file and once as flags
+    settings = {"freq": golden_file, "pert": pert_file, "s": "0.5",
+                "tol": "1e-22", "max-steps": "40", "force": "true",
+                "grid": "8", "orbit-T": "5"}
+    assert set(settings) | {"out"} == set(_RUN_KEYS)
+    cfg, by_cfg, by_flags = (tmp_path / "run.cfg", tmp_path / "cfg",
+                             tmp_path / "flags")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in
+                           {**settings, "out": by_cfg}.items()))
+    assert main(["run", "--config", str(cfg)]) == 0
+    flags = [arg for k, v in settings.items()
+             for arg in ((f"--{k}",) if k == "force" else (f"--{k}", v))]
+    assert main(["run", *flags, "--out", str(by_flags)]) == 0
+    for name in ("trace.json", "beta.txt", "residual.json"):
+        assert (by_cfg / name).read_bytes() == (by_flags / name).read_bytes()
+    trace = json.loads((by_cfg / "trace.json").read_text())
+    assert trace["s"] == 0.5
+    assert json.loads((by_cfg / "residual.json").read_text())["grid"] == 8
 
 
 def test_missing_file_exits_2(golden_file, capsys):

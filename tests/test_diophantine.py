@@ -547,6 +547,14 @@ def test_frequency_wrong_entry_count():
             "freq v1 n=3 tau=0 gamma=0.5 gammabar=0.5\n0.5\n")
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_frequency_header_below_two_dimensions(n):
+    # refused at the header, not as a count of n - 1 entries
+    with pytest.raises(ParseError, match=f"^line 1: n must be >= 2, got {n}$"):
+        dio.deserialize_frequency(
+            f"freq v1 n={n} tau=0 gamma=0.5 gammabar=0.5\n")
+
+
 def test_frequency_validation():
     with pytest.raises(ParameterError):
         dio.FrequencyVector(2, np.array([2.0]), 0.0, 0.5, 0.5)

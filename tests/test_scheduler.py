@@ -159,6 +159,10 @@ def test_run_zero_perturbation(golden_freq):
     np.testing.assert_array_equal(res.beta, [0.0, 0.0])
     assert res.final_norm == 0.0
     assert res.trace == []
+    # the general path: a relaxed pass finds no defect, an enforced one
+    # confirms it, and neither discards anything
+    assert res.passes == 2
+    assert res.ledger == {}
 
 
 def test_run_constant_perturbation(golden_freq):
@@ -201,9 +205,8 @@ def test_run_raises_when_beta_exceeds_d_eps(golden_freq, monkeypatch):
     forward = sch._forward_pass
 
     def off(*args, enforce, **kw):
-        flows, trace, defect, final_norm = forward(*args, enforce=enforce,
-                                                   **kw)
-        return flows, trace, defect - 1e-3 if enforce else defect, final_norm
+        flows, trace, defect, *rest = forward(*args, enforce=enforce, **kw)
+        return (flows, trace, defect - 1e-3 if enforce else defect, *rest)
 
     monkeypatch.setattr(sch, "_forward_pass", off)
     with pytest.raises(ContractionError, match="exceeds d\\*eps"):
@@ -214,12 +217,42 @@ def test_run_raises_when_beta_does_not_settle(golden_freq, monkeypatch):
     forward = sch._forward_pass
 
     def off(*args, **kw):
-        flows, trace, _, final_norm = forward(*args, **kw)
-        return flows, trace, np.full(2, 1e-3), final_norm
+        flows, trace, _, *rest = forward(*args, **kw)
+        return (flows, trace, np.full(2, 1e-3), *rest)
 
     monkeypatch.setattr(sch, "_forward_pass", off)
     with pytest.raises(ContractionError, match="did not settle"):
         sch.run(golden_freq, random_field(2, 1.0, 1e-6, 5, 1), 1.0)
+
+
+@pytest.mark.parametrize("name,force,enforced", [
+    ("W1", False, [False, False, True]), ("W4", False, [False, False, True]),
+    ("W5", True, [False, False, False])])
+def test_run_keeps_the_last_pass(golden_freq, plastic_freq, monkeypatch,
+                                 name, force, enforced):
+    # relaxed passes until the defect settles, then one more pass, enforced
+    # unless forced; the result holds that pass's flows, trace and ledger
+    n, s, eps, modes, seed, k_max = WORKLOADS[name]
+    alpha = golden_freq if n == 2 else plastic_freq
+    P = random_field(n, s, eps, modes, seed, k_max=k_max)
+    forward, seen = sch._forward_pass, []
+
+    def spy(*args, enforce):
+        out = forward(*args, enforce=enforce)
+        seen.append((enforce, out))
+        return out
+
+    monkeypatch.setattr(sch, "_forward_pass", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = sch.run(alpha, P, s, sch.RunOptions(force=force))
+    assert [enforce for enforce, _ in seen] == enforced
+    assert res.passes == len(seen)
+    flows, trace, _, final_norm, ledger = seen[-1][1]
+    assert res.flows is flows and res.trace is trace
+    assert res.ledger is ledger and res.final_norm == final_norm
+    # each pass charges a ledger of its own
+    assert len({id(out[4]) for _, out in seen}) == len(seen)
 
 
 # Answers of the solver on ROADMAP workloads, bit for bit: a refactor of the
