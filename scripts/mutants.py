@@ -57,8 +57,13 @@ MUTANTS = [
     # the series prunes each member by its own rows, not by a shared mask
     ("field.py", "contrib = (np.abs(coef).max(axis=2)",
      "contrib = (np.abs(coef).max(axis=(1, 2))[:, None]"),
-    ("embedding.py", "V, rho, head, u, V, s,",
-     "V, rho, head, fld.zero_field(n, s), V, s,"),
+    ("embedding.py", "u, V, s, s - w,", "fld.zero_field(n, s), V, s, s - w,"),
+    # every Lie series prunes its sum, and ends at a term of SERIES_TOL_REL
+    # times ref: its remainder bound is tested against that times rho/(1-rho)
+    ("field.py", "out, lost = prune(_field(n, w, modes, coef), w, floor)",
+     "out, lost = _field(n, w, modes, coef), 0.0"),
+    ("field.py", "tol = SERIES_TOL_REL * ref * rho / (1.0 - rho)",
+     "tol = SERIES_TOL_REL * ref"),
     ("scheduler.py", "S = fld.constant_field((x_m - p_avg) - alpha.alpha,",
      "S = fld.constant_field((x_m + p_avg) - alpha.alpha,"),
 ]

@@ -166,17 +166,9 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
                    np.insert(P.coef[live], mid, const, axis=0))
     B = replace(rhs, coef=0.0 - rhs.coef)
 
-    floor = fld.PRUNE_REL * eps_ref
-    # the series ends once a term's norm is at most SERIES_TOL_REL*eps_ref,
-    # so the tolerance on its remainder bound is that times rho/(1-rho)
-    rho = fld.series_ratio(P.n, v_norm, s, sigma)
-    acc, bracket_norm = fld.lie_series(
-        fld.lie_bracket, V, rho, head, A, B, s, sigma,
-        fld.SERIES_TOL_REL * eps_ref * rho / (1.0 - rho), floor=floor,
+    p_plus, bracket_norm = fld.lie_series(
+        fld.lie_bracket, V, v_norm, head, A, B, s, sigma, eps_ref,
         ledger=ledger, tag="averaging_step")
-
-    p_plus, lost = fld.prune(acc, w, floor)
-    fld.charge(ledger, "averaging_step.result_prune", lost)
     pp_norm = fld.norm(p_plus, w)
 
     if enforce and pp_norm > eps / consts.b:

@@ -25,9 +25,6 @@ def displacement(n: int, flows) -> FourierVectorField:
     for V, w in flows:
         s = V.width_s
         head = fld.add(V, u)
-        ref = fld.norm(head, s)
-        rho = fld.series_ratio(n, fld.norm(V, s), s, s - w)
-        u, _ = fld.lie_series(fld.lie_derivative, V, rho, head, u, V, s,
-                              s - w, fld.SERIES_TOL_REL * ref,
-                              floor=fld.PRUNE_REL * ref)
+        u, _ = fld.lie_series(fld.lie_derivative, V, fld.norm(V, s), head,
+                              u, V, s, s - w, fld.norm(head, s))
     return u

@@ -346,8 +346,8 @@ def _below(modes: np.ndarray, coef: np.ndarray, s: float, floor: float):
 _MAX_SERIES_TERMS = 300
 
 # Truncation of a Lie series relative to a reference norm (that of V + u
-# for a flow's displacement, eps for an averaging step): the remainder
-# tolerance, and the floor below which modes of the running terms are pruned.
+# for a flow's displacement, eps for an averaging step): the last term's
+# norm, and the floor below which modes of the terms and the sum are pruned.
 SERIES_TOL_REL = 1e-18
 PRUNE_REL = 1e-16
 
@@ -378,28 +378,31 @@ def series_ratio(n: int, v_norm: float, s: float, sigma: float) -> float:
     return rho
 
 
-def lie_series(op, V: FourierVectorField, rho: float,
+def lie_series(op, V: FourierVectorField, v_norm: float,
                head: FourierVectorField, a: FourierVectorField,
-               b: FourierVectorField, s: float, sigma: float, tol: float, *,
-               floor: float = 0.0, ledger=None, tag: str = "lie_series"):
+               b: FourierVectorField, s: float, sigma: float, ref: float, *,
+               ledger=None, tag: str = "lie_series"):
     """head + sum_{m>=1} (op_V^m a / m! + op_V^m b / (m+1)!), at s - sigma,
-    with rho = series_ratio(n, norm(V, s), s, sigma).
+    with v_norm = norm(V, s), truncated relative to the reference norm ref.
 
     op is lie_bracket (op_V X = [X, V]: pullback by the time-1 flow of V is
     exp(op_V)) or lie_derivative (op_V X = DX.V: composition with that flow
     is exp(op_V), and the flow's displacement is sum op_V^m V / (m+1)!).
     a and b ride as one stack on the union of their modes, so a term is one
-    _convolve call and builds no field, and the two series stop together:
-    at the first m >= 2 where the remainder bound t*rho/(1-rho) of the
-    term's norm t is at most tol, charged as `<tag>.series_tail`.  Modes
-    of a member contributing less than floor at width s - sigma are pruned
-    from it alone, charged as `<tag>.series_prune`.  head and the terms are
-    merged once, each mode summed in the order of a chain of adds.
-    Returns (sum, summed term norms).
+    _convolve call that builds no field, and both stop at the first m >= 2
+    where the remainder bound t*rho/(1-rho) of the term's norm t, rho =
+    series_ratio(n, v_norm, s, sigma), is at most SERIES_TOL_REL*ref times
+    rho/(1-rho), charged as `<tag>.series_tail`.  Modes below PRUNE_REL*ref
+    at width s - sigma are pruned from each member (`<tag>.series_prune`)
+    and from the sum, merged once in the order of a chain of adds
+    (`<tag>.result_prune`).  Returns (sum, summed term norms).
     """
     for x in (head, a, b):
         _check_same_dim(x, V)
     n, w = V.n, s - sigma
+    rho = series_ratio(n, v_norm, s, sigma)
+    floor = PRUNE_REL * ref
+    tol = SERIES_TOL_REL * ref * rho / (1.0 - rho)
     rows = np.zeros((len(a.modes) + len(b.modes), 2, n), dtype=np.complex128)
     rows[:len(a.modes), 0], rows[len(a.modes):, 1] = a.coef, b.coef
     modes, stack = _merge(np.concatenate([a.modes, b.modes]), rows)
@@ -428,7 +431,9 @@ def lie_series(op, V: FourierVectorField, rho: float,
             f"Lie series did not reach tol={tol:.3g} within "
             f"{_MAX_SERIES_TERMS} terms (ratio {rho:.3g})")
     modes, coef = _merge(*map(np.concatenate, zip(*parts)))
-    return _field(n, w, modes, coef), total
+    out, lost = prune(_field(n, w, modes, coef), w, floor)
+    charge(ledger, f"{tag}.result_prune", lost)
+    return out, total
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,8 @@ WORKLOADS = {"W1": (2, 1.0, 1e-6, 6, 0, 4), "W2": (2, 1.0, 3e-6, 30, 3, 8),
 
 @pytest.fixture(scope="session")
 def solved(golden_freq, plastic_freq):
-    """name -> (alpha, P, run result) of a ROADMAP workload, solved once."""
+    """name -> (alpha, P, run result) of a ROADMAP workload, solved once
+    (W5 with force=True, its warning ignored)."""
     cache = {}
 
     def get(name):
@@ -58,7 +59,10 @@ def solved(golden_freq, plastic_freq):
             n, s, eps, modes, seed, k_max = WORKLOADS[name]
             alpha = golden_freq if n == 2 else plastic_freq
             P = random_field(n, s, eps, modes, seed, k_max=k_max)
-            cache[name] = alpha, P, sch.run(alpha, P, s)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", category=UserWarning)
+                cache[name] = alpha, P, sch.run(
+                    alpha, P, s, sch.RunOptions(force=name == "W5"))
         return cache[name]
 
     return get

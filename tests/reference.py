@@ -8,7 +8,9 @@ spectral evaluation of fields is shared.  The rest are single-point and
 brute-force forms of what the pipeline computes in bulk: point
 evaluation, spectral Jacobians, tail splits with their certified bound,
 the omega-average projection, the Lie-series pullback, the Lie series
-summed field by field and the resonant modes of a rational frequency.
+summed field by field, the displacement composed from it (with or
+without the prune of each sum) and the resonant modes of a rational
+frequency.
 """
 
 from __future__ import annotations
@@ -90,34 +92,40 @@ def omega_average(P: FourierVectorField,
 
 
 def lie_pullback(Y: FourierVectorField, V: FourierVectorField, s: float,
-                 sigma: float, tol: float,
+                 sigma: float,
                  ledger: dict | None = None) -> FourierVectorField:
     """Exact-coefficient evaluation of (V^1)^* Y = sum_m ad_V^m Y / m!.
 
-    Truncated when the majorized remainder at width s - sigma is below
-    tol; the remainder bound is charged to the ledger.  Requires the
-    majorant ratio fld.series_ratio(n, norm(V, s), s, sigma) < 1.
+    Truncated by fld.lie_series relative to norm(Y, s): a term's norm at
+    width s - sigma down to SERIES_TOL_REL times that, modes down to
+    PRUNE_REL times it; the ledger is charged what is dropped.  Requires
+    the majorant ratio fld.series_ratio(n, norm(V, s), s, sigma) < 1.
     """
     if s > min(Y.width_s, V.width_s):
         raise ParameterError(
             f"s={s} exceeds the width of the inputs "
             f"({min(Y.width_s, V.width_s)})")
-    rho = fld.series_ratio(Y.n, fld.norm(V, s), s, sigma)
-    pulled, _ = fld.lie_series(fld.lie_bracket, V, rho, Y, Y,
-                               fld.zero_field(Y.n, s), s, sigma, tol,
-                               ledger=ledger, tag="lie_pullback")
+    pulled, _ = fld.lie_series(fld.lie_bracket, V, fld.norm(V, s), Y, Y,
+                               fld.zero_field(Y.n, s), s, sigma,
+                               fld.norm(Y, s), ledger=ledger,
+                               tag="lie_pullback")
     return pulled
 
 
-def lie_series_per_field(op, V: FourierVectorField, rho: float,
+def lie_series_per_field(op, V: FourierVectorField, v_norm: float,
                          head: FourierVectorField, a: FourierVectorField,
                          b: FourierVectorField, s: float, sigma: float,
-                         tol: float, *, floor: float = 0.0, ledger=None,
-                         tag: str = "lie_series"):
+                         ref: float, *, ledger=None, tag: str = "lie_series",
+                         prune_result: bool = True):
     """fld.lie_series as a loop over whole fields: two op calls, the
-    scales, adds and prunes of each term on their own fields.  The stacked
-    lie_series must give the same sum, term norms and ledger bit for bit."""
+    scales, adds and prunes of each term on their own fields, the stop
+    rule and the prune of the sum.  The stacked lie_series must give the
+    same sum, term norms and ledger bit for bit.  prune_result=False keeps
+    every mode of the sum."""
     w = s - sigma
+    rho = fld.series_ratio(V.n, v_norm, s, sigma)
+    floor = fld.PRUNE_REL * ref
+    tol = fld.SERIES_TOL_REL * ref * rho / (1.0 - rho)
     acc, total = head, 0.0
     for m in range(1, fld._MAX_SERIES_TERMS + 1):
         a = fld.scale(op(a, V), 1.0 / m)
@@ -137,7 +145,26 @@ def lie_series_per_field(op, V: FourierVectorField, rho: float,
             break
     else:
         raise StepSizeError("Lie series did not reach tol")
-    return replace(acc, width_s=w), total
+    acc = replace(acc, width_s=w)
+    if prune_result:
+        acc, lost = fld.prune(acc, w, floor)
+        fld.charge(ledger, f"{tag}.result_prune", lost)
+    return acc, total
+
+
+def displacement(n: int, flows, *, ledger=None, prune_result: bool = True):
+    """embedding.displacement with each flow's series summed by
+    lie_series_per_field and charged to ledger: run().u bit for bit, or,
+    with prune_result=False, that composition with no mode of any sum
+    pruned."""
+    u = fld.zero_field(n, flows[0][0].width_s if flows else 1.0)
+    for V, w in flows:
+        s = V.width_s
+        head = fld.add(V, u)
+        u, _ = lie_series_per_field(
+            fld.lie_derivative, V, fld.norm(V, s), head, u, V, s, s - w,
+            fld.norm(head, s), ledger=ledger, prune_result=prune_result)
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_criterion_5_inequality_suite():
         Vs = random_field(n, 1.0, sig2 / (4 * n) * rng.uniform(0.1, 0.9),
                           4, seed + 2000)
         Y = random_field(n, 1.0, 10.0 ** rng.uniform(-3, -1), 4, seed + 3000)
-        out = ref.lie_pullback(Y, Vs, 1.0, sig2, 1e-15)
+        out = ref.lie_pullback(Y, Vs, 1.0, sig2)
         if fld.norm(out, 1.0 - sig2) > 2.0 * fld.norm(Y, 1.0) * (1 + 1e-9):
             fails["pullback"] += 1
         # tail bound with the exponential factor
@@ -252,7 +252,7 @@ def test_criterion_10_pullback_oracle_equivalence():
         n = 2 + (seed % 2)
         Y = random_field(n, 1.0, 10.0 ** (-3 - seed % 3), 4, seed + 4000)
         V = random_field(n, 1.0, 10.0 ** (-4 - seed % 3), 4, seed + 5000)
-        series = ref.lie_pullback(Y, V, 1.0, 0.25, 1e-18)
+        series = ref.lie_pullback(Y, V, 1.0, 0.25)
         pts = np.random.default_rng(seed).uniform(0, 1, size=(6, n))
         oracle = ref.grid_pullback_oracle(Y, V, pts, mode="variational")
         worst = max(worst, float(np.abs(

@@ -131,7 +131,7 @@ def test_homological_identity_and_norm_bound(seed, Q, golden_freq):
 
 def test_pullback_zero_V_is_identity():
     Y = _rand(4)
-    out = ref.lie_pullback(Y, fld.zero_field(2, 1.0), 1.0, 0.25, 1e-14)
+    out = ref.lie_pullback(Y, fld.zero_field(2, 1.0), 1.0, 0.25)
     assert fld.norm(fld.sub(out, fld.make_field(2, 0.75, Y.coeffs)),
                     0.75) == 0.0
 
@@ -139,7 +139,7 @@ def test_pullback_zero_V_is_identity():
 def test_pullback_constants_commute():
     Y = fld.constant_field([1.0, 2.0], 1.0)
     V = fld.constant_field([0.003, 0.004], 1.0)
-    out = ref.lie_pullback(Y, V, 1.0, 0.25, 1e-14)
+    out = ref.lie_pullback(Y, V, 1.0, 0.25)
     np.testing.assert_allclose(out.constant_part(), [1.0, 2.0])
 
 
@@ -147,7 +147,7 @@ def test_pullback_size_precondition():
     Y = _rand(5)
     V = _rand(6, eps=10.0)
     with pytest.raises(StepSizeError):
-        ref.lie_pullback(Y, V, 1.0, 0.01, 1e-14)
+        ref.lie_pullback(Y, V, 1.0, 0.01)
 
 
 def test_pullback_two_norm_bound():
@@ -156,7 +156,7 @@ def test_pullback_two_norm_bound():
     for seed in range(20):
         Y = _rand(seed)
         V = _rand(seed + 100, eps=sigma / 8.0 * 0.9)
-        out = ref.lie_pullback(Y, V, 1.0, sigma, 1e-15)
+        out = ref.lie_pullback(Y, V, 1.0, sigma)
         assert fld.norm(out, 1.0 - sigma) <= 2.0 * fld.norm(Y, 1.0)
 
 
@@ -294,7 +294,7 @@ def test_step_equivalence_with_direct_pullback(golden_freq, golden_consts):
                                  enforce=False)
         assert (res.record["tail_term"] > 0) == (Q < 512.0)
         Y = fld.add(fld.constant_field(golden_freq.alpha, s), fld.add(S, P))
-        pulled = ref.lie_pullback(Y, res.V, s, sigma, 1e-22)
+        pulled = ref.lie_pullback(Y, res.V, s, sigma)
         direct = fld.sub(pulled, fld.add(
             fld.constant_field(golden_freq.alpha, s - sigma),
             fld.add(fld.make_field(2, s - sigma, S.coeffs),
@@ -488,10 +488,10 @@ def _split_cases(golden_freq, plastic_freq):
         steps.append((alpha, Q, S, P))
         return step(alpha, S, P, Q, *args, **kwargs)
 
-    def series_spy(op, V, rho, head, a, b, *args, **kwargs):
+    def series_spy(op, V, v_norm, head, a, b, *args, **kwargs):
         if kwargs.get("tag") == "averaging_step":
             cases.append((*steps[-1], head, a, b, V))
-        return series(op, V, rho, head, a, b, *args, **kwargs)
+        return series(op, V, v_norm, head, a, b, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(avg, "averaging_step", step_spy)

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from kamtorus import scheduler as sch
 from kamtorus.cli import (MAX_GRID_POINTS, MAX_ORBIT_SAMPLES, MAX_RESIDUAL,
                           _RUN_KEYS, _oracle_samples, main)
 from kamtorus.errors import KamError
-from kamtorus.diophantine import serialize_frequency
+from kamtorus.diophantine import (deserialize_frequency,
+                                  serialize_frequency)
 from kamtorus.generate import random_field
 
 import reference as ref
@@ -623,15 +625,26 @@ def _verify_w6(golden_file, pert, phi, beta, out):
 def test_verify_sees_w6_phi_through_the_view(tmp_path, golden_file, w6_run,
                                              monkeypatch):
     pert, run = w6_run
-    code, res = _verify_w6(golden_file, pert, run / "phi.field",
-                           run / "beta.txt", tmp_path / "view")
-    assert code == 0
     u = fld.deserialize((run / "phi.field").read_text())
-    assert len(orc.real_torus_view(u).modes) < len(u.modes)
-    # the same verification with Phi = Id + u over all of u's modes
+    # run prunes u at its own width, so the view keeps all of W6's phi; a
+    # phi.field from elsewhere may hold modes below the roundoff of u on
+    # the real torus, as W6's displacement does with no sum pruned
+    assert len(orc.real_torus_view(u).modes) == len(u.modes)
+    res = sch.run(deserialize_frequency(Path(golden_file).read_text()),
+                  fld.deserialize(pert.read_text()), 0.1)
+    assert fld.serialize(res.u) == (run / "phi.field").read_text()
+    dusty = ref.displacement(2, res.flows, prune_result=False)
+    assert len(orc.real_torus_view(dusty).modes) < len(dusty.modes)
+    (tmp_path / "dusty.field").write_text(fld.serialize(dusty))
+    phis = (run / "phi.field", tmp_path / "dusty.field")
+    seen = [_verify_w6(golden_file, pert, phi, run / "beta.txt",
+                       tmp_path / f"view{i}") for i, phi in enumerate(phis)]
+    assert all(code == 0 for code, _ in seen)
+    # the same verifications with Phi = Id + u over all of u's modes
     monkeypatch.setattr(orc, "real_torus_view", lambda field: field)
-    assert _verify_w6(golden_file, pert, run / "phi.field",
-                      run / "beta.txt", tmp_path / "full") == (0, res)
+    assert [_verify_w6(golden_file, pert, phi, run / "beta.txt",
+                       tmp_path / f"full{i}")
+            for i, phi in enumerate(phis)] == seen
 
 
 def test_verify_rejects_identity_phi_on_w6(tmp_path, golden_file, w6_run,

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from kamtorus import field as fld
+from kamtorus import oracles as orc
 from kamtorus.embedding import displacement
 from kamtorus.errors import StepSizeError
 from kamtorus.generate import random_field
 from kamtorus.oracles import real_torus_view
 
 import reference as ref
+from conftest import WORKLOADS
 
 
 def _apply(flows, pts):
@@ -99,6 +101,32 @@ def test_real_torus_view_drops_below_roundoff(solved, name):
     pts = np.random.default_rng(53).uniform(0, 1, size=(10_000, u.n))
     np.testing.assert_array_equal(pts + fld.eval_many(view, pts),
                                   pts + fld.eval_many(u, pts))
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_result_prunes_move_u_by_at_most_their_mass(solved, name):
+    """run().u is the reference composition bit for bit.  With no sum
+    pruned, that composition keeps more modes and differs from u by at most
+    the mass the prunes dropped, at u's width, and both oracles read the
+    same values from it as from u."""
+    alpha, P, res = solved(name)
+    u, ledger = res.u, {}
+    same = ref.displacement(alpha.n, res.flows, ledger=ledger)
+    np.testing.assert_array_equal(same.modes, u.modes)
+    assert (same.coef == u.coef).all()
+    full = ref.displacement(alpha.n, res.flows, prune_result=False)
+    assert len(full.modes) > len(u.modes)
+    assert (fld.norm(fld.sub(full, u), u.width_s)
+            <= ledger["lie_series.result_prune"])
+    grid = 32 if alpha.n == 2 else 8
+
+    def measure(x):
+        rep = orc.conjugacy_report(alpha, P, x, res.beta, grid)
+        return (rep["sup_residual"], rep["jacobian_min_det"],
+                orc.orbit_shadowing_check(alpha, P, [x], res.beta, T=100.0,
+                                          samples=100))
+
+    assert measure(full) == measure(u)
 
 
 def test_real_torus_view_keeps_empty_field_and_mode_zero():

@@ -412,17 +412,18 @@ def _assert_every_operation_canonical(x, y, q, p):
     # when norm(y) is subnormal
     r = fld.norm(y, 1.0) ** -0.5 if len(y.modes) else 0.0
     V = fld.scale(fld.scale(y, r), 1e-3 * r)
-    rho = fld.series_ratio(x.n, fld.norm(V, 1.0), 1.0, 0.5)
+    v_norm = fld.norm(V, 1.0)
     outs = [x, y, fld.add(x, y), fld.sub(x, y), fld.scale(x, -0.3),
             fld.lie_bracket(x, y), fld.lie_derivative(x, y),
             fld.prune(x, 1.0, 0.1 * fld.norm(x, 1.0))[0],
             *ref.tail_split(x, 2), ref.omega_average(x, approx),
             *avg.solve_homological(x, avg._divisors(x, approx),
                                    approx.q)[:2],
-            fld.lie_series(fld.lie_bracket, V, rho, x, x, y, 1.0, 0.5,
-                           1e-14, floor=1e-16)[0],
-            fld.lie_series(fld.lie_derivative, V, rho, x, y, V, 1.0, 0.5,
-                           1e-14)[0]]
+            # ref 1e4: terms down to 1e-14, modes pruned below 1e-12
+            fld.lie_series(fld.lie_bracket, V, v_norm, x, x, y, 1.0, 0.5,
+                           1e4)[0],
+            fld.lie_series(fld.lie_derivative, V, v_norm, x, y, V, 1.0, 0.5,
+                           1e4)[0]]
     for out in outs:
         _assert_canonical(out)
 
@@ -494,11 +495,13 @@ _SHAPES = ("drawn", "disjoint", "one member tiny", "a constant", "a empty",
 
 @st.composite
 def _series_inputs(draw):
-    """(V, head, a, b, floor) for lie_series at s = 1, sigma = 0.5: a and b
+    """(V, head, a, b, ref) for lie_series at s = 1, sigma = 0.5: a and b
     drawn freely, on disjoint modes (a's first component even, b's odd),
-    on shared modes with b a billion times smaller (a floor between the
-    two prunes a mode from b but not from a), a constant, or one of them
-    empty.  V reaches |k| = 3, where k.X rounds."""
+    on shared modes with b a billion times smaller (a prune floor
+    PRUNE_REL*ref between the two prunes a mode from b but not from a), a
+    constant, or one of them empty.  V reaches |k| = 3, where k.X rounds.
+    ref is |a| + |b| times 1e-2, 1e4, 1e10 or 1e13: prune floors 1e-18 to
+    1e-3 times that, and series that stop at terms 1e-20 to 1e-5 times it."""
     n = draw(st.integers(2, 3))
     part = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1, 1)
     vec = st.lists(st.builds(complex, part, part), min_size=n, max_size=n)
@@ -522,17 +525,15 @@ def _series_inputs(draw):
     assume(v_norm > 1e-3)
     V = fld.scale(V, 1e-4 / v_norm)
     ab = fld.norm(a, 1.0) + fld.norm(b, 1.0)
-    floor = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3])) * ab
-    return V, field(2), a, b, floor
+    ref = draw(st.sampled_from([1e-2, 1e4, 1e10, 1e13])) * ab
+    return V, field(2), a, b, ref
 
 
 def _both_series(series, inputs, op):
     """(sum, summed term norms, ledger) of series(op, ...) on inputs."""
-    V, head, a, b, floor = inputs
-    rho = fld.series_ratio(V.n, fld.norm(V, 1.0), 1.0, 0.5)
-    tol = 1e-12 * (fld.norm(a, 1.0) + fld.norm(b, 1.0))
+    V, head, a, b, ref = inputs
     ledger = {}
-    out, total = series(op, V, rho, head, a, b, 1.0, 0.5, tol, floor=floor,
+    out, total = series(op, V, fld.norm(V, 1.0), head, a, b, 1.0, 0.5, ref,
                         ledger=ledger, tag="t")
     return out, total, ledger
 
@@ -566,9 +567,11 @@ def test_blocks_of_one_row_match_one_block(pair, inputs):
     brackets, derivatives and series agree with one block to 1e-14 times
     the sum of |terms|: per mode the sum of |products| of each term of the
     bracket, and for a series |head| + (|a| + |b|)/(1 - rho), which
-    majorizes the products of all its terms."""
+    majorizes the products of all its terms.  The series prune below
+    1e-18 (|a| + |b|), which moves a sum by less than that bound."""
     x, y = pair
-    V, head, a, b, _ = inputs = inputs[:4] + (0.0,)   # no pruning
+    V, head, a, b, _ = inputs
+    inputs = V, head, a, b, 1e-2 * (fld.norm(a, 1.0) + fld.norm(b, 1.0))
     ops = (fld.lie_bracket, fld.lie_derivative)
 
     def each_op():

@@ -90,7 +90,7 @@ def test_grid_pullback_matches_series(mode, golden_freq):
     ap = dirichlet_approx(golden_freq, 512.0)
     V = avg.solve_homological(P, avg._divisors(P, ap), ap.q)[1]
     Y = fld.add(fld.constant_field(golden_freq.alpha, 1.0), P)
-    series = ref.lie_pullback(Y, V, 1.0, 0.25, 1e-20)
+    series = ref.lie_pullback(Y, V, 1.0, 0.25)
     pts = RNG.uniform(0, 1, size=(15, 2))
     oracle = ref.grid_pullback_oracle(Y, V, pts, mode=mode)
     assert np.abs(oracle - fld.eval_many(series, pts)).max() <= 1e-9
@@ -330,7 +330,10 @@ def test_oracles_see_phi_through_the_view(solved, name, monkeypatch):
                 orc.orbit_shadowing_check(alpha, P, [u], res.beta, T=100.0,
                                           samples=100))
 
-    assert len(orc.real_torus_view(u).modes) < len(u.modes)
+    # u is pruned at its own width, so on W6 no mode is left below that
+    # roundoff and the view keeps all of it; on W2 and W4 it drops some
+    assert (len(orc.real_torus_view(u).modes) < len(u.modes)) == (
+        name != "W6")
     view = measure()
     monkeypatch.setattr(orc, "real_torus_view", lambda field: field)
     assert measure() == view
