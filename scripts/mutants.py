@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 TESTS = ["tests/test_averaging.py", "tests/test_scheduler.py",
          "tests/test_diophantine.py", "tests/test_embedding.py",
-         "tests/test_field.py"]
+         "tests/test_field.py", "tests/test_cli.py"]
 
 MUTANTS = [
     # the certified bounds the solver enforces
@@ -39,6 +39,9 @@ MUTANTS = [
      "opts.max_steps, enforce=False)"),
     # the Dirichlet box keeps only q <= c
     ("diophantine.py", "if 0 < v0 <= half and", "if 0 < v0 and"),
+    # kamtorus approx runs without numpy
+    ("diophantine.py", "from fractions import Fraction\n",
+     "from fractions import Fraction\nimport numpy as np\n"),
     # a warm search rescales the stored U X to its own (delta, c), and
     # stores U X with that cap divided out
     ("diophantine.py",
@@ -50,8 +53,8 @@ MUTANTS = [
     ("averaging.py", "head = _rows(P, (d == 0) & live)",
      "head = fld.scale(_rows(P, (d == 0) & live), -1.0)"),
     # A's mode 0 carries X_varpi = X_alpha - X_omega
-    ("averaging.py", "const = 0.0 + approx.varpi + (",
-     "const = 0.0 + 0.0 * approx.varpi + ("),
+    ("averaging.py", "const = 0.0 + np.asarray(approx.varpi) + (",
+     "const = 0.0 + 0.0 * np.asarray(approx.varpi) + ("),
     ("field.py", "term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 1))",
      "term = stack[:, 0] + stack[:, 1] * (1.0 / (m + 2))"),
     # the series prunes each member by its own rows, not by a shared mask
@@ -64,8 +67,8 @@ MUTANTS = [
      "out, lost = _field(n, w, modes, coef), 0.0"),
     ("field.py", "tol = SERIES_TOL_REL * ref * rho / (1.0 - rho)",
      "tol = SERIES_TOL_REL * ref"),
-    ("scheduler.py", "S = fld.constant_field((x_m - p_avg) - alpha.alpha,",
-     "S = fld.constant_field((x_m + p_avg) - alpha.alpha,"),
+    ("scheduler.py", "S = fld.constant_field((x_m - p_avg) - a,",
+     "S = fld.constant_field((x_m + p_avg) - a,"),
 ]
 
 

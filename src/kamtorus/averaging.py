@@ -58,7 +58,7 @@ def _divisors(P: FourierVectorField, approx: RationalApprox) -> np.ndarray:
         raise ParameterError(
             f"divisors up to {bound} (k_max={P.k_max}, q={approx.q}) "
             "overflow int64")
-    return P.modes @ approx.q_omega()
+    return P.modes @ np.array(approx.q_omega(), dtype=np.int64)
 
 
 def _rows(P: FourierVectorField, keep: np.ndarray) -> FourierVectorField:
@@ -159,8 +159,8 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
     head = _rows(P, (d == 0) & live)
     # A = X_varpi + S + P is P with mode 0 set to 0.0 + varpi + (0.0 + S +
     # [P]): add(constant_field(varpi), add(S, P)) sums it in that order
-    const = 0.0 + approx.varpi + (0.0 + S.coef.sum(axis=0)
-                                  + P.coef[~live].sum(axis=0))
+    const = 0.0 + np.asarray(approx.varpi) + (0.0 + S.coef.sum(axis=0)
+                                              + P.coef[~live].sum(axis=0))
     mid = len(P.modes) // 2
     A = fld._field(P.n, s, np.insert(P.modes[live], mid, 0, axis=0),
                    np.insert(P.coef[live], mid, const, axis=0))
@@ -178,7 +178,7 @@ def averaging_step(alpha: FrequencyVector, S: FourierVectorField,
 
     return StepResult(P_plus=p_plus, V=V, record={
         "norm_P": eps, "norm_P_plus": pp_norm, "norm_V": v_norm,
-        "q": approx.q, "p": [int(v) for v in approx.p],
+        "q": approx.q, "p": list(approx.p),
         "P_avg": [float(v) for v in P.constant_part()],
         "q_eps": approx.q * eps, "tail_term": fld.norm(head, w),
         "bracket_term": bracket_norm, "conditions": report})

@@ -8,6 +8,8 @@ MAX_RESIDUAL and an orbit deviation of at most MAX_ORBIT_DEVIATION; 1
 when an oracle threshold or an approximation bound failed; 2 on any
 error.  run and verify also report both oracles on Phi = Id with the same
 beta (null_residual, null_orbit; the exit code ignores them).
+
+Each command imports the layers it runs, so approx loads no numpy.
 """
 
 from __future__ import annotations
@@ -19,18 +21,10 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
-from . import averaging as avg
-from . import field as fld
-from . import oracles as orc
-from . import scheduler as sch
 from .diophantine import (FrequencyVector, deserialize_frequency,
                           dirichlet_approx, lower_denominator_bound,
                           psi_argmax)
-from .embedding import displacement
 from .errors import KamError, ParameterError, ParseError
-from .generate import random_field
 
 # Oracle thresholds of the acceptance gate for run and verify.
 MAX_RESIDUAL = 1e-10
@@ -48,6 +42,7 @@ def _load_freq(path: str) -> FrequencyVector:
 
 
 def _load_field(path: str) -> fld.FourierVectorField:
+    from . import field as fld
     return fld.deserialize(Path(path).read_text())
 
 
@@ -62,6 +57,7 @@ def _verify(alpha, P, u, beta, grid, orbit_t, samples, outdir: Path,
     the same beta.  Writes residual.json to outdir, prints it after
     summary with the null-to-measured ratios, and returns the exit code:
     1 when an oracle measured a value above its threshold, else 0."""
+    from . import field as fld, oracles as orc
     zero = fld.zero_field(alpha.n, 1.0)
     report = orc.conjugacy_report(alpha, P, u, beta, grid)
     null = orc.conjugacy_report(alpha, P, zero, beta, grid)
@@ -88,7 +84,7 @@ def _verify(alpha, P, u, beta, grid, orbit_t, samples, outdir: Path,
 def _cmd_approx(args) -> int:
     alpha = _load_freq(args.freq)
     approx = dirichlet_approx(alpha, args.Q)
-    err = float(np.abs(approx.varpi).max()) * approx.q
+    err = max(map(abs, approx.varpi)) * approx.q
     bound = lower_denominator_bound(alpha, approx)
     out = {
         "q": approx.q,
@@ -113,6 +109,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from . import scheduler as sch
     consts = sch.constants(args.n, args.tau, args.gamma, args.gammabar)
     q0, eps_star = sch.select_Q(consts, args.s)
     out = {"n": consts.n, "tau": consts.tau, "a": consts.a, "b": consts.b,
@@ -123,6 +120,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_step(args) -> int:
+    from . import averaging as avg, field as fld, scheduler as sch
+    from .embedding import displacement
     alpha = _load_freq(args.freq)
     P = _load_field(args.pert)
     s = P.width_s
@@ -144,13 +143,10 @@ def _cmd_step(args) -> int:
 
 
 # run's settings, each a flag --<key> and a config key; flags override the
-# config file, which overrides _RUN_DEFAULTS (a missing one is None)
+# config file, which overrides _cmd_run's defaults (a missing one is None)
 _RUN_KEYS = {"freq": str, "pert": str, "s": float, "tol": float,
              "max-steps": int, "out": str, "force": bool, "grid": int,
              "orbit-T": float}
-_RUN_DEFAULTS = {"max-steps": sch.RunOptions().max_steps,
-                 "force": sch.RunOptions().force, "out": ".",
-                 "grid": DEFAULT_GRID, "orbit-T": DEFAULT_ORBIT_T}
 _BOOLS = {"1": True, "true": True, "yes": True,
           "0": False, "false": False, "no": False}
 
@@ -200,6 +196,7 @@ def _oracle_samples(grid: int, orbit_t: float, n: int) -> int:
 
 def _load_beta(path: str, n: int) -> np.ndarray:
     """Exactly n finite floats, one a line (blank lines are skipped)."""
+    import numpy as np
     lines = Path(path).read_text().splitlines()
     beta = []
     for ln, line in enumerate(lines, start=1):
@@ -218,8 +215,12 @@ def _load_beta(path: str, n: int) -> np.ndarray:
 
 
 def _cmd_run(args) -> int:
+    from . import field as fld, scheduler as sch
+    defaults = {"max-steps": sch.RunOptions().max_steps,
+                "force": sch.RunOptions().force, "out": ".",
+                "grid": DEFAULT_GRID, "orbit-T": DEFAULT_ORBIT_T}
     flags = {key: getattr(args, key.replace("-", "_")) for key in _RUN_KEYS}
-    opt = {**_RUN_DEFAULTS,
+    opt = {**defaults,
            **(_read_config(args.config) if args.config else {}),
            **{key: v for key, v in flags.items() if v is not None}}
     s = _finite("s", opt.get("s"))
@@ -271,6 +272,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import field as fld
+    from .generate import random_field
     out = random_field(args.n, args.s, args.eps, args.modes, args.seed,
                        k_max=args.kmax)
     text = fld.serialize(out)

@@ -4,7 +4,9 @@ Frequencies are alpha = (1, alpha_tilde) with alpha_tilde in [-1,1]^{n-1}.
 Inputs arrive as binary64 floats and are treated as the exact dyadic
 rationals they denote, so all approximation searches here are exact
 integer arithmetic: for large denominators the fractional parts of
-q*alpha are not determined by the data beyond that reading.
+q*alpha are not determined by the data beyond that reading.  That exact
+layer imports no numpy; the float scans (psi_argmax, estimate_constants)
+import it when called.
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ import functools
 import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (ConstantsInconsistencyError, KamError, ParameterError,
                      ParseError, ResonanceError)
@@ -41,19 +42,18 @@ class FrequencyVector:
     """alpha = (1, alpha_tilde) with claimed Diophantine data (tau, gamma, gamma_bar)."""
 
     n: int
-    alpha_tilde: np.ndarray
+    alpha_tilde: array       # array("d"), float64 entries
     tau: float
     gamma: float
     gamma_bar: float
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_tilde",
-                           np.asarray(self.alpha_tilde, dtype=float))
+        object.__setattr__(self, "alpha_tilde", array("d", self.alpha_tilde))
         if self.n < 2 or len(self.alpha_tilde) != self.n - 1:
             raise ParameterError(
                 f"need n >= 2 and {self.n - 1} entries, got "
                 f"{len(self.alpha_tilde)}")
-        if not np.all(np.abs(self.alpha_tilde) <= 1):
+        if not all(abs(x) <= 1 for x in self.alpha_tilde):
             raise ParameterError(
                 "alpha_tilde entries must be finite and lie in [-1, 1]")
         if not 0 <= self.tau < math.inf:
@@ -66,8 +66,8 @@ class FrequencyVector:
                 f"gamma_bar must be finite and > 0, got {self.gamma_bar}")
 
     @property
-    def alpha(self) -> np.ndarray:
-        return np.concatenate(([1.0], self.alpha_tilde))
+    def alpha(self) -> tuple:
+        return (1.0, *self.alpha_tilde)
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,17 @@ class RationalApprox:
     """omega = (1, p/q) produced by the box-principle search at parameter Q."""
 
     q: int
-    p: np.ndarray            # integer vector, length n-1
+    p: tuple                 # ints, length n-1
     Q: float
-    varpi: np.ndarray        # alpha - omega, length n
+    varpi: tuple             # floats alpha - omega, length n
 
     @property
-    def omega(self) -> np.ndarray:
-        return np.concatenate(([1.0], self.p / self.q))
+    def omega(self) -> tuple:
+        return (1.0, *(pi / self.q for pi in self.p))
 
-    def q_omega(self) -> np.ndarray:
+    def q_omega(self) -> tuple:
         """q*omega = (q, p), an integer vector."""
-        return np.concatenate(([self.q], self.p)).astype(np.int64)
+        return (self.q, *self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +244,9 @@ def _smallest_dirichlet_q(fracs, delta, qmax: int):
 # ---------------------------------------------------------------------------
 
 def _build_approx(fracs: list[Fraction], q: int, Q: float) -> RationalApprox:
-    p = [round(q * x) for x in fracs]     # Fraction rounds half to even
-    varpi = np.array(
-        [0.0] + [float(x - Fraction(pi, q)) for x, pi in zip(fracs, p)])
-    return RationalApprox(q=int(q), p=np.array(p, dtype=np.int64),
-                          Q=float(Q), varpi=varpi)
+    p = tuple(round(q * x) for x in fracs)    # Fraction rounds half to even
+    varpi = (0.0, *(float(x - Fraction(pi, q)) for x, pi in zip(fracs, p)))
+    return RationalApprox(q=int(q), p=p, Q=float(Q), varpi=varpi)
 
 
 def _check_cells(cells: int, what: str) -> None:
@@ -262,9 +260,10 @@ def _check_cells(cells: int, what: str) -> None:
             f"{_GRID_CELL_BUDGET}")
 
 
-def _nonzero_box(n: int, K: int, what: str) -> np.ndarray:
+def _nonzero_box(n: int, K: int, what: str):
     """The nonzero integer vectors with |k|_inf <= K, as an (M, n) int
     array in lexicographic order, within the lattice-point budget."""
+    import numpy as np
     _check_cells((2 * K + 1) ** n, what)
     rng = np.arange(-K, K + 1)
     grids = np.meshgrid(*([rng] * n), indexing="ij")
@@ -275,7 +274,7 @@ def _nonzero_box(n: int, K: int, what: str) -> np.ndarray:
 def _verify_dirichlet(fracs: list[Fraction], approx: RationalApprox,
                       delta: Fraction, qmax: int):
     for x, pi in zip(fracs, approx.p):
-        if abs(approx.q * x - int(pi)) > delta:
+        if abs(approx.q * x - pi) > delta:
             raise KamError(
                 "floating-point inconsistency: Dirichlet bound violated "
                 f"at q={approx.q}")
@@ -300,7 +299,7 @@ def dirichlet_approx(alpha: FrequencyVector, Q: float) -> RationalApprox:
 def _dirichlet_approx(alpha_tilde: bytes, Q: float) -> RationalApprox:
     """dirichlet_approx of the float64 alpha_tilde with these bytes; the
     256 most recently used (alpha_tilde, Q) are remembered."""
-    fracs = _as_fracs(np.frombuffer(alpha_tilde))
+    fracs = _as_fracs(array("d", alpha_tilde))
     exact_Q = Fraction(Q)
     delta, qmax = 1 / exact_Q, math.floor(exact_Q ** len(fracs))
     q = _smallest_dirichlet_q(fracs, delta, qmax)
@@ -314,10 +313,11 @@ def _dirichlet_approx(alpha_tilde: bytes, Q: float) -> RationalApprox:
 
 def psi_argmax(alpha: FrequencyVector, Q: float):
     """max |k . alpha|^{-1} over 0 < |k|_inf <= Q, with the arg-max k."""
+    import numpy as np
     if not 1 <= Q < math.inf:
         raise ParameterError(f"Q must be finite and >= 1, got {Q}")
     ks = _nonzero_box(alpha.n, math.floor(Q), "psi")
-    vals = np.abs(ks @ alpha.alpha)
+    vals = np.abs(ks @ np.array(alpha.alpha))
     imin = int(np.argmin(vals))
     if vals[imin] == 0.0:
         raise ResonanceError(
@@ -334,6 +334,7 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
 
     These are estimates over the scanned range only, never proofs.
     """
+    import numpy as np
     if k_range < 1 or q_range < 1:
         raise ParameterError("ranges must be >= 1")
     _check_cells(q_range, "estimate_constants")
@@ -424,5 +425,5 @@ def deserialize_frequency(text: str) -> FrequencyVector:
             entries.append(float(ln))
         except ValueError as exc:
             raise ParseError(str(exc), line=i) from None
-    return FrequencyVector(n=n, alpha_tilde=np.array(entries), tau=tau,
+    return FrequencyVector(n=n, alpha_tilde=entries, tau=tau,
                            gamma=gamma, gamma_bar=gamma_bar)

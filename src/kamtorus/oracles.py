@@ -93,10 +93,10 @@ def conjugacy_report(alpha, P: FourierVectorField, u: FourierVectorField,
         raise EmbeddingFailureError(
             f"singular embedding Jacobian (min |det| = "
             f"{np.abs(dets).min():.3g})")
-    yvals = (alpha.alpha + np.asarray(beta, dtype=float)
-             + fld.eval_many(P, images))
+    a = np.asarray(alpha.alpha)
+    yvals = a + np.asarray(beta, dtype=float) + fld.eval_many(P, images)
     pulled = np.linalg.solve(jacs, yvals[:, :, None])[:, :, 0]
-    residual = float(np.abs(pulled - alpha.alpha[None, :]).max())
+    residual = float(np.abs(pulled - a[None, :]).max())
     return {"sup_residual": residual, "grid": grid,
             "jacobian_min_det": float(np.abs(dets).min())}
 
@@ -135,7 +135,7 @@ def orbit_shadowing_check(alpha, P: FourierVectorField, us, beta, T: float,
         raise ParameterError(f"orbit check needs samples >= 1, got {samples}")
     phis = [_embedding(u) for u in us]
     theta0 = np.sqrt(np.arange(2, 2 + n)) % 1.0
-    a, b = alpha.alpha, np.asarray(beta, dtype=float)
+    a, b = np.asarray(alpha.alpha), np.asarray(beta, dtype=float)
     times = np.linspace(0.0, T, samples + 1)
     starts = np.array([phi(theta0[None, :])[0] for phi in phis])
     lip = 2 * np.pi * (np.abs(P.modes).sum(1) @ np.abs(P.coef)).max(initial=0)

@@ -151,20 +151,20 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
     far the endpoint frequency misses alpha (beta is a fixed point when it
     vanishes) and ledger is what this pass's steps discarded.
     """
-    consts = sched.consts
+    consts, a = sched.consts, np.asarray(alpha.alpha)
     flows, trace, ledger = [], [], {}
-    u = alpha.alpha + beta
+    u = a + beta
     Pm, norm_m, m = P, sched.eps0, 0
     while m < max_steps and norm_m > tol:
         p_avg = Pm.constant_part()
         x_m = u + p_avg
-        dist = float(np.abs(x_m - alpha.alpha).max())
+        dist = float(np.abs(x_m - a).max())
         if enforce and dist > (consts.c * norm_m * (1 + 1e-9)
                                + avg._ulp_floor(x_m)):
             raise DomainError(
                 f"|x - alpha| = {dist:.6g} outside the domain c*eps = "
                 f"{consts.c * norm_m:.6g}")
-        S = fld.constant_field((x_m - p_avg) - alpha.alpha, Pm.width_s)
+        S = fld.constant_field((x_m - p_avg) - a, Pm.width_s)
         res = avg.averaging_step(
             alpha, S, Pm, sched.Q(m), sched.sigma(m), consts,
             ledger=ledger, enforce=enforce, eps_ref=sched.eps(m))
@@ -174,7 +174,7 @@ def _forward_pass(alpha: FrequencyVector, P: FourierVectorField, beta,
                       **res.record})
         u, Pm, norm_m = x_m, res.P_plus, res.record["norm_P_plus"]
         m += 1
-    defect = (u + Pm.constant_part()) - alpha.alpha
+    defect = (u + Pm.constant_part()) - a
     return tuple(flows), trace, defect, norm_m, ledger
 
 

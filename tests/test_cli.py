@@ -1,4 +1,8 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -181,6 +185,125 @@ def test_approx_overflowing_denominator_bound_exits_2(tmp_path, plastic_freq,
     out = capsys.readouterr()
     assert "below the denominator bound inf" in out.err and not out.out
     assert len(out.err) < 300
+
+
+# Frequency files and the exact stdout of `kamtorus approx` on them: the
+# W4 certificates (plastic at the two Q the plastic-n3 run asks for), golden
+# read as its exact dyadic (q = 2^49), the cube-root pair and a rational
+# input that takes the ascent from cap 1.  Floats are written as their
+# repr, so the comparison is on bytes.
+_PLASTIC = ("freq v1 n=3 tau=0.10000000000000001 gamma=0.1850373752486395 "
+            "gammabar=0.43015970900194678\n0.75487766624669272\n"
+            "0.56984029099805322\n")
+_GOLDEN = ("freq v1 n=2 tau=0 gamma=0.3819660112501051 "
+           "gammabar=0.3819660112501051\n0.6180339887498949\n")
+_CUBE = ("freq v1 n=3 tau=0.10000000000000001 gamma=0.1150814258900788 "
+         "gammabar=0.41259894803180064\n0.25992104989487319\n"
+         "0.58740105196819936\n")
+_RATIONAL = "freq v1 n=3 tau=0.1 gamma=0.5 gammabar=1e-06\n0.375\n-0.5\n"
+PINNED_APPROX = [
+    (_PLASTIC, "8192.0", {
+        "q": 35676949, "p": [26931732, 20330163],
+        "qQ_err": 0.6775105625811193, "err": 8.270392609632804e-05,
+        "Q": 8192.0, "denominator_lower_bound": 816017.467948978}),
+    (_PLASTIC, "43237.6352202062", {
+        "q": 593775046, "p": [448227521, 338356945],
+        "qQ_err": 0.9701759247916731, "err": 2.243822817438179e-05,
+        "Q": 43237.6352202062,
+        "denominator_lower_bound": 13056279.48718365}),
+    (_GOLDEN, "1e15", {
+        "q": 562949953421312, "p": [347922205179541], "qQ_err": 0.0,
+        "err": 0.0, "Q": 1e15,
+        "denominator_lower_bound": 381966011250105.1}),
+    (_CUBE, "1e7", {
+        "q": 7054562917496, "p": [1833629400065, 4143857678913],
+        "qQ_err": 0.48127041907264356, "err": 4.8127041907264356e-08,
+        "Q": 1e7, "denominator_lower_bound": 106140271434.74077}),
+    (_RATIONAL, "1e5", {
+        "q": 8, "p": [3, -4], "qQ_err": 0.0, "err": 0.0, "Q": 1e5,
+        "denominator_lower_bound": 0.02154434690031883}),
+]
+
+
+@pytest.mark.parametrize("freq,Q,expected", PINNED_APPROX)
+def test_approx_prints_the_pinned_bytes(tmp_path, capsys, freq, Q, expected):
+    path = tmp_path / "alpha.freq"
+    path.write_text(freq)
+    assert main(["approx", "--freq", str(path), "--Q", Q]) == 0
+    pinned = {**expected, "upper_ok": True, "lower_ok": True}
+    assert capsys.readouterr().out == json.dumps(pinned, indent=2) + "\n"
+
+
+_NUMPY_LOADED = ("[m for m in sys.modules if m.partition('.')[0] == "
+                 "'numpy']")
+
+
+def test_approx_and_package_import_load_no_numpy(tmp_path):
+    # the exact Dirichlet layer runs without numpy; run still loads it
+    freqs = []
+    for name, text in (("plastic", _PLASTIC), ("golden", _GOLDEN)):
+        freqs.append(tmp_path / f"{name}.freq")
+        freqs[-1].write_text(text)
+    code = f"""if True:
+        import sys
+        import kamtorus
+        assert not {_NUMPY_LOADED}, "import kamtorus loaded numpy"
+        from kamtorus import cli
+        for freq in sys.argv[1:3]:
+            assert cli.main(["approx", "--freq", freq, "--Q", "1e6"]) == 0
+        assert not {_NUMPY_LOADED}, "kamtorus approx loaded numpy"
+        out = sys.argv[3]
+        assert cli.main(["gen", "--n", "2", "--s", "1.0", "--eps", "1e-6",
+                         "--modes", "6", "--seed", "0", "--kmax", "4",
+                         "--out", out + "/p.field"]) == 0
+        assert cli.main(["run", "--freq", sys.argv[2], "--pert",
+                         out + "/p.field", "--s", "1.0", "--out", out,
+                         "--grid", "8", "--orbit-T", "20"]) == 0
+        assert "numpy" in sys.modules
+    """
+    # a new interpreter, with this checkout's src on its path
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, freqs), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "phi.field").read_text().startswith("torusfield v1")
+
+
+# what the package re-exports, by defining module
+PACKAGE_EXPORTS = {
+    "diophantine": ["FrequencyVector", "RationalApprox", "dirichlet_approx",
+                    "estimate_constants", "lower_denominator_bound",
+                    "psi_argmax"],
+    "errors": ["KamError"],
+    "field": ["FourierVectorField", "add", "bracket_norm_const",
+              "constant_field", "deserialize", "eval_many", "lie_bracket",
+              "lie_derivative", "lie_series", "make_field", "norm", "prune",
+              "scale", "serialize", "sub", "zero_field"],
+    "averaging": ["StepResult", "averaging_step", "solve_homological"],
+    "generate": ["random_field"],
+    "oracles": ["conjugacy_report", "orbit_shadowing_check"],
+    "scheduler": ["KamConstants", "RunOptions", "RunResult", "Schedule",
+                  "constants", "run", "select_Q"],
+}
+
+
+def test_package_exports_resolve_to_their_modules():
+    import kamtorus
+    names = {name: module for module, names in PACKAGE_EXPORTS.items()
+             for name in names}
+    assert sorted(kamtorus.__all__) == sorted(names)
+    assert set(names) <= set(dir(kamtorus))
+    star = {}
+    exec("from kamtorus import *", star)
+    for name, module in names.items():
+        obj = getattr(importlib.import_module(f"kamtorus.{module}"), name)
+        assert getattr(kamtorus, name) is obj
+        assert star[name] is obj
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kamtorus.no_such_name
+    assert kamtorus.__version__ == "0.1.0"
 
 
 def test_psi_golden(golden_file, capsys):

@@ -140,8 +140,8 @@ def test_golden_mean_fibonacci_denominators(golden_freq):
 
 def test_exact_rational_input():
     a = dio.dirichlet_approx(_freq([0.5]), 10)
-    assert a.q == 2 and a.p[0] == 1
-    assert np.all(a.varpi == 0.0)
+    assert a.q == 2 and a.p == (1,)
+    assert a.varpi == (0.0, 0.0)
 
 
 def test_dirichlet_bounds_always_hold(golden_freq):
@@ -293,7 +293,7 @@ def _answer(at, Q):
     except ParameterError as exc:
         assert "budget" in str(exc)
         return "budget"
-    return a.q, a.p.tolist()
+    return a.q, list(a.p)
 
 
 @settings(deadline=None, max_examples=80)
@@ -407,7 +407,7 @@ def test_Q_validation(golden_freq):
 def test_approx_fields(golden_freq):
     a = dio.dirichlet_approx(golden_freq, 10)
     np.testing.assert_allclose(a.omega, [1.0, 3.0 / 5.0])
-    np.testing.assert_array_equal(a.q_omega(), [5, 3])
+    assert a.q_omega() == (5, 3)
     np.testing.assert_allclose(a.varpi, [0.0, GOLDEN - 3.0 / 5.0],
                                atol=1e-16)
 
@@ -566,6 +566,23 @@ def test_frequency_validation():
                                ([0.5], math.inf, 0.5), ([0.5], 0.0, math.inf)):
         with pytest.raises(ParameterError):
             dio.FrequencyVector(2, np.array(at), tau, 0.5, gamma_bar)
+    for x in (math.nan, math.inf, -math.inf, 1.5, -1.0000000000000002):
+        with pytest.raises(ParameterError, match="alpha_tilde entries must "
+                           "be finite and lie in"):
+            dio.FrequencyVector(3, [0.5, x], 0.0, 0.5, 0.5)
+
+
+def test_alpha_tilde_is_a_float64_array():
+    # its bytes key the Dirichlet cache, as those of a float64 ndarray would
+    at = np.array([GOLDEN, -0.25])
+    alpha = dio.FrequencyVector(3, at, 0.0, 0.5, 0.5)
+    assert alpha.alpha_tilde.typecode == "d"
+    assert alpha.alpha_tilde.tobytes() == at.tobytes()
+    assert alpha.alpha == (1.0, GOLDEN, -0.25)
+    a = dio.dirichlet_approx(alpha, 100)
+    assert a is dio._dirichlet_approx(at.tobytes(), 100.0)
+    assert type(a.q) is int and all(type(v) is int for v in a.p)
+    assert all(type(v) is float for v in a.varpi)
 
 
 # ---------------------------------------------------------------------------

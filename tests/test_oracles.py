@@ -223,7 +223,7 @@ def _reference_orbit_deviation(alpha, P, u, beta, T, samples):
     with the same step rule and doubling, and Phi through the full u."""
     n = alpha.n
     theta0 = np.sqrt(np.arange(2, 2 + n)) % 1.0
-    a, b = alpha.alpha, np.asarray(beta, dtype=float)
+    a, b = np.asarray(alpha.alpha), np.asarray(beta, dtype=float)
     times = np.linspace(0.0, T, samples + 1)
     start = theta0 + fld.eval_many(u, theta0[None, :])[0]
 
