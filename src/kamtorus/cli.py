@@ -9,7 +9,7 @@ when an oracle threshold or an approximation bound failed; 2 on any
 error.  run and verify also report both oracles on Phi = Id with the same
 beta (null_residual, null_orbit; the exit code ignores them).
 
-Each command imports the layers it runs, so approx loads no numpy.
+Each command imports the layers it runs, so approx and psi load no numpy.
 """
 
 from __future__ import annotations

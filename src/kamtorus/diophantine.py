@@ -2,11 +2,11 @@
 
 Frequencies are alpha = (1, alpha_tilde) with alpha_tilde in [-1,1]^{n-1}.
 Inputs arrive as binary64 floats and are treated as the exact dyadic
-rationals they denote, so all approximation searches here are exact
-integer arithmetic: for large denominators the fractional parts of
-q*alpha are not determined by the data beyond that reading.  That exact
-layer imports no numpy; the float scans (psi_argmax, estimate_constants)
-import it when called.
+rationals they denote, so every search here is exact integer
+arithmetic: for large denominators the fractional parts of q*alpha are
+not determined by the data beyond that reading.  One lattice search in
+Python integers serves Dirichlet's ||q x|| (dirichlet_approx, gamma_bar)
+and its transpose ||k.x|| (gamma, psi).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -22,18 +23,13 @@ from fractions import Fraction
 from .errors import (ConstantsInconsistencyError, KamError, ParameterError,
                      ParseError, ResonanceError)
 
-# The lattice enumerations of this module raise before enumerating more
-# integer points than this (tens of MB at n = 3).
+# The lattice search raises before enumerating a box of more cells.
 _GRID_CELL_BUDGET = 1 << 20
 
 # The Dirichlet search enumerates its box at the cap c = Q^(n-1) only
 # when the box has at most this many cells; otherwise it climbs from
-# c = 1.  Top boxes measured on badly approximable inputs: 3-9 cells for
-# golden at Q = 1e3..1e15, 7-27 for plastic at 1e3..1e7, 9-75 for
-# (2^(1/3) - 1, 2^(2/3) - 1) at 1e3..1e7, 135-315 for
-# (2^(1/4) - 1, 2^(1/2) - 1, 2^(3/4) - 1) at 1e2..1e4.  On rational
-# inputs: 5,001 for (0.25, 0.5) at Q = 100, 2,805 for (golden, 0.5, 1/3)
-# at 50, 2.5e9 for (0.375, -0.5) at 1e5.
+# c = 1.  Top boxes measured: 3-9 cells for golden at Q = 1e3..1e15,
+# 7-27 for plastic at 1e3..1e7, 2.5e9 for (0.375, -0.5) at 1e5.
 _TOP_BOX_CELLS = 1 << 10
 
 
@@ -151,92 +147,107 @@ def _lll(b: list[list[int]], u: list[list[int]]) -> None:
 
 
 def _dot(u, v) -> int:
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(operator.mul, u, v))
 
 
-def _box_bounds(uinv, w, lead: int, Dd: int, c: int) -> list[int]:
-    """floor(half * sum_i |(B0^-1 U^-1)_ij|) for each j, in integers (see
-    _smallest_dirichlet_q); uinv holds the columns of U^-1."""
-    return [(c * abs(Dd * u[0] + _dot(w, u[1:]))
-             + lead * sum(abs(y) for y in u[1:])) // Dd for u in uinv]
+def _box_bounds(uinv, W, lead: int, Dd: int, c: int) -> list[int]:
+    """floor(half * sum_i |(B0^-1 U^-1)_ij|) for each j (see _least_point),
+    uinv holding the columns of U^-1: X^-1 = [[I, A/D], [0, -I/D]] gives
+    half * B0^-1 = [[c*Dd I, c*W], [0, -lead I]] / Dd, Dd = D*dd, W = dd*A."""
+    r = len(W)
+    return [(c * sum(abs(Dd * u[i] + _dot(w, u[r:])) for i, w in enumerate(W))
+             + lead * sum(map(abs, u[r:]))) // Dd for u in uinv]
+
+
+def _integers(fracs):         # (D, a) with fracs = a/D, D their lcm
+    D = math.lcm(*(x.denominator for x in fracs))
+    return D, [x.numerator * (D // x.denominator) for x in fracs]
 
 
 @functools.lru_cache(maxsize=256)
-def _warm_basis(fracs: tuple) -> list:
-    """[(U X, U^-1)] of the last reduced search basis U B0 of the exact
-    rationals fracs, first (X, I) (see _smallest_dirichlet_q); the pair
-    is replaced whole, never edited.  256 frequencies are kept (LRU)."""
-    D, m = math.lcm(*(x.denominator for x in fracs)), len(fracs)
-    X = [[1] + [x.numerator * (D // x.denominator) for x in fracs]]
-    X += [[0] * (i + 1) + [-D] + [0] * (m - 1 - i) for i in range(m)]
-    return [(X, [[int(i == j) for i in range(m + 1)] for j in range(m + 1)])]
+def _warm_basis(fracs: tuple, r: int) -> list:
+    """[(U X, U^-1)] of the last reduced basis U B0 (see _least_point) of
+    the lattice X = [[I_r, A], [0, -D I]], first (X, I), replaced whole,
+    for 256 lattices (LRU).  Its points are (k, t), t = k A - D p: with
+    fracs = a/D and A = a as a row (r = 1), t/D = q x - p for k = (q,);
+    as a column (r = n - 1), t/D is the linear form k.x - p."""
+    (D, a), n = _integers(fracs), len(fracs) + 1
+    A = [a] if r == 1 else [[y] for y in a]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    return [([eye[i][:r] + A[i] for i in range(r)]
+             + [[-D * y for y in row] for row in eye[r:]], eye)]
 
 
-def _box_q(basis, bounds, lead: int, c: int):
-    """Smallest q >= 1 of the vectors v = x B, x in the coefficient box,
-    with |v|_inf <= half = lead*c (then v_0 = q*lead), or None."""
-    half = lead * c
-    cols = list(zip(*basis))
-    best = None
-    for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        v0 = _dot(x, cols[0])
-        if 0 < v0 <= half and (best is None or v0 < best) and all(
-                abs(_dot(x, col)) <= half for col in cols[1:]):
-            best = v0
-    return None if best is None else best // lead
+def _norm_dist(k, t):
+    return max(map(abs, k)), max(map(abs, t))
 
 
-def _smallest_dirichlet_q(fracs, delta, qmax: int):
-    """Smallest q >= 1 with ||q x||_Z <= delta for every x, or None.
+def _least_point(fracs, r: int, delta: Fraction, lo: int, cap: int,
+                 key=_norm_dist):
+    """Least (key(k, t), k, t) over the points of the lattice of fracs
+    (_warm_basis) with k != 0, |t|_inf <= D*delta and key norm <= cap, or
+    None; the default key (|k|_inf, |t|_inf) asks for the least q at r = 1.
 
-    All arithmetic is on the integers of the exact rationals x and delta.
-    With x_i = a_i/D, delta = dn/dd and lead = dn*D, the vectors
-    v = q*b_0 + sum_i p_i*b_i of the lattice with rows
-    b_0 = (lead, a_1*c*dd, ..., a_m*c*dd) and b_i = -D*c*dd e_i satisfy
-    |v|_inf <= half = lead*c exactly when q <= c and |q x_i - p_i| <= delta,
-    and then v_0 = q*lead.  These rows are B0 = X diag(lead, c*dd, ...,
-    c*dd), where X has rows (1, a_1, ..., a_m) and -D e_i and is free of
-    Q and c, so a reduced basis U B0 is U X times that diagonal.  Each LLL
-    pass starts from the frequency's last U X and U^-1 (X and I at first,
-    see _warm_basis) scaled to its own (delta, c), and stores its result
-    back: every start spans the same lattice, so no answer depends on the
-    order of calls.  After LLL, the integer coefficients of those v lie
-    in a box that is enumerated in full: |coefficient j| <= half * sum_i
-    |(B0^-1 U^-1)_ij|, and half * B0^-1 = [[E, c*w], [0, -lead*I]] / (D*dd)
-    with E = D*dd*c and w = b_0[1:] at c = 1: one integer division per
-    bound.  The box at cap c holds every admissible q <= c, so the
-    smallest q of any box that holds one is the answer.  The first cap is
-    the box-principle cap c = qmax: for a badly approximable x its box
-    has a few cells and holds a q (qmax = floor(Q^(n-1)) admits one).
-    Where it has more than _TOP_BOX_CELLS (a rational x, with many
-    admissible q below qmax), the search climbs from c = 1, growing c
-    16-fold until a q is found (None once c passes qmax), so that each
-    box holds few admissible q.
+    With delta = dn/dd and lead = dn*D, B0 = X diag(lead I_r, c*dd I) maps
+    a point to v = (lead k, c*dd t), and |v|_inf <= half = lead*c exactly
+    when |k|_inf <= c and |t|_inf <= D*delta.  Each LLL pass starts from
+    the lattice's last U X and U^-1 scaled to its (delta, c) and stores
+    its result back: one lattice, so no answer depends on call order.
+    The integer coefficients of those v lie in a box (_box_bounds),
+    enumerated in full, which at cap c holds every point of key norm
+    <= c; as that norm is at least |k|_inf, v with |k|_inf above the
+    least norm found are skipped.  With lo = 1 the first box is at cap
+    (a few cells for a badly approximable x at the box-principle delta);
+    otherwise, or above _TOP_BOX_CELLS cells, the caps climb c = lo,
+    2 lo, 4 lo, ..., cap.
     """
-    warm = _warm_basis(tuple(fracs))
-    D = math.lcm(*(x.denominator for x in fracs))
-    dn, dd = delta.numerator, delta.denominator
-    lead, Dd = dn * D, D * dd
-    w = [x.numerator * (D // x.denominator) * dd for x in fracs]
-    c, top = qmax, True
+    warm, (D, a) = _warm_basis(tuple(fracs), r), _integers(fracs)
+    lead, dd = delta.numerator * D, delta.denominator
+    W = [[y * dd for y in a]] if r == 1 else [[y * dd] for y in a]
+    c, top = (cap, True) if lo == 1 else (lo, False)
     while True:
         ux, uinv = warm[0]
         s = c * dd
-        basis = [[lead * row[0]] + [s * y for y in row[1:]] for row in ux]
+        basis = [[lead * y for y in row[:r]] + [s * y for y in row[r:]]
+                 for row in ux]
         uinv = list(uinv)           # _lll rebinds u's rows, never edits one
         _lll(basis, uinv)
-        warm[0] = ([[row[0] // lead] + [y // s for y in row[1:]]
+        warm[0] = ([[y // lead for y in row[:r]] + [y // s for y in row[r:]]
                     for row in basis], uinv)
-        bounds = _box_bounds(uinv, w, lead, Dd, c)
+        bounds = _box_bounds(uinv, W, lead, D * dd, c)
         cells = math.prod(2 * b + 1 for b in bounds)
         if top and cells > _TOP_BOX_CELLS:
-            c, top = 1, False
+            c, top = lo, False
             continue
-        _check_cells(cells, "dirichlet_approx")
-        q = _box_q(basis, bounds, lead, c)
-        if q is not None or c >= qmax:
-            return q
-        c *= 16
+        _check_cells(cells, "the lattice search")
+        cols, zero, best = list(zip(*basis)), [0] * r, None
+        kc, tc, half, kmax = cols[:r], cols[r:], lead * c, lead * c
+        for x in itertools.product(*(range(-b, b + 1) for b in bounds)):
+            k = [_dot(x, col) for col in kc]    # of +-v, k's first y > 0
+            if zero < k and max(map(abs, k)) <= kmax and all(
+                    abs(_dot(x, col)) <= half for col in tc):
+                k = [y // lead for y in k]
+                t = [_dot(x, col) // s for col in tc]
+                p = (key(k, t), k, t)
+                if p[0][0] <= c and (best is None or p < best):
+                    best, kmax = p, lead * p[0][0]
+        if best is not None or c == cap:
+            return best
+        c = min(2 * c, cap)
+
+
+def _minimal_points(fracs, r: int, cap: int, key=_norm_dist):
+    """The minimal points (key, k, t) of key norm <= cap: each the least
+    key with |t|_inf below the last one's, up to the range's least |t|_inf
+    or t = 0.  Any function growing in the norm and |t|_inf is least at
+    one of them.  After |t|_inf = d, an integer, D*delta = d - 1/2 > 0."""
+    D, delta, lo = _integers(fracs)[0], Fraction(1, 2), 1
+    while (point := _least_point(fracs, r, delta, lo, cap, key)) is not None:
+        yield point
+        (h, d), _, _ = point
+        if d == 0:
+            return
+        delta, lo = Fraction(2 * d - 1, 2 * D), min(2 * h, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +269,6 @@ def _check_cells(cells: int, what: str) -> None:
             f"{what} would enumerate {mant.rstrip('0').rstrip('.')}"
             f"e{int(exp):+03d} lattice points, above the budget of "
             f"{_GRID_CELL_BUDGET}")
-
-
-def _nonzero_box(n: int, K: int, what: str):
-    """The nonzero integer vectors with |k|_inf <= K, as an (M, n) int
-    array in lexicographic order, within the lattice-point budget."""
-    import numpy as np
-    _check_cells((2 * K + 1) ** n, what)
-    rng = np.arange(-K, K + 1)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    ks = np.stack([g.ravel() for g in grids], axis=1)
-    return ks[np.any(ks != 0, axis=1)]
 
 
 def _verify_dirichlet(fracs: list[Fraction], approx: RationalApprox,
@@ -302,28 +302,50 @@ def _dirichlet_approx(alpha_tilde: bytes, Q: float) -> RationalApprox:
     fracs = _as_fracs(array("d", alpha_tilde))
     exact_Q = Fraction(Q)
     delta, qmax = 1 / exact_Q, math.floor(exact_Q ** len(fracs))
-    q = _smallest_dirichlet_q(fracs, delta, qmax)
-    if q is None:
+    point = _least_point(fracs, 1, delta, 1, qmax)
+    if point is None:
         raise KamError("floating-point inconsistency: no Dirichlet "
                        "denominator found (mathematically impossible)")
-    approx = _build_approx(fracs, q, Q)
+    approx = _build_approx(fracs, point[1][0], Q)
     _verify_dirichlet(fracs, approx, delta, qmax)
     return approx
 
 
 def psi_argmax(alpha: FrequencyVector, Q: float):
-    """max |k . alpha|^{-1} over 0 < |k|_inf <= Q, with the arg-max k."""
-    import numpy as np
+    """max |k . alpha|^{-1} over 0 < |k|_inf <= Q, with the arg-max k: the
+    last minimal point (k_tilde, t) of the linear form, k_0 = -p counted
+    in its norm, and of +-k the lexicographically smaller."""
     if not 1 <= Q < math.inf:
         raise ParameterError(f"Q must be finite and >= 1, got {Q}")
-    ks = _nonzero_box(alpha.n, math.floor(Q), "psi")
-    vals = np.abs(ks @ np.array(alpha.alpha))
-    imin = int(np.argmin(vals))
-    if vals[imin] == 0.0:
-        raise ResonanceError(
-            f"exact resonance k.alpha = 0 at k={tuple(ks[imin])}",
-            witness=tuple(int(v) for v in ks[imin]))
-    return 1.0 / float(vals[imin]), tuple(int(v) for v in ks[imin])
+    fracs = _as_fracs(alpha.alpha_tilde)
+    D, a = _integers(fracs)
+
+    def key(k, t):                  # t = k.a - D*p
+        return max(abs(_dot(k, a) - t[0]) // D, *map(abs, k)), abs(t[0])
+
+    *_, ((_, d), k, t) = _minimal_points(fracs, len(a), math.floor(Q), key)
+    k = ((t[0] - _dot(k, a)) // D, *k)
+    k = min(k, tuple(-y for y in k))
+    if d == 0:
+        raise ResonanceError(f"exact resonance k.alpha = 0 at k={k}",
+                             witness=k)
+    try:
+        return D / d, k
+    except OverflowError:
+        raise KamError(f"psi = 1/|k.alpha| at k={k} overflows the float "
+                       "range") from None
+
+
+def _least_weighted(fracs, r: int, cap: int, power: float, resonance: str):
+    """min |t/D|_inf h^power over the points of norm h <= cap, rounded once
+    per product; at t = 0, a ResonanceError worded by resonance.format(k)."""
+    D = _integers(fracs)[0]
+    best = math.inf
+    for (h, d), k, _ in _minimal_points(fracs, r, math.floor(cap)):
+        if d == 0:
+            raise ResonanceError(resonance.format(tuple(k)), witness=tuple(k))
+        best = min(best, d / D * float(h) ** power)
+    return best
 
 
 def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
@@ -332,42 +354,20 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
     gamma      = min_{0<|k|<=k_range} ||k . at||_Z |k|^{(1+tau)(n-1)}, capped at 1.
     gamma_bar  = min_{1<=q<=q_range} ||q at||_{Z^{n-1}} q^{(1+(n-1)tau)/(n-1)}.
 
-    These are estimates over the scanned range only, never proofs.
+    These are estimates over the range only, never proofs.
     """
-    import numpy as np
     if k_range < 1 or q_range < 1:
         raise ParameterError("ranges must be >= 1")
-    _check_cells(q_range, "estimate_constants")
-    at = np.asarray(alpha_tilde, dtype=float)
-    m = len(at)
-    n = m + 1
-    exp_lin = (1.0 + tau) * (n - 1)
-    exp_sim = (1.0 + (n - 1) * tau) / (n - 1)
-
-    ks = _nonzero_box(m, k_range, "estimate_constants")
-    prod = ks.astype(float) @ at
-    dist = np.abs(prod - np.round(prod))
-    if np.any(dist == 0):
-        w = ks[int(np.nonzero(dist == 0)[0][0])]
-        raise ResonanceError(f"exact resonance at k={tuple(w)}",
-                             witness=tuple(int(v) for v in w))
-    knorm = np.abs(ks).max(axis=1).astype(float)
-    gamma = min(float(np.min(dist * knorm ** exp_lin)), 1.0)
-
-    qs = np.arange(1, q_range + 1, dtype=float)
-    prod = qs[:, None] * at[None, :]
-    dist = np.abs(prod - np.round(prod)).max(axis=1)
-    if np.any(dist == 0):
-        bad = int(np.nonzero(dist == 0)[0][0]) + 1
-        raise ResonanceError(
-            f"exact simultaneous resonance at q={bad}", witness=(bad,))
-    gamma_bar = float(np.min(dist * qs ** exp_sim))
-
+    fracs, m = _as_fracs(alpha_tilde), len(alpha_tilde)
+    gamma = _least_weighted(fracs, m, k_range, (1.0 + tau) * m,
+                            "exact resonance at k={}")
+    gamma_bar = _least_weighted(fracs, 1, q_range, (1.0 + m * tau) / m,
+                                "exact simultaneous resonance at q={0[0]}")
     warnings.warn(
         "Diophantine constants estimated over a finite range "
         f"(k<={k_range}, q<={q_range}); they are consistency data, not proofs.",
         stacklevel=2)
-    return gamma, gamma_bar
+    return min(gamma, 1.0), gamma_bar
 
 
 def lower_denominator_bound(alpha: FrequencyVector,

@@ -9,21 +9,24 @@ brute-force forms of what the pipeline computes in bulk: point
 evaluation, spectral Jacobians, tail splits with their certified bound,
 the omega-average projection, the Lie-series pullback, the Lie series
 summed field by field, the displacement composed from it (with or
-without the prune of each sum) and the resonant modes of a rational
-frequency.
+without the prune of each sum), the resonant modes of a rational
+frequency, and the Diophantine constants and psi by enumeration of
+every integer vector of their range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
 from kamtorus import averaging as avg
 from kamtorus import field as fld
-from kamtorus.diophantine import RationalApprox, _nonzero_box
+from kamtorus.diophantine import RationalApprox, _check_cells
 from kamtorus.errors import (EmbeddingFailureError, ParameterError,
-                             StepSizeError, StiffnessError)
+                             ResonanceError, StepSizeError, StiffnessError)
 from kamtorus.field import TWO_PI, FourierVectorField
 from kamtorus.oracles import _fd_jacobians
 
@@ -171,6 +174,16 @@ def displacement(n: int, flows, *, ledger=None, prune_result: bool = True):
 # diophantine
 # ---------------------------------------------------------------------------
 
+def _nonzero_box(n: int, K: int, what: str):
+    """The nonzero integer vectors with |k|_inf <= K, as an (M, n) int
+    array in lexicographic order, within the lattice-point budget."""
+    _check_cells((2 * K + 1) ** n, what)
+    rng = np.arange(-K, K + 1)
+    grids = np.meshgrid(*([rng] * n), indexing="ij")
+    ks = np.stack([g.ravel() for g in grids], axis=1)
+    return ks[np.any(ks != 0, axis=1)]
+
+
 def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
     """All nonzero k with k . omega = 0 and |k|_inf <= box, via the integer
     identity q*k_0 + k_tilde . p = 0.  Returns an (M, n) int array."""
@@ -185,6 +198,42 @@ def enumerate_resonant(approx: RationalApprox, box: int) -> np.ndarray:
     kt = kt[keep]
     k0 = k0[keep]
     return np.concatenate([k0[:, None], kt], axis=1).astype(np.int64)
+
+
+def _dist(y: Fraction) -> Fraction:
+    return abs(y - round(y))
+
+
+def brute_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
+    """estimate_constants by enumeration of every k with |k|_inf <= k_range
+    and every q <= q_range, each distance exact and rounded once, as
+    estimate_constants rounds it."""
+    fracs = [Fraction(float(x)) for x in alpha_tilde]
+    m = len(fracs)
+    gamma = gamma_bar = math.inf
+    for k in _nonzero_box(m, k_range, "brute_constants").tolist():
+        d = _dist(sum(a * x for a, x in zip(k, fracs)))
+        if d == 0:
+            raise ResonanceError("exact resonance", witness=tuple(k))
+        gamma = min(gamma, float(d) * float(max(map(abs, k))) ** (
+            (1.0 + tau) * m))
+    for q in range(1, q_range + 1):
+        d = max(_dist(q * x) for x in fracs)
+        if d == 0:
+            raise ResonanceError("exact simultaneous resonance", witness=(q,))
+        gamma_bar = min(gamma_bar,
+                        float(d) * float(q) ** ((1.0 + m * tau) / m))
+    return min(gamma, 1.0), gamma_bar
+
+
+def brute_psi(alpha_tilde, Q: float):
+    """(min |k . alpha|, every k attaining it) over 0 < |k|_inf <= Q, in
+    exact rationals."""
+    fracs = [Fraction(1)] + [Fraction(float(x)) for x in alpha_tilde]
+    ks = _nonzero_box(len(fracs), math.floor(Q), "brute_psi").tolist()
+    vals = [abs(sum(k * x for k, x in zip(v, fracs))) for v in ks]
+    least = min(vals)
+    return least, [tuple(v) for v, y in zip(ks, vals) if y == least]
 
 
 # ---------------------------------------------------------------------------

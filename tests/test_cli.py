@@ -239,7 +239,7 @@ _NUMPY_LOADED = ("[m for m in sys.modules if m.partition('.')[0] == "
 
 
 def test_approx_and_package_import_load_no_numpy(tmp_path):
-    # the exact Dirichlet layer runs without numpy; run still loads it
+    # the exact lattice searches run without numpy; run still loads it
     freqs = []
     for name, text in (("plastic", _PLASTIC), ("golden", _GOLDEN)):
         freqs.append(tmp_path / f"{name}.freq")
@@ -252,6 +252,9 @@ def test_approx_and_package_import_load_no_numpy(tmp_path):
         for freq in sys.argv[1:3]:
             assert cli.main(["approx", "--freq", freq, "--Q", "1e6"]) == 0
         assert not {_NUMPY_LOADED}, "kamtorus approx loaded numpy"
+        for freq, Q in zip(sys.argv[1:3], ["60", "1e5"]):
+            assert cli.main(["psi", "--freq", freq, "--Q", Q]) == 0
+        assert not {_NUMPY_LOADED}, "kamtorus psi loaded numpy"
         out = sys.argv[3]
         assert cli.main(["gen", "--n", "2", "--s", "1.0", "--eps", "1e-6",
                          "--modes", "6", "--seed", "0", "--kmax", "4",
@@ -651,18 +654,30 @@ def test_bad_beta_file_exits_2(tmp_path, golden_file, pert_file, capsys,
     assert not (tmp_path / "residual.json").exists()
 
 
-def test_psi_above_cell_budget_exits_2(golden_file, capsys):
-    assert main(["psi", "--freq", golden_file, "--Q", "1e5"]) == 2
-    assert "budget" in capsys.readouterr().err
+def test_psi_golden_at_1e5_prints_a_fibonacci_pair(golden_file, capsys):
+    # beyond the (2Q + 1)^2 = 4e10 points a box scan would enumerate
+    assert main(["psi", "--freq", golden_file, "--Q", "1e5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["argmax_k"] == [-46368, 75025]
 
 
-@pytest.mark.parametrize("Q,cells", [("1e5", "4e+10"), ("1e300", "4e+600"),
-                                     ("1e308", "4e+616")])
-def test_psi_cell_count_is_printed_to_3_digits(golden_file, capsys, Q, cells):
-    # the count (2Q + 1)^2 may lie far beyond the float range
+@pytest.mark.parametrize("Q", ["1e300", "1e308"])
+def test_psi_exits_2_at_the_dyadic_resonance(golden_file, capsys, Q):
+    # the float golden is 347922205179541 / 2^49 exactly
     assert main(["psi", "--freq", golden_file, "--Q", Q]) == 2
-    err = capsys.readouterr().err
-    assert f"enumerate {cells} lattice points" in err and len(err) < 300
+    out = capsys.readouterr()
+    assert "k=(-347922205179541, 562949953421312)" in out.err
+    assert not out.out and len(out.err) < 300
+
+
+def test_psi_overflow_exits_2(tmp_path, capsys):
+    # 1/|k.alpha| at k = (0, 1) is 1/5e-324, beyond the float range: no
+    # "psi": Infinity in the JSON
+    freq = tmp_path / "tiny.freq"
+    freq.write_text("freq v1 n=2 tau=0 gamma=0.5 gammabar=0.5\n5e-324\n")
+    assert main(["psi", "--freq", str(freq), "--Q", "1"]) == 2
+    out = capsys.readouterr()
+    assert "overflows the float range" in out.err and not out.out
 
 
 _CONFIG_LINES = st.one_of(

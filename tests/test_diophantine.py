@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -125,8 +126,8 @@ def _ref_smallest_q(at, Q):
                 best = v0
         if best is not None or c >= qmax:
             return None if best is None else best // lead
-        c *= 16
-        basis = [[row[0]] + [16 * y for y in row[1:]] for row in basis]
+        c, last = min(2 * c, qmax), c
+        basis = [[row[0]] + [y // last * c for y in row[1:]] for row in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +258,10 @@ def test_one_lll_pass_per_badly_approximable_search(golden_freq,
 
 
 def test_ascent_returns_the_smallest_q(monkeypatch):
-    # with no top box the 16-fold ascent runs: no cap up to 65536 admits
+    # with no top box the doubling ascent runs: no cap up to 65536 admits
     # a q <= c, but the cap 65536 box holds q = 74507 > c, which only
-    # v_0 <= half keeps out; the smallest q comes from the cap 2^20 box
+    # |k|_inf <= c keeps out; the smallest q comes from the box at the
+    # cap Q
     at, Q = [0.08207282530105009], 117046.75423592722
     monkeypatch.setattr(dio, "_TOP_BOX_CELLS", 0)
     dio._warm_basis.cache_clear()       # the boxes above are the cold ones
@@ -310,13 +312,13 @@ def test_warm_start_matches_a_cold_search(at, ts):
     # search with the cache and the warm state cleared
     Qs = [{2: 1e15, 3: 1e7, 4: 1e4}[len(at) + 1] ** t for t in ts]
     fracs = tuple(dio._as_fracs(at))
-    X = dio._warm_basis.__wrapped__(fracs)[0][0]
+    X = dio._warm_basis.__wrapped__(fracs, 1)[0][0]
     dio._warm_basis.cache_clear()
     dio._dirichlet_approx.cache_clear()
     warm = []
     for Q in Qs:
         warm.append(_answer(at, Q))
-        ux, uinv = dio._warm_basis(fracs)[0]
+        ux, uinv = dio._warm_basis(fracs, 1)[0]
         # uinv holds the columns of U^-1, and U^-1 (U X) is X exactly
         assert [[sum(u[l] * ux[l][j] for l in range(len(ux)))
                  for j in range(len(X))] for u in zip(*uinv)] == X
@@ -354,9 +356,10 @@ def test_integral_lll_invariants(n, digits, seed):
 
 def test_box_bounds_match_fraction_inverse(golden_freq, plastic_freq,
                                            monkeypatch):
-    # at every cap of real searches: the tracked U^-1 maps the reduced
-    # basis back to the unreduced one, and the integer bounds equal the
-    # floors of half * sum_i |inv[i][j]| from the Fraction inverse
+    # at every cap of real searches, on the Dirichlet lattice (r = 1) and
+    # its transpose (r = n - 1): the tracked U^-1 maps the reduced basis
+    # back to the unreduced one, and the integer bounds equal the floors
+    # of half * sum_i |inv[i][j]| from the Fraction inverse
     reduced, checked = [], []
     lll, box = dio._lll, dio._box_bounds
 
@@ -364,31 +367,39 @@ def test_box_bounds_match_fraction_inverse(golden_freq, plastic_freq,
         lll(b, u)
         reduced.append([list(row) for row in b])
 
-    def checked_box(uinv, w, lead, Dd, c):
-        b, m = reduced[-1], len(w)
-        start = [[lead] + [c * x for x in w]] + [
-            [0] * (i + 1) + [-c * Dd] + [0] * (m - 1 - i) for i in range(m)]
-        assert [[sum(u[l] * b[l][j] for l in range(m + 1))
-                 for j in range(m + 1)] for u in zip(*uinv)] == start
-        bounds = box(uinv, w, lead, Dd, c)
+    def checked_box(uinv, W, lead, Dd, c):
+        b, r = reduced[-1], len(W)
+        n = len(b)
+        start = [[lead * (i == j) for j in range(r)] + [c * x for x in w]
+                 for i, w in enumerate(W)]
+        start += [[0] * r + [-c * Dd * (i == j) for j in range(n - r)]
+                  for i in range(n - r)]
+        assert [[sum(u[l] * b[l][j] for l in range(n))
+                 for j in range(n)] for u in zip(*uinv)] == start
+        bounds = box(uinv, W, lead, Dd, c)
         assert bounds == _ref_bounds(b, lead * c)
-        checked.append(c)
+        checked.append(r)
         return bounds
 
     monkeypatch.setattr(dio, "_lll", recording_lll)
     monkeypatch.setattr(dio, "_box_bounds", checked_box)
     cube = [2 ** (1 / 3) - 1, 2 ** (2 / 3) - 1]
+    quartic = [2 ** (1 / 4) - 1, 2 ** (1 / 2) - 1, 2 ** (3 / 4) - 1]
     cases = [(plastic_freq.alpha_tilde, 10 ** (3 + i / 2)) for i in range(9)]
     cases += [(cube, 10 ** (3 + i / 2)) for i in range(0, 9, 2)]
     cases += [([GOLDEN], Q) for Q in (1e6, 1e15)]
-    cases += [([0.375, -0.5], 1e5), ([0.25, 0.5], 100),
-              ([2 ** (1 / 4) - 1, 2 ** (1 / 2) - 1, 2 ** (3 / 4) - 1], 1e4)]
+    cases += [([0.375, -0.5], 1e5), ([0.25, 0.5], 100), (quartic, 1e4)]
     for at, Q in cases:
         fracs = dio._as_fracs(at)
         delta = 1 / Fraction(float(Q))
-        dio._smallest_dirichlet_q(
-            fracs, delta, math.floor(Fraction(float(Q)) ** len(fracs)))
+        dio._least_point(fracs, 1, delta, 1,
+                         math.floor(Fraction(float(Q)) ** len(fracs)))
     assert len(checked) == len(reduced) > len(cases)
+    # the linear form's walks, which end at cap or at a resonance
+    for at, cap in ((plastic_freq.alpha_tilde, 200), (cube, 200),
+                    (quartic, 50), ([0.375, -0.5], 200)):
+        list(dio._minimal_points(dio._as_fracs(at), len(at), cap))
+    assert checked.count(2) > 30 and checked.count(3) > 10
 
 
 def test_rounding_ties_to_even():
@@ -423,6 +434,19 @@ def test_psi_golden(golden_freq):
     assert abs(k[0] * 1.0 + k[1] * GOLDEN) == pytest.approx(1.0 / v)
 
 
+def test_psi_golden_answers_fibonacci_pairs(golden_freq):
+    # of +-k the lexicographically smaller; far beyond a box of (2Q+1)^2
+    # points, up to the float's exact dyadic resonance (q = 2^49)
+    assert dio.psi_argmax(golden_freq, 10)[1] == (-5, 8)
+    v, k = dio.psi_argmax(golden_freq, 1e5)
+    assert k == (-46368, 75025)
+    assert v == float(1 / abs(-46368 + 75025 * Fraction(GOLDEN)))
+    for Q in (1e300, 1e308):
+        with pytest.raises(ResonanceError) as exc:
+            dio.psi_argmax(golden_freq, Q)
+        assert exc.value.witness == (-347922205179541, 2 ** 49)
+
+
 def test_psi_resonant_raises():
     with pytest.raises(ResonanceError) as exc:
         dio.psi_argmax(_freq([0.5]), 5)
@@ -447,6 +471,63 @@ def test_estimate_constants_golden_value():
     target = (3.0 - math.sqrt(5.0)) / 2.0
     assert gamma == pytest.approx(target, rel=1e-3)
     assert gamma_bar == pytest.approx(target, rel=1e-3)
+
+
+def test_golden_gamma_bar_over_the_approx_range(tmp_path, golden_freq):
+    # the float golden is a dyadic rational, so gamma_bar falls at
+    # q = 102334155: with the estimate over q <= 8e8, approx at Q = 8e8
+    # holds, and with the one over q <= 4096 its lower bound fails
+    from kamtorus.cli import main
+    with pytest.warns(UserWarning):
+        gamma_bar = dio.estimate_constants([GOLDEN], 0.0, 4096, 8 * 10 ** 8)[1]
+    assert gamma_bar == 0.12165267941733227
+    freq = tmp_path / "golden.freq"
+    for gb, code in ((gamma_bar, 0), (golden_freq.gamma_bar, 2)):
+        freq.write_text(dio.serialize_frequency(
+            dio.FrequencyVector(2, [GOLDEN], 0.0, golden_freq.gamma, gb)))
+        assert main(["approx", "--freq", str(freq), "--Q", "8e8"]) == code
+
+
+def _brute_or_resonance(f, *args):
+    try:
+        return f(*args)
+    except ResonanceError:
+        return "resonance"
+
+
+@settings(deadline=None, max_examples=150)
+@example([0.5], 0.0, 3)
+@example([0.125], 0.0, 3)
+@example([0.375, -0.5], 0.1, 3)
+@example([-0.5207, 0.9763], 0.1, 2)   # without |k_0|: k = (-3, -2, 2)
+@example([0.3739, 0.9131, 0.4257], 0.0, 2)
+@given(st.integers(1, 3).flatmap(
+    lambda m: st.lists(_ENTRIES, min_size=m, max_size=m)),
+    st.sampled_from([0.0, 0.1, 1.0]), st.integers(1, 8))
+def test_constants_and_psi_match_brute_force(at, tau, K):
+    # the walks over minimal points against every vector of the range:
+    # n = 2, 3, 4 with |k|_inf <= K, 6 and 3, and q <= 64
+    m = len(at)
+    K = min(K, {1: 8, 2: 6, 3: 3}[m])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = _brute_or_resonance(dio.estimate_constants, at, tau, K, 64)
+    assert got == _brute_or_resonance(ref.brute_constants, at, tau, K, 64)
+    least, argmins = ref.brute_psi(at, K)
+    if least == 0:
+        with pytest.raises(ResonanceError) as exc:
+            dio.psi_argmax(_freq(at), K)
+        assert exc.value.witness in argmins
+        return
+    try:
+        psi = float(1 / least)
+    except OverflowError:           # a subnormal entry
+        with pytest.raises(KamError, match="overflows the float range"):
+            dio.psi_argmax(_freq(at), K)
+        return
+    value, k = dio.psi_argmax(_freq(at), K)
+    assert value == psi and k in argmins
+    assert k == min(k, tuple(-y for y in k))
 
 
 def test_estimate_constants_resonant():
@@ -590,18 +671,17 @@ def test_alpha_tilde_is_a_float64_array():
 # ---------------------------------------------------------------------------
 
 def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
-    # each request would need far more than _GRID_CELL_BUDGET points; the
-    # raise comes before any of them is allocated
-    with pytest.raises(ParameterError, match="budget"):
-        dio.psi_argmax(golden_freq, 1e5)
-    with pytest.raises(ParameterError, match="budget"):
-        dio.psi_argmax(plastic_freq, 60)
-    with pytest.raises(ParameterError, match="budget"):
-        dio.estimate_constants(plastic_freq.alpha_tilde, 0.1, 10 ** 4, 10)
-    # the simultaneous scan holds one row per q, so q_range has the budget
-    for q_range in (2 ** 20 + 1, 10 ** 13):
-        with pytest.raises(ParameterError, match="budget"):
-            dio.estimate_constants(golden_freq.alpha_tilde, 0.0, 10, q_range)
+    # a box of more than _GRID_CELL_BUDGET points raises before any is
+    # enumerated, its count printed to 3 digits although it may lie far
+    # beyond the float range: a Dirichlet search of 0.5 kept at its top
+    # box (lo = cap) and the reference enumeration
+    half = Fraction(1, 2)
+    for cap, cells in ((41152263, "1.23e+08"), (10 ** 300, "3e+300"),
+                       (10 ** 616, "3e+616")):
+        with pytest.raises(ParameterError) as exc:
+            dio._least_point([half], 1, half, cap, cap)
+        assert str(exc.value).endswith(f"enumerate {cells} lattice points, "
+                                       "above the budget of 1048576")
     a = dio.dirichlet_approx(plastic_freq, 5)
     with pytest.raises(ParameterError, match="budget"):
         ref.enumerate_resonant(a, 10 ** 4)
