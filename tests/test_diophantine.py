@@ -670,11 +670,11 @@ def test_alpha_tilde_is_a_float64_array():
 # bounded allocations and the approximation cache
 # ---------------------------------------------------------------------------
 
-def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
+def test_lattice_search_cell_count_is_printed_to_3_digits():
     # a box of more than _GRID_CELL_BUDGET points raises before any is
     # enumerated, its count printed to 3 digits although it may lie far
     # beyond the float range: a Dirichlet search of 0.5 kept at its top
-    # box (lo = cap) and the reference enumeration
+    # box (lo = cap)
     half = Fraction(1, 2)
     for cap, cells in ((41152263, "1.23e+08"), (10 ** 300, "3e+300"),
                        (10 ** 616, "3e+616")):
@@ -682,6 +682,11 @@ def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
             dio._least_point([half], 1, half, cap, cap)
         assert str(exc.value).endswith(f"enumerate {cells} lattice points, "
                                        "above the budget of 1048576")
+
+
+def test_lattice_enumerations_above_budget_raise(golden_freq, plastic_freq):
+    # the reference enumeration keeps the budget; an infinite or NaN Q is
+    # refused before any search
     a = dio.dirichlet_approx(plastic_freq, 5)
     with pytest.raises(ParameterError, match="budget"):
         ref.enumerate_resonant(a, 10 ** 4)
