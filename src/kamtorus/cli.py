@@ -328,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    p.add_argument("--orbit-T", dest="orbit_T", type=float,
-                   default=DEFAULT_ORBIT_T)
+    p.add_argument("--orbit-T", type=float, default=DEFAULT_ORBIT_T)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -33,6 +33,11 @@ _GRID_CELL_BUDGET = 1 << 20
 _TOP_BOX_CELLS = 1 << 10
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and >= 0, got {tau}")
+
+
 @dataclass(frozen=True)
 class FrequencyVector:
     """alpha = (1, alpha_tilde) with claimed Diophantine data (tau, gamma, gamma_bar)."""
@@ -52,9 +57,7 @@ class FrequencyVector:
         if not all(abs(x) <= 1 for x in self.alpha_tilde):
             raise ParameterError(
                 "alpha_tilde entries must be finite and lie in [-1, 1]")
-        if not 0 <= self.tau < math.inf:
-            raise ParameterError(
-                f"tau must be finite and >= 0, got {self.tau}")
+        _check_tau(self.tau)
         if not 0 < self.gamma <= 1:
             raise ParameterError(f"gamma must be in (0, 1], got {self.gamma}")
         if not 0 < self.gamma_bar < math.inf:
@@ -356,8 +359,10 @@ def estimate_constants(alpha_tilde, tau: float, k_range: int, q_range: int):
 
     These are estimates over the range only, never proofs.
     """
-    if k_range < 1 or q_range < 1:
-        raise ParameterError("ranges must be >= 1")
+    if not (1 <= k_range < math.inf and 1 <= q_range < math.inf):
+        raise ParameterError(f"ranges must be >= 1 and finite, got "
+                             f"k_range={k_range}, q_range={q_range}")
+    _check_tau(tau)
     fracs, m = _as_fracs(alpha_tilde), len(alpha_tilde)
     gamma = _least_weighted(fracs, m, k_range, (1.0 + tau) * m,
                             "exact resonance at k={}")

@@ -397,6 +397,9 @@ def lie_series(op, V: FourierVectorField, v_norm: float,
     and from the sum, merged once in the order of a chain of adds
     (`<tag>.result_prune`).  Returns (sum, summed term norms).
     """
+    if op is not lie_bracket and op is not lie_derivative:
+        raise ParameterError(f"op must be lie_bracket or lie_derivative, "
+                             f"got {op!r}")
     for x in (head, a, b):
         _check_same_dim(x, V)
     n, w = V.n, s - sigma

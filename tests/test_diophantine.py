@@ -540,6 +540,18 @@ def test_estimate_constants_resonant():
      ParameterError, "ranges must be >= 1"),
     (lambda: dio.estimate_constants([GOLDEN], 0.0, 16, 0),
      ParameterError, "ranges must be >= 1"),
+    # infinite and NaN ranges are refused before math.floor sees them
+    (lambda: dio.estimate_constants([GOLDEN], 0.0, math.inf, 16),
+     ParameterError, "ranges must be >= 1 and finite"),
+    (lambda: dio.estimate_constants([GOLDEN], 0.0, 16, math.nan),
+     ParameterError, "ranges must be >= 1 and finite"),
+    # and so is every tau that FrequencyVector refuses
+    (lambda: dio.estimate_constants([GOLDEN], math.nan, 16, 16),
+     ParameterError, "tau must be finite and >= 0, got nan"),
+    (lambda: dio.estimate_constants([GOLDEN], math.inf, 16, 16),
+     ParameterError, "tau must be finite and >= 0, got inf"),
+    (lambda: dio.estimate_constants([GOLDEN], -5.0, 16, 16),
+     ParameterError, "tau must be finite and >= 0, got -5.0"),
     # 0.125 k is no integer for |k| <= 4, but 8 * 0.125 is
     (lambda: dio.estimate_constants([0.125], 0.0, 4, 16),
      ResonanceError, "exact simultaneous resonance at q=8"),

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kamtorus import field as fld
 from kamtorus.errors import (KamError, ParameterError, ParseError,
@@ -337,6 +337,10 @@ _ONE_MODE = np.array([[0, 0]])
      ParameterError, "must have shape"),
     (lambda: fld.eval_many(_rand_field(1), np.zeros((4, 3))),
      ParameterError, "points must have shape \\(N, 2\\)"),
+    # any other op would silently run the lie_derivative series
+    (lambda: fld.lie_series(fld.sub, _rand_field(1, eps=1e-6), 1e-6,
+                            *[_rand_field(2)] * 3, 1.0, 0.5, 1.0),
+     ParameterError, "op must be lie_bracket or lie_derivative"),
 ])
 def test_bad_field_input_raises(build, exc, msg):
     with pytest.raises(exc, match=msg):
@@ -538,8 +542,16 @@ def _both_series(series, inputs, op):
     return out, total, ledger
 
 
+# a series whose stop rule needs tol's factor rho/(1-rho): with
+# SERIES_TOL_REL*ref alone it ends at an earlier term
+_V1 = fld.make_field(2, 1.0, {(1, 0): [1.0, 0.5]})
+_A1 = fld.make_field(2, 1.0, {(0, 1): [1.0, -1.0], (1, 1): [0.5, 0.0]})
+
+
 @settings(deadline=None, max_examples=150)
 @given(_series_inputs())
+@example((fld.scale(_V1, 1e-4 / fld.norm(_V1, 1.0)), fld.zero_field(2, 1.0),
+          _A1, fld.zero_field(2, 1.0), 1e-2 * fld.norm(_A1, 1.0)))
 def test_stacked_lie_series_matches_the_per_field_loop(inputs):
     for op in (fld.lie_bracket, fld.lie_derivative):
         got, total, ledger = _both_series(fld.lie_series, inputs, op)
